@@ -94,12 +94,15 @@ def _cmd_solve(args) -> int:
     inst = _as_iqap(_load(args, augment=args.augment))
     if args.time_limit is None and args.max_iters is None:
         raise InputError("set --time-limit or --max-iters")
-    config = SolverConfig(
-        method=args.method,
-        time_limit=args.time_limit,
-        max_iterations=args.max_iters,
-        bound_improvement_epsilon=args.epsilon,
-    )
+    try:
+        config = SolverConfig(
+            method=args.method,
+            time_limit=args.time_limit,
+            max_iterations=args.max_iters,
+            bound_improvement_epsilon=args.epsilon,
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     report = run(inst, config, instance_tag=args.input)
     if args.output == "json":
         print(json.dumps(report.to_dict(include_trajectory=args.trajectory),

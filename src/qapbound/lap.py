@@ -1,10 +1,15 @@
 """Exact solver for sparse linear assignment instances.
 
-Shortest-augmenting-path method over the allowed-label structure, with
-vertex and label potentials maintained throughout.  One augmentation phase
-per vertex, each a Dijkstra sweep over the labels using reduced costs, so a
-dual-feasible pair (alpha, beta) satisfying complementary slackness with the
-returned assignment falls out of the run for free.
+Shortest-augmenting-path method over the allowed-label structure (the
+priority-queue form of Jonker & Volgenant, 1987), with vertex and label
+potentials maintained throughout.  One augmentation phase per vertex, each a
+Dijkstra sweep over the labels using reduced costs, so a dual-feasible pair
+(alpha, beta) satisfying complementary slackness with the returned
+assignment falls out of the run for free.
+
+Each sweep takes labels from a binary heap of tentative distances, ties
+going to the smallest label index, and updates the potentials of the labels
+it scanned only.  One augmentation therefore costs O(arcs scanned * log n).
 
 Instances whose costs are all integers are solved in exact integer
 arithmetic (Python ints never overflow), so the set of tight dual
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .model import (
     DualInfeasibleError,
@@ -78,6 +84,14 @@ def solve_lap(inst: LapInstance):
     vertex to label) and ``dual`` is feasible with ``alpha[v] + beta[x[v]]``
     equal to the assignment cost at every vertex.  Returns None when the
     allowed-label bipartite graph has no perfect matching.
+
+    Each augmentation is a Dijkstra sweep from one unmatched vertex.  Labels
+    are taken in heap order of ``(distance, label)``: smallest tentative
+    distance first, ties to the smallest label index, so the assignment and
+    dual returned for an instance do not depend on heap internals.  A label
+    is pushed whenever its distance strictly drops; stale entries are
+    skipped when popped.  The sweep costs O(arcs scanned * log n), and the
+    potential update after it touches only the labels it scanned.
     """
     n = inst.num_vertices
     if n == 0:
@@ -92,9 +106,10 @@ def solve_lap(inst: LapInstance):
         dist = [INF] * n
         pred = [-1] * n
         done = [False] * n
+        scanned = []
+        heap = []
         u = start
         path_len = zero
-        final = -1
         while True:
             row_labs = inst.allowed[u]
             row_costs = inst.costs[u]
@@ -106,36 +121,34 @@ def solve_lap(inst: LapInstance):
                 if nd < dist[lab]:
                     dist[lab] = nd
                     pred[lab] = u
-            best = -1
-            best_dist = INF
-            for lab in range(n):
-                if not done[lab] and dist[lab] < best_dist:
-                    best = lab
-                    best_dist = dist[lab]
-            if best < 0:
+                    heappush(heap, (nd, lab))
+            # Lazy deletion: skip entries for scanned labels and entries
+            # superseded by a later, strictly smaller distance.
+            while heap:
+                best_dist, best = heappop(heap)
+                if not done[best] and best_dist == dist[best]:
+                    break
+            else:
                 return None  # no augmenting path: some vertex set demands too few labels
             done[best] = True
+            scanned.append(best)
             if match_vertex[best] < 0:
-                final = best
                 break
             u = match_vertex[best]
-            path_len = dist[best]
+            path_len = best_dist
 
         # Shift potentials so the augmenting path becomes tight while every
         # reduced cost stays non-negative.
-        total = dist[final]
-        for lab in range(n):
-            if not done[lab]:
-                continue
-            diff = dist[lab] - total
+        for lab in scanned:
+            diff = dist[lab] - best_dist
             beta[lab] += diff
             owner = match_vertex[lab]
             if owner >= 0:
                 alpha[owner] -= diff
-        alpha[start] += total
+        alpha[start] += best_dist
 
         # Flip the matching along the augmenting path.
-        lab = final
+        lab = best
         while True:
             u = pred[lab]
             next_lab = match_label[u]

@@ -62,6 +62,18 @@ class TestSolve:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("budget", [
+        ("--max-iters", "0"),
+        ("--time-limit", "-1"),
+        ("--max-iters", "3", "--epsilon", "-1"),
+    ], ids=["zero-iterations", "negative-time-limit", "negative-epsilon"])
+    def test_bad_budget_is_input_error(self, capsys, budget):
+        code, _, err = run_cli(
+            capsys, "solve", "--input", str(FIXTURES / "toy1.dd"), *budget)
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_unknown_flag_is_input_error(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--frobnicate")
         assert code == 1

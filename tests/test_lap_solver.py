@@ -152,6 +152,73 @@ class TestSolveLap:
             assert all(isinstance(b, int) for b in dual.beta)
 
 
+
+def sparse_lap(rng, n, *, per_row=10, integral=True):
+    """Random labels per row plus the diagonal, costs in [1, 1000]."""
+    allowed = []
+    costs = []
+    for v in range(n):
+        labs = sorted({v, *(rng.randrange(n) for _ in range(per_row))})
+        allowed.append(labs)
+        if integral:
+            costs.append([rng.randint(1, 1000) for _ in labs])
+        else:
+            costs.append([rng.uniform(1, 1000) for _ in labs])
+    return LapInstance(allowed, costs)
+
+
+def scipy_matching_value(inst):
+    """Optimum by scipy's sparse matcher; raises ValueError if infeasible."""
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    sparse = pytest.importorskip("scipy.sparse")
+    rows, cols, data = [], [], []
+    for v, (labs, cs) in enumerate(zip(inst.allowed, inst.costs)):
+        rows.extend([v] * len(labs))
+        cols.extend(labs)
+        data.extend(cs)
+    n = inst.num_vertices
+    graph = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+    matched_rows, matched_cols = csgraph.min_weight_full_bipartite_matching(graph)
+    return sum(inst.cost(v, lab) for v, lab in zip(matched_rows, matched_cols))
+
+
+class TestScaleAgainstScipy:
+    """Sparse instances far past the enumeration guard, checked by scipy."""
+
+    @pytest.mark.parametrize("n, seed", [(1000, 23), (2000, 24)])
+    def test_integer_optimum_and_certificate(self, n, seed):
+        inst = sparse_lap(seeded(seed), n)
+        expected = scipy_matching_value(inst)
+        x, dual = solve_lap(inst)
+        assert lap_objective(inst, x) == expected
+        assert dual_objective(inst, dual) == expected
+        assert dual_feasible(inst, dual, tol=0) is None
+        for v, lab in enumerate(x):
+            assert dual.alpha[v] + dual.beta[lab] == inst.cost(v, lab)
+
+    def test_infeasible(self):
+        n = 1000
+        base = sparse_lap(seeded(25), n)
+        # the first three vertices compete for labels 0 and 1 only
+        allowed = [[0, 1]] * 3 + list(base.allowed[3:])
+        costs = [[5, 7]] * 3 + list(base.costs[3:])
+        inst = LapInstance(allowed, costs)
+        with pytest.raises(ValueError):
+            scipy_matching_value(inst)
+        assert solve_lap(inst) is None
+
+    def test_float_costs(self):
+        inst = sparse_lap(seeded(26), 500, integral=False)
+        expected = scipy_matching_value(inst)
+        x, dual = solve_lap(inst)
+        assert lap_objective(inst, x) == pytest.approx(expected, abs=inst.atol)
+        assert dual_objective(inst, dual) == pytest.approx(expected,
+                                                           abs=inst.atol)
+        assert dual_feasible(inst, dual) is None
+        for v, lab in enumerate(x):
+            assert dual.alpha[v] + dual.beta[lab] == pytest.approx(
+                inst.cost(v, lab), abs=inst.atol)
+
 class TestEqualitySubgraph:
     def test_example_initial_active_set(self):
         inst = example1_instance()
