@@ -62,7 +62,6 @@ class BoundReport:
     bound_trajectory: list = field(default_factory=list)
     iterations: int = 0
     wall_time: float = 0.0
-    seed: int | None = None
 
     def to_dict(self, *, include_trajectory: bool = True) -> dict:
         out = {
@@ -72,8 +71,6 @@ class BoundReport:
             "iterations": self.iterations,
             "wall_time": self.wall_time,
         }
-        if self.seed is not None:
-            out["seed"] = self.seed
         if include_trajectory:
             out["bound_trajectory"] = list(self.bound_trajectory)
         return out

@@ -218,12 +218,26 @@ class PairwiseEdge:
     """Pairwise costs of one unordered vertex pair, stored with ``u < v``.
 
     ``cells`` maps ``(label of u, label of v)`` to a cost; absent cells are
-    zero.  ``rows_local``/``cols_local`` hold the same data grouped by the
-    local index of the label inside ``allowed[u]``/``allowed[v]``, which is
-    the layout the reparametrization sweeps operate on.
+    zero.  ``rows_u`` and ``rows_v`` hold the same cells as row tables in
+    local label indices (positions in ``allowed[u]``/``allowed[v]``), the
+    layout that the per-edge minima of ``wcsp`` read.  ``rows_u`` has one
+    entry per label of ``u`` with the labels of ``v`` as columns, and
+    ``rows_v`` is its transpose.  An entry is
+
+    * ``None`` for a row with no stored cell;
+    * ``(False, stored, cells)`` for a sparse row (at most half of the
+      columns stored): the stored column indices and the ``(column, cost)``
+      cells;
+    * ``(True, unstored, cells)`` for a dense row: the column indices that
+      are *not* stored, then the cells.
+
+    A row's minimum over its unstored (zero) cells is what the tables are
+    for.  A sparse row finds it by walking the columns in ascending order
+    past the few stored ones; a dense row would walk past most of them, so
+    it keeps the short complement and takes the minimum over that instead.
     """
 
-    __slots__ = ("u", "v", "cells", "rows_local", "cols_local", "max_abs_cost")
+    __slots__ = ("u", "v", "cells", "rows_u", "rows_v", "max_abs_cost")
 
     def __init__(self, u: int, v: int, cells: Mapping, unary: IlapInstance):
         if u == v:
@@ -231,32 +245,56 @@ class PairwiseEdge:
         if u > v:
             u, v = v, u
             cells = {(l, k): c for (k, l), c in cells.items()}
+        if u < 0 or v >= unary.num_vertices:
+            raise ValueError(f"edge ({u}, {v}) references unknown vertex")
         self.u = u
         self.v = v
+        index_u = unary._index[u]
+        index_v = unary._index[v]
         norm = {}
-        rows: dict[int, list] = {}
-        cols: dict[int, list] = {}
+        rows = [[] for _ in index_u]
+        cols = [[] for _ in index_v]
         max_abs = 0
         for (k, l), c in cells.items():
-            where = f"edge ({u}, {v}) cell ({k}, {l})"
-            if not unary.allows(u, k):
-                raise ValueError(f"{where}: label {k} not allowed for vertex {u}")
-            if not unary.allows(v, l):
-                raise ValueError(f"{where}: label {l} not allowed for vertex {v}")
-            if (k, l) in norm:
-                raise ValueError(f"{where}: duplicate cell")
-            c = _as_cost(c, where)
+            ki = index_u.get(k)
+            li = index_v.get(l)
+            # The message is formatted only for a cell that needs checking.
+            if ki is None or li is None or (k, l) in norm or type(c) is not int:
+                where = f"edge ({u}, {v}) cell ({k}, {l})"
+                if ki is None:
+                    raise ValueError(f"{where}: label {k} not allowed for vertex {u}")
+                if li is None:
+                    raise ValueError(f"{where}: label {l} not allowed for vertex {v}")
+                if (k, l) in norm:
+                    raise ValueError(f"{where}: duplicate cell")
+                c = _as_cost(c, where)
             norm[(k, l)] = c
-            ki = unary.label_index(u, k)
-            li = unary.label_index(v, l)
-            rows.setdefault(ki, []).append((li, c))
-            cols.setdefault(li, []).append((ki, c))
+            rows[ki].append((li, c))
+            cols[li].append((ki, c))
             if abs(c) > max_abs:
                 max_abs = abs(c)
         self.cells = norm
-        self.rows_local = rows
-        self.cols_local = cols
+        self.rows_u = _row_table(rows, len(cols))
+        self.rows_v = _row_table(cols, len(rows))
         self.max_abs_cost = max_abs
+
+
+def _row_table(grouped: list, num_cols: int) -> tuple:
+    """``PairwiseEdge`` row entries from the ``(column, cost)`` list of
+    each row."""
+    table = []
+    for cells in grouped:
+        if not cells:
+            table.append(None)
+        elif 2 * len(cells) <= num_cols:
+            table.append((False, tuple([j for j, _ in cells]), tuple(cells)))
+        else:
+            free = [True] * num_cols
+            for j, _ in cells:
+                free[j] = False
+            unstored = tuple([j for j in range(num_cols) if free[j]])
+            table.append((True, unstored, tuple(cells)))
+    return tuple(table)
 
 
 class IqapInstance:
@@ -268,9 +306,6 @@ class IqapInstance:
         seen = set()
         for u, v, cells in edges:
             edge = PairwiseEdge(u, v, cells, unary)
-            if not (0 <= edge.u < unary.num_vertices
-                    and 0 <= edge.v < unary.num_vertices):
-                raise ValueError(f"edge ({u}, {v}) references unknown vertex")
             if (edge.u, edge.v) in seen:
                 raise ValueError(f"duplicate edge ({edge.u}, {edge.v})")
             seen.add((edge.u, edge.v))

@@ -15,13 +15,21 @@ edge's reparametrized pairwise costs are non-negative and vanish at the
 joint minimizer, and the lower bound cannot decrease.  One pass applies the
 update once per edge in ascending endpoint order.
 
-Per-edge minima exploit the sparse cell pattern: rows or columns without
-stored cells reduce to a minimum over the opposite unary vector alone.
+Both the update and the bound's per-edge minimum reduce to row minima: for
+each label of one endpoint, the cheapest sum of a cost vector over the
+other endpoint's labels and the stored cell (zero where none is stored).
+They read the row tables that every ``PairwiseEdge`` builds once at
+construction, so a sweep builds no per-edge structure: a row without
+stored cells is answered by the cheapest column alone, a sparse row by the
+cheapest column it does not store, and a dense row by the few columns it
+does not store, before its stored cells are compared.
 """
 
 from __future__ import annotations
 
 from .model import DUMMY, IqapInstance
+
+_INF = float("inf")
 
 
 class IqapDualState:
@@ -76,59 +84,58 @@ def reparam_pairwise(state: IqapDualState, u: int, v: int, k: int, l: int):
     return base - state.phi[(v, u)][iv] - state.phi[(u, v)][iu]
 
 
-def _row_minima(base: list, rows: dict[int, list], num_rows: int) -> list:
+def _row_minima(base: list, rows: tuple) -> list:
     """Per row r: min over columns j of ``base[j] + stored(r, j)``.
 
-    ``rows`` maps a row index to its stored ``(column, cost)`` entries;
-    absent cells count as zero.  The minimum over absent cells is found by
-    scanning columns in ascending ``base`` order until an uncovered one
-    appears, so fully empty rows cost a single lookup.
+    ``rows`` is a ``PairwiseEdge`` row table (``rows_u`` or ``rows_v``);
+    absent cells count as zero.  The cheapest column answers every row that
+    stores no cell, and every sparse row that does not store that column; a
+    sparse row that does walks the columns in ascending ``base`` order (ties
+    to the smaller index) to its first unstored one.  A dense row takes the
+    minimum over its few unstored columns.  The stored cells come last, each
+    replacing the running minimum only when strictly smaller, so every row
+    yields exactly the value of a strict scan in that order.
     """
-    order = sorted(range(len(base)), key=base.__getitem__)
-    cheapest = base[order[0]]
-    full = len(base)
+    cheapest = min(base)
+    first = base.index(cheapest)
+    order = None
     out = []
-    for r in range(num_rows):
-        entries = rows.get(r)
-        if not entries:
-            out.append(cheapest)
+    append = out.append
+    for row in rows:
+        if row is None:
+            append(cheapest)
             continue
-        best = None
-        if len(entries) < full:
-            covered = {j for j, _ in entries}
+        dense, cols, cells = row
+        if dense:
+            best = min([base[j] for j in cols]) if cols else _INF
+        elif first not in cols:
+            best = cheapest
+        else:
+            if order is None:
+                order = sorted(range(len(base)), key=base.__getitem__)
             for j in order:
-                if j not in covered:
+                if j not in cols:
                     best = base[j]
                     break
-        for j, c in entries:
+        for j, c in cells:
             val = base[j] + c
-            if best is None or val < best:
+            if val < best:
                 best = val
-        out.append(best)
+        append(best)
     return out
 
 
-def _oriented(state: IqapDualState, u: int, v: int):
-    """Edge between u and v with its row/column maps oriented as (u, v)."""
-    edge = state.inst.edge_between(u, v)
-    if edge is None:
-        raise ValueError(f"no edge between vertices {u} and {v}")
-    if edge.u == u:
-        return edge.rows_local, edge.cols_local
-    return edge.cols_local, edge.rows_local
-
-
-def mplp_pp_edge_update(state: IqapDualState, u: int, v: int) -> None:
-    """One handshake on edge (u, v): split min-marginals between endpoints."""
-    rows_u, rows_v = _oriented(state, u, v)
+def _handshake(state: IqapDualState, u: int, v: int,
+               rows_u: tuple, rows_v: tuple) -> None:
+    """Edge update with the row tables of ``u`` and of ``v`` given."""
     phi_uv = state.phi[(u, v)]
     phi_vu = state.phi[(v, u)]
     tu = state.tilde(u)
     tv = state.tilde(v)
     base_u = [t - p for t, p in zip(tu, phi_uv)]
     base_v = [t - p for t, p in zip(tv, phi_vu)]
-    min_over_v = _row_minima(base_v, rows_u, len(base_u))
-    min_over_u = _row_minima(base_u, rows_v, len(base_v))
+    min_over_v = _row_minima(base_v, rows_u)
+    min_over_u = _row_minima(base_u, rows_v)
     unary_u = state.theta_phi[u]
     unary_v = state.theta_phi[v]
     for k in range(len(base_u)):
@@ -141,16 +148,28 @@ def mplp_pp_edge_update(state: IqapDualState, u: int, v: int) -> None:
         unary_v[l] += delta
 
 
+def mplp_pp_edge_update(state: IqapDualState, u: int, v: int) -> None:
+    """One handshake on edge (u, v): split min-marginals between endpoints."""
+    edge = state.inst.edge_between(u, v)
+    if edge is None:
+        raise ValueError(f"no edge between vertices {u} and {v}")
+    if edge.u == u:
+        _handshake(state, u, v, edge.rows_u, edge.rows_v)
+    else:
+        _handshake(state, u, v, edge.rows_v, edge.rows_u)
+
+
 def mplp_pp_pass(state: IqapDualState, *, backward: bool = False) -> None:
     """Apply the edge update once per edge, in ascending endpoint order.
 
     ``backward`` adds a second sweep in reverse order.
     """
-    for e in state.inst.edges:
-        mplp_pp_edge_update(state, e.u, e.v)
+    edges = state.inst.edges
+    for e in edges:
+        _handshake(state, e.u, e.v, e.rows_u, e.rows_v)
     if backward:
-        for e in reversed(state.inst.edges):
-            mplp_pp_edge_update(state, e.u, e.v)
+        for e in reversed(edges):
+            _handshake(state, e.u, e.v, e.rows_u, e.rows_v)
 
 
 def pairwise_minimum(state: IqapDualState, edge) -> float:
@@ -158,5 +177,5 @@ def pairwise_minimum(state: IqapDualState, edge) -> float:
     phi_uv = state.phi[(edge.u, edge.v)]
     phi_vu = state.phi[(edge.v, edge.u)]
     base_v = [-p for p in phi_vu]
-    per_row = _row_minima(base_v, edge.rows_local, len(phi_uv))
+    per_row = _row_minima(base_v, edge.rows_u)
     return min(m - p for m, p in zip(per_row, phi_uv))

@@ -7,8 +7,13 @@ and ``hung-ri`` feed that dual into the next iteration.  These values were
 recorded from the linear-scan solver; any change to the search order that
 moves them shows up here.  Values are compared by ``repr`` so that an int
 turning into a float, or a last-digit float change, also fails.
+
+The ``bca`` trajectories and the final bounds on ``row_kinds_instance`` pin
+the message-passing sweep and bound evaluation (``wcsp``) the same way.
+They were recorded before the per-edge rows moved to their current layout.
 """
 
+import random
 from pathlib import Path
 
 import pytest
@@ -16,7 +21,7 @@ import pytest
 from qapbound.bounds import SolverConfig, run
 from qapbound.formats import load_instance
 from qapbound.lap import solve_lap
-from qapbound.model import LapInstance
+from qapbound.model import DUMMY, IlapInstance, IqapInstance, LapInstance
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -73,6 +78,68 @@ TRAJECTORY_GOLDEN = {
 }
 
 
+BCA_GOLDEN = {
+    ("toy1.dd", False): "[-3" + ", -1.0" * 20 + "]",
+    ("toy1.dd", True): "[-3" + ", -1.0" * 20 + "]",
+    ("toy2.dd", False): "[-6" + ", -5.0" * 20 + "]",
+    ("toy2.dd", True): "[-6" + ", -5.0" * 20 + "]",
+    ("toy3.dd", False): "[-6" + ", -3.0" * 20 + "]",
+    ("toy3.dd", True): (
+        "[-6" + ", -3.0" * 14 + ", -2.9999999999999996, -3.0, -3.0, "
+        "-2.999999999999999, -3.0, -2.9999999999999996]"),
+    ("qap3.dat", False): "[-183" + ", -159.0" * 20 + "]",
+    ("qap3.dat", True): "[-183" + ", -159.0" * 20 + "]",
+}
+
+
+def row_kinds_instance():
+    """Five vertices, all ten edges, float costs.
+
+    Row ``r`` of edge ``(u, v)`` stores no cell, at most half of the
+    columns, more than half but not all, or every column, as
+    ``(u + v + r) % 4`` says, so every edge mixes the four row kinds.
+    """
+    rng = random.Random(20261018)
+    nl, nv = 6, 5
+    allowed = [[DUMMY] + sorted(rng.sample(range(nl), k=rng.randint(3, nl)))
+               for _ in range(nv)]
+    costs = [[round(rng.uniform(-4, 4), 3) for _ in labs] for labs in allowed]
+    core = IlapInstance(allowed, costs, nl)
+    edges = []
+    for u in range(nv):
+        for v in range(u + 1, nv):
+            cols = allowed[v]
+            cells = {}
+            for r, k in enumerate(allowed[u]):
+                kind = (u + v + r) % 4
+                if kind == 0:
+                    stored = []
+                elif kind == 1:
+                    stored = rng.sample(cols, k=rng.randint(1, len(cols) // 2))
+                elif kind == 2:
+                    stored = rng.sample(
+                        cols, k=rng.randint(len(cols) // 2 + 1, len(cols) - 1))
+                else:
+                    stored = cols
+                for l in stored:
+                    cells[(k, l)] = round(rng.uniform(-3, 5), 3)
+            edges.append((u, v, cells))
+    return IqapInstance(core, edges)
+
+
+ROW_KINDS_GOLDEN = {
+    "bca": "-15.11941658366304",
+    "hung": "-15.207202072758399",
+    "hung-ri": "-15.139707508021623",
+}
+
+
+def load_fixture(name):
+    qaplib = name.endswith(".dat")
+    return load_instance(FIXTURES / name, fmt="qaplib" if qaplib else "auto",
+                         augment=qaplib)
+
+
 @pytest.mark.parametrize("name", sorted(LAP_GOLDEN))
 def test_solve_lap_output_is_pinned(name):
     x, dual = solve_lap(LAP_INSTANCES[name]())
@@ -81,10 +148,25 @@ def test_solve_lap_output_is_pinned(name):
 
 @pytest.mark.parametrize("name, method", sorted(TRAJECTORY_GOLDEN))
 def test_exact_step_trajectory_is_pinned(name, method):
-    qaplib = name.endswith(".dat")
-    inst = load_instance(FIXTURES / name, fmt="qaplib" if qaplib else "auto",
-                         augment=qaplib)
+    inst = load_fixture(name)
     config = SolverConfig(method=method, max_iterations=20,
                           bound_improvement_epsilon=0)
     report = run(inst, config)
     assert repr(report.bound_trajectory) == TRAJECTORY_GOLDEN[(name, method)]
+
+
+@pytest.mark.parametrize("name, backward", sorted(BCA_GOLDEN))
+def test_bca_trajectory_is_pinned(name, backward):
+    config = SolverConfig(method="bca", max_iterations=20,
+                          bound_improvement_epsilon=0,
+                          backward_mplp_pass=backward)
+    report = run(load_fixture(name), config)
+    assert repr(report.bound_trajectory) == BCA_GOLDEN[(name, backward)]
+
+
+@pytest.mark.parametrize("method", sorted(ROW_KINDS_GOLDEN))
+def test_final_bound_over_all_row_kinds_is_pinned(method):
+    config = SolverConfig(method=method, max_iterations=20,
+                          bound_improvement_epsilon=0)
+    report = run(row_kinds_instance(), config)
+    assert repr(report.final_bound) == ROW_KINDS_GOLDEN[method]

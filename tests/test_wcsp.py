@@ -6,6 +6,7 @@ from qapbound.wcsp import (
     IqapDualState,
     mplp_pp_edge_update,
     mplp_pp_pass,
+    pairwise_minimum,
     reparam_pairwise,
 )
 
@@ -17,6 +18,50 @@ def two_vertex_instance(costs_u, costs_v, cells, num_labels=2):
         [[DUMMY] + list(range(num_labels))] * 2,
         [costs_u, costs_v], num_labels)
     return IqapInstance(core, [(0, 1, cells)])
+
+
+def row_kinds_iqap(rng):
+    """Random instance whose edge rows are empty, sparse, dense or full.
+
+    Up to eight labels, so that a sparse row (at most half of the columns
+    stored) can store the cheapest column; costs from a short list with
+    zeros, halves and negatives, so that sums tie often.
+    """
+    nl = rng.randint(4, 8)
+    nv = rng.randint(2, 4)
+    allowed = [[DUMMY] + sorted(rng.sample(range(nl), k=rng.randint(2, nl)))
+               for _ in range(nv)]
+    costs = [[rng.choice([-2, -1, 0, 0, 0.5, 1, 2]) for _ in labs]
+             for labs in allowed]
+    core = IlapInstance(allowed, costs, nl)
+    edges = []
+    for u in range(nv):
+        for v in range(u + 1, nv):
+            cols = allowed[v]
+            half = len(cols) // 2
+            cells = {}
+            for k in allowed[u]:
+                count = rng.choice([0, rng.randint(1, half),
+                                    rng.randint(half + 1, len(cols)),
+                                    len(cols)])
+                for l in rng.sample(cols, k=count):
+                    cells[(k, l)] = rng.choice([-3, -1, -0.5, 0, 1, 2])
+            edges.append((u, v, cells))
+    return IqapInstance(core, edges)
+
+
+def row_kind(edge, state, k, allowed_v):
+    """How row ``k`` of ``edge`` (oriented from ``u``) stores its cells."""
+    stored = [l for l in allowed_v if (k, l) in edge.cells]
+    if not stored:
+        return "empty"
+    if len(stored) == len(allowed_v):
+        return "full"
+    if 2 * len(stored) > len(allowed_v):
+        return "dense"
+    base = [-p for p in state.phi[(edge.v, edge.u)]]
+    cheapest = allowed_v[base.index(min(base))]
+    return "sparse, cheapest stored" if cheapest in stored else "sparse"
 
 
 def enumerate_feasible(inst):
@@ -159,6 +204,49 @@ class TestEdgeUpdate:
             ]
             assert min(values) >= -atol
             assert min(values) <= atol
+
+
+    def test_non_edge_is_rejected(self):
+        core = IlapInstance([[DUMMY, 0]] * 3, [[0, 1]] * 3, 1)
+        inst = IqapInstance(core, [(0, 1, {(0, 0): 2})])
+        state = IqapDualState(inst)
+        for u, v in [(0, 2), (2, 1), (1, 1)]:
+            with pytest.raises(ValueError, match="no edge"):
+                mplp_pp_edge_update(state, u, v)
+
+    def test_orientation_does_not_matter(self):
+        rng = seeded(41)
+        for _ in range(30):
+            inst = row_kinds_iqap(rng)
+            state = IqapDualState(inst)
+            mplp_pp_pass(state)
+            for e in inst.edges:
+                forward = state.copy()
+                reverse = state.copy()
+                mplp_pp_edge_update(forward, e.u, e.v)
+                mplp_pp_edge_update(reverse, e.v, e.u)
+                assert forward.phi == reverse.phi
+                assert forward.theta_phi == reverse.theta_phi
+
+
+class TestPairwiseMinimum:
+    def test_equals_brute_force_over_all_row_kinds(self):
+        rng = seeded(43)
+        kinds = set()
+        for _ in range(60):
+            inst = row_kinds_iqap(rng)
+            state = IqapDualState(inst)
+            allowed = inst.unary.allowed
+            for _ in range(rng.randint(0, 3)):
+                mplp_pp_pass(state, backward=rng.random() < 0.5)
+            for e in inst.edges:
+                brute = min(reparam_pairwise(state, e.u, e.v, k, l)
+                            for k in allowed[e.u] for l in allowed[e.v])
+                assert pairwise_minimum(state, e) == brute
+                kinds.update(row_kind(e, state, k, allowed[e.v])
+                             for k in allowed[e.u])
+        assert kinds == {"empty", "sparse", "sparse, cheapest stored",
+                         "dense", "full"}
 
 
 class TestPass:
