@@ -15,7 +15,7 @@ improve it:
 
 from __future__ import annotations
 
-from .model import DUMMY, IlapInstance
+from .model import DUMMY
 from .reduction import solve_ilap
 from .wcsp import IqapDualState
 
@@ -74,9 +74,7 @@ def beta_exact_update(state: IqapDualState, *,
     arithmetic.  With ``relative_interior`` the installed optimum lies in
     the relative interior of the subproblem's dual optimal set.
     """
-    inst = state.inst.unary
-    sub = IlapInstance(inst.allowed, state.theta_phi, inst.num_labels,
-                       tolerance=inst.tolerance)
     mode = "relative_interior" if relative_interior else "optimal"
-    _, dual = solve_ilap(sub, mode=mode)
+    _, dual = solve_ilap(state.inst.unary.with_costs(state.theta_phi),
+                         mode=mode)
     state.beta = [min(b, 0) for b in dual.beta]

@@ -357,3 +357,7 @@ def main(argv=None) -> int:
 
 def console_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

@@ -12,8 +12,21 @@ Three problem classes share one storage scheme:
 
 Costs are kept per vertex as a sorted tuple of allowed labels with a parallel
 cost tuple.  Integer-valued costs are stored as Python ints so that integral
-instances can be processed in exact arithmetic.  Instances are immutable
-after construction and safe to share across threads or processes.
+instances can be processed in exact arithmetic.
+
+A unary instance is a *structure* and its *costs*.  The structure (the
+sorted ``allowed`` rows, the label-index and vertices-per-label tables, the
+names) is validated and built once, by the constructor.  ``with_costs``
+returns a new instance over the same structure: it checks and normalizes
+only the new costs, through the same code path as the constructor, and
+shares the structure objects.  This is how the exact label step re-prices
+the unary subproblem every iteration.  Data that other modules derive from
+the structure alone, such as the index layout of the reduced square
+instance (see ``reduction``), is computed on first use and shared the same
+way, so loading an instance never pays for it.  Instances are immutable
+after construction (the lazily filled caches hold values that depend only
+on what they are derived from) and safe to share across threads or
+processes.
 
 Every tolerance comparison in the package goes through the instance's
 ``atol``: the configured relative knob ``tolerance`` scaled by
@@ -65,17 +78,17 @@ def _as_cost(value, where: str):
     return x
 
 
-def _normalize_rows(allowed, costs, num_labels: int, *, dummy_required: bool):
-    """Sort each per-vertex label list, validate it, and normalize costs.
+def _sort_rows(allowed, costs, num_labels: int, *, dummy_required: bool):
+    """Structure half of construction: sort and validate each label list.
 
-    Returns (allowed rows, cost rows, max abs cost) as nested tuples.
+    Returns the allowed rows as nested tuples and the cost rows permuted
+    into the same order, not yet normalized.
     """
     if len(allowed) != len(costs):
         raise ValueError("allowed and costs must have one entry per vertex")
     low = DUMMY if dummy_required else 0
     rows = []
     cost_rows = []
-    max_abs = 0
     for v, (labs, cs) in enumerate(zip(allowed, costs)):
         labs = list(labs)
         cs = list(cs)
@@ -83,41 +96,74 @@ def _normalize_rows(allowed, costs, num_labels: int, *, dummy_required: bool):
             raise ValueError(f"vertex {v}: label list and cost list differ in length")
         if not labs:
             raise ValueError(f"vertex {v}: needs at least one allowed label")
-        pairs = sorted(zip(labs, (_as_cost(c, f"vertex {v}") for c in cs)))
+        order = sorted(range(len(labs)), key=labs.__getitem__)
         prev = None
-        for lab, _ in pairs:
+        for i in order:
+            lab = labs[i]
             if lab == prev:
                 raise ValueError(f"vertex {v}: duplicate allowed label {lab}")
             if not (low <= lab < num_labels):
                 raise ValueError(f"vertex {v}: label {lab} out of range")
             prev = lab
-        if dummy_required and pairs[0][0] != DUMMY:
+        if dummy_required and labs[order[0]] != DUMMY:
             raise ValueError(f"vertex {v}: dummy label missing from allowed set")
-        rows.append(tuple(lab for lab, _ in pairs))
-        cost_rows.append(tuple(c for _, c in pairs))
-        row_max = max(abs(c) for c in cost_rows[-1])
+        rows.append(tuple([labs[i] for i in order]))
+        cost_rows.append([cs[i] for i in order])
+    return tuple(rows), cost_rows
+
+
+def _normalize_costs(costs, allowed):
+    """Cost half of construction, for cost rows parallel to ``allowed``.
+
+    Checks the row lengths and normalizes every cost with ``_as_cost``.
+    Returns (cost rows as nested tuples, max abs cost, all-int flag).
+    """
+    if len(costs) != len(allowed):
+        raise ValueError("allowed and costs must have one entry per vertex")
+    rows = []
+    max_abs = 0
+    integral = True
+    for v, (cs, labs) in enumerate(zip(costs, allowed)):
+        if len(cs) != len(labs):
+            raise ValueError(f"vertex {v}: label list and cost list differ in length")
+        where = f"vertex {v}"
+        # Ints and finite non-integer floats are already normal; this skips
+        # the call for nearly every cell.
+        row = tuple([c if type(c) is int or (type(c) is float and c - c == 0
+                                             and not c.is_integer())
+                     else _as_cost(c, where) for c in cs])
+        rows.append(row)
+        row_max = max(map(abs, row))
         if row_max > max_abs:
             max_abs = row_max
-    return tuple(rows), tuple(cost_rows), max_abs
+        if integral:
+            integral = all(isinstance(c, int) for c in row)
+    return tuple(rows), max_abs, integral
 
 
 class _BaseInstance:
-    """Shared helpers for the two unary instance classes."""
+    """Shared helpers for the two unary instance classes.
+
+    An instance is a *structure* (vertex and label counts, the sorted
+    ``allowed`` rows, the index tables built from them, names) plus *costs*
+    (``costs``, ``max_abs_cost``, ``integral``, ``tolerance``).
+    ``with_costs`` makes a new instance that shares the structure of this
+    one, including ``_structure_cache``.
+    """
 
     num_vertices: int
     num_labels: int
     allowed: tuple[tuple[int, ...], ...]
     costs: tuple[tuple, ...]
 
-    def _finish_init(self, vertex_names, label_names, tolerance: float):
-        if tolerance < 0:
-            raise ValueError("tolerance must be non-negative")
-        self.tolerance = float(tolerance)
+    _STRUCTURE = ("num_vertices", "num_labels", "allowed", "_index",
+                  "vertices_for_label", "vertex_names", "label_names",
+                  "_structure_cache")
+
+    def _finish_init(self, costs, vertex_names, label_names, tolerance: float):
+        self._set_costs(costs, tolerance)
         self._index = tuple(
             {lab: i for i, lab in enumerate(row)} for row in self.allowed
-        )
-        self.integral = all(
-            isinstance(c, int) for row in self.costs for c in row
         )
         vfl = [[] for _ in range(self.num_labels)]
         for v, row in enumerate(self.allowed):
@@ -131,6 +177,32 @@ class _BaseInstance:
             raise ValueError("vertex_names length mismatch")
         if self.label_names and len(self.label_names) != self.num_labels:
             raise ValueError("label_names length mismatch")
+        # Data derived from the structure alone, computed by other modules
+        # on first use and shared by every ``with_costs`` copy.
+        self._structure_cache = {}
+
+    def _set_costs(self, costs, tolerance: float):
+        self.costs, self.max_abs_cost, self.integral = _normalize_costs(
+            costs, self.allowed)
+        if tolerance < 0:
+            raise ValueError("tolerance must be non-negative")
+        self.tolerance = float(tolerance)
+
+    def with_costs(self, costs, *, tolerance: float | None = None):
+        """New instance over this structure with ``costs``.
+
+        ``costs`` has one row per vertex, parallel to ``allowed``; it is
+        checked and normalized exactly as by the constructor.  The structure
+        is shared, not rebuilt.  ``tolerance`` defaults to this instance's.
+        """
+        new = object.__new__(type(self))
+        for name in self._STRUCTURE:
+            setattr(new, name, getattr(self, name))
+        new._set_costs(costs, self.tolerance if tolerance is None else tolerance)
+        return new
+
+    def replace_tolerance(self, tolerance: float):
+        return self.with_costs(self.costs, tolerance=tolerance)
 
     @property
     def atol(self) -> float:
@@ -163,15 +235,9 @@ class LapInstance(_BaseInstance):
         n = len(allowed)
         self.num_vertices = n
         self.num_labels = n
-        self.allowed, self.costs, self.max_abs_cost = _normalize_rows(
-            allowed, costs, n, dummy_required=False)
-        self._finish_init(vertex_names, label_names, tolerance)
-
-    def replace_tolerance(self, tolerance: float) -> "LapInstance":
-        return LapInstance(self.allowed, self.costs,
-                           vertex_names=self.vertex_names,
-                           label_names=self.label_names,
-                           tolerance=tolerance)
+        self.allowed, costs = _sort_rows(allowed, costs, n,
+                                         dummy_required=False)
+        self._finish_init(costs, vertex_names, label_names, tolerance)
 
     def __repr__(self):
         return f"LapInstance(n={self.num_vertices}, pairs={sum(map(len, self.allowed))})"
@@ -184,30 +250,23 @@ class IlapInstance(_BaseInstance):
     sentinel ``DUMMY`` and must appear in every allowed list.
     """
 
+    # This instance's reduction, memoized by ``reduction.reduce_ilap_to_lap``.
+    _reduced = None
+
     def __init__(self, allowed, costs, num_labels: int, *, vertex_names=None,
                  label_names=None, tolerance: float = 1e-9):
         self.num_vertices = len(allowed)
         self.num_labels = num_labels
-        self.allowed, self.costs, self.max_abs_cost = _normalize_rows(
-            allowed, costs, num_labels, dummy_required=True)
-        self._finish_init(vertex_names, label_names, tolerance)
+        self.allowed, costs = _sort_rows(allowed, costs, num_labels,
+                                         dummy_required=True)
+        self._finish_init(costs, vertex_names, label_names, tolerance)
 
     def dummy_cost(self, v: int):
         return self.costs[v][self._index[v][DUMMY]]
 
     def scale_costs(self, factor: int) -> "IlapInstance":
         """New instance with every cost multiplied by ``factor``."""
-        scaled = tuple(tuple(c * factor for c in row) for row in self.costs)
-        return IlapInstance(self.allowed, scaled, self.num_labels,
-                            vertex_names=self.vertex_names,
-                            label_names=self.label_names,
-                            tolerance=self.tolerance)
-
-    def replace_tolerance(self, tolerance: float) -> "IlapInstance":
-        return IlapInstance(self.allowed, self.costs, self.num_labels,
-                            vertex_names=self.vertex_names,
-                            label_names=self.label_names,
-                            tolerance=tolerance)
+        return self.with_costs([[c * factor for c in row] for row in self.costs])
 
     def __repr__(self):
         return (f"IlapInstance(vertices={self.num_vertices}, "
@@ -402,14 +461,13 @@ def require_feasible(inst, x: Assignment) -> None:
         raise FeasibilityError(viol.message)
 
 
-def lap_objective(inst: LapInstance, x: Assignment):
+def lap_objective(inst: LapInstance | IlapInstance, x: Assignment):
+    """Cost of a feasible assignment of a ``LapInstance`` or ``IlapInstance``."""
     require_feasible(inst, x)
     return sum(inst.cost(v, lab) for v, lab in enumerate(x))
 
 
-def ilap_objective(inst: IlapInstance, x: Assignment):
-    require_feasible(inst, x)
-    return sum(inst.cost(v, lab) for v, lab in enumerate(x))
+ilap_objective = lap_objective
 
 
 def iqap_objective(inst: IqapInstance, x: Assignment):
@@ -424,8 +482,6 @@ def objective(inst, x: Assignment):
     """Objective of ``x`` for whichever problem class ``inst`` belongs to."""
     if isinstance(inst, IqapInstance):
         return iqap_objective(inst, x)
-    if isinstance(inst, IlapInstance):
-        return ilap_objective(inst, x)
     return lap_objective(inst, x)
 
 

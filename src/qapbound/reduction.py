@@ -16,6 +16,14 @@ membership in the relative interior of the dual optimal set.
 
 Node layout: nodes 0 .. |V|-1 are the vertices, nodes |V| .. |V|+|L|-1 are
 the non-dummy labels, identically on both sides of the square instance.
+
+The index layout of the square instance (its allowed rows, index tables and
+names, and the original cell behind each cross cell) depends only on the
+allowed sets.  It is built once per instance structure, on the first
+reduction, and shared by every instance made from that structure with
+``with_costs`` or ``scale_costs``.  Each reduction then only prices the
+layout with the instance's costs, and its result is memoized on the
+instance.
 """
 
 from __future__ import annotations
@@ -66,40 +74,72 @@ class ReducedLap:
         return node - self.num_vertices
 
 
-def reduce_ilap_to_lap(inst: IlapInstance) -> ReducedLap:
-    """Build the mirrored square instance for ``inst``.
+@dataclass(frozen=True)
+class _Layout:
+    """The reduced instance's structure for one ILAP structure.
 
-    The result is always feasible (every node may take itself) and its size
-    is linear in the number of allowed (vertex, label) pairs.
+    ``template`` carries the allowed rows, index tables and names of the
+    square instance (its costs are placeholders); ``label_cells`` lists,
+    for each non-dummy label, the ``(vertex, position in allowed[vertex])``
+    of the original cell behind each cross cell of the label node's row.
     """
+
+    template: LapInstance
+    label_cells: tuple
+
+
+def _layout(inst: IlapInstance) -> _Layout:
+    """The layout for ``inst``'s structure, built on first use and shared."""
+    layout = inst._structure_cache.get("reduction")
+    if layout is not None:
+        return layout
     nv = inst.num_vertices
     nl = inst.num_labels
-    allowed = []
-    costs = []
-    for v in range(nv):
-        labs = [v]
-        cs = [inst.dummy_cost(v)]
-        for lab, c in zip(inst.allowed[v], inst.costs[v]):
-            if lab == DUMMY:
-                continue
-            labs.append(nv + lab)
-            cs.append(_half(c))
-        allowed.append(labs)
-        costs.append(cs)
+    # Vertex node v: itself, then its non-dummy labels (the dummy sorts
+    # first in ``allowed[v]``).
+    allowed = [[v] + [nv + lab for lab in inst.allowed[v][1:]]
+               for v in range(nv)]
+    label_cells = []
     for lab in range(nl):
-        labs = list(inst.vertices_for_label[lab])
-        cs = [_half(inst.cost(u, lab)) for u in labs]
-        labs.append(nv + lab)
-        cs.append(0 if inst.integral else 0.0)
-        allowed.append(labs)
-        costs.append(cs)
+        vertices = inst.vertices_for_label[lab]
+        label_cells.append(tuple((u, inst.label_index(u, lab))
+                                 for u in vertices))
+        allowed.append(list(vertices) + [nv + lab])
     names = None
     if inst.vertex_names or inst.label_names:
         names = tuple(inst.vertex_name(v) for v in range(nv)) + tuple(
             inst.label_name(lab) for lab in range(nl))
-    lap = LapInstance(allowed, costs, vertex_names=names, label_names=names,
-                      tolerance=inst.tolerance)
-    return ReducedLap(lap, nv, nl)
+    template = LapInstance(allowed, [[0] * len(row) for row in allowed],
+                           vertex_names=names, label_names=names,
+                           tolerance=inst.tolerance)
+    layout = _Layout(template, tuple(label_cells))
+    inst._structure_cache["reduction"] = layout
+    return layout
+
+
+def reduce_ilap_to_lap(inst: IlapInstance) -> ReducedLap:
+    """Build the mirrored square instance for ``inst``.
+
+    The result is always feasible (every node may take itself) and its size
+    is linear in the number of allowed (vertex, label) pairs.  The index
+    layout is built once per structure; each call only prices it with
+    ``inst``'s costs, and the result is memoized on ``inst``.
+    """
+    reduced = inst._reduced
+    if reduced is not None:
+        return reduced
+    layout = _layout(inst)
+    costs = inst.costs
+    # Row v: the dummy cost, then the halved costs of v's non-dummy labels.
+    rows = [[row[0], *map(_half, row[1:])] for row in costs]
+    for cells in layout.label_cells:
+        row = [_half(costs[u][i]) for u, i in cells]
+        row.append(0)
+        rows.append(row)
+    lap = layout.template.with_costs(rows, tolerance=inst.tolerance)
+    reduced = inst._reduced = ReducedLap(lap, inst.num_vertices,
+                                         inst.num_labels)
+    return reduced
 
 
 def lift_assignment(inst: IlapInstance, x: Assignment) -> list[int]:
@@ -213,7 +253,9 @@ def solve_ilap(inst: IlapInstance, mode: str = "optimal"):
     if unscale:
         dual = IlapDual([_half(a) for a in dual.alpha],
                         [_half(b) for b in dual.beta])
-    x1, x2 = decompose_assignment(inst, xp)
+    # ``base`` has ``inst``'s structure, so it decomposes ``xp`` the same
+    # way, and its reduction is already memoized.
+    x1, x2 = decompose_assignment(base, xp)
     if ilap_objective(inst, x1) <= ilap_objective(inst, x2):
         return x1, dual
     return x2, dual

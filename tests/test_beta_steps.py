@@ -8,6 +8,7 @@ from qapbound.beta_steps import (
 from qapbound.bounds import dual_bound
 from qapbound.model import DUMMY, IlapInstance, IqapInstance
 from qapbound.oracle import brute_force_optimum
+from qapbound.reduction import solve_ilap
 from qapbound.wcsp import IqapDualState, mplp_pp_pass
 
 from helpers import random_iqap, seeded
@@ -196,3 +197,22 @@ class TestExactUpdate:
         exact = IqapDualState(inst)
         beta_exact_update(exact)
         assert dual_bound(inst, exact) == 4
+
+
+class TestExactUpdateMatchesFreshInstance:
+    def test_same_beta_as_solving_a_constructed_subproblem(self):
+        rng = seeded(353)
+        for trial in range(60):
+            inst = random_iqap(rng)
+            state = IqapDualState(inst)
+            for _ in range(trial % 4):
+                mplp_pp_pass(state)
+            unary = inst.unary
+            sub = IlapInstance(unary.allowed, state.theta_phi,
+                               unary.num_labels, tolerance=unary.tolerance)
+            for relative_interior, mode in ((False, "optimal"),
+                                            (True, "relative_interior")):
+                _, dual = solve_ilap(sub, mode=mode)
+                updated = state.copy()
+                beta_exact_update(updated, relative_interior=relative_interior)
+                assert repr(updated.beta) == repr([min(b, 0) for b in dual.beta])

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -184,3 +187,34 @@ class TestBatch:
         _, sequential, _ = run_batch(FIXTURES / "manifest.json", workers=1)
         _, pooled, _ = run_batch(FIXTURES / "manifest.json", workers=3)
         assert strip(sequential) == strip(pooled)
+
+
+class TestModuleEntry:
+    """``python -m qapbound`` and ``python -m qapbound.cli`` run the CLI."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+
+    def run_module(self, module, *argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(self.SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        return subprocess.run([sys.executable, "-m", module, *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    @pytest.mark.parametrize("module", ["qapbound", "qapbound.cli"])
+    def test_solve_prints_a_report(self, module):
+        done = self.run_module(
+            module, "solve", "--method", "bca",
+            "--input", str(FIXTURES / "toy1.dd"), "--max-iters", "3")
+        assert done.returncode == 0, done.stderr
+        payload = json.loads(done.stdout)
+        assert payload["method"] == "bca"
+        assert 1 <= payload["iterations"] <= 3
+
+    @pytest.mark.parametrize("module", ["qapbound", "qapbound.cli"])
+    def test_bad_flag_is_input_error(self, module):
+        done = self.run_module(module, "solve", "--no-such-flag")
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ")

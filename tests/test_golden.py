@@ -11,17 +11,27 @@ turning into a float, or a last-digit float change, also fails.
 The ``bca`` trajectories and the final bounds on ``row_kinds_instance`` pin
 the message-passing sweep and bound evaluation (``wcsp``) the same way.
 They were recorded before the per-edge rows moved to their current layout.
+
+The pins on ``tiny.ilap`` and ``row_kinds_instance().unary`` (edge-free
+exact steps, ``solve_ilap`` in both modes, the ``lap`` subcommand's JSON)
+were recorded before the exact step started re-pricing a shared structure
+instead of building and reducing a new instance each time.  With no edges
+the messages stay zero, so every exact step on ``tiny.ilap`` takes the
+integral path that doubles the costs.
 """
 
+import json
 import random
 from pathlib import Path
 
 import pytest
 
 from qapbound.bounds import SolverConfig, run
+from qapbound.cli import main
 from qapbound.formats import load_instance
 from qapbound.lap import solve_lap
 from qapbound.model import DUMMY, IlapInstance, IqapInstance, LapInstance
+from qapbound.reduction import solve_ilap
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -170,3 +180,65 @@ def test_final_bound_over_all_row_kinds_is_pinned(method):
                           bound_improvement_epsilon=0)
     report = run(row_kinds_instance(), config)
     assert repr(report.final_bound) == ROW_KINDS_GOLDEN[method]
+
+
+EDGELESS_GOLDEN = {
+    "hung": "[0" + ", 4" * 20 + "]",
+    "hung-ri": "[0" + ", 4" * 20 + "]",
+}
+
+
+@pytest.mark.parametrize("method", sorted(EDGELESS_GOLDEN))
+def test_edgeless_exact_step_trajectory_is_pinned(method):
+    inst = IqapInstance(load_instance(FIXTURES / "tiny.ilap"), [])
+    config = SolverConfig(method=method, max_iterations=20,
+                          bound_improvement_epsilon=0)
+    report = run(inst, config)
+    assert repr(report.bound_trajectory) == EDGELESS_GOLDEN[method]
+
+
+SOLVE_ILAP_GOLDEN = {
+    (1, "optimal"): (
+        "([-1, 1, 0, -1, 5], [-3.229, 1.004, -3.482, -3.537, -0.2775], "
+        "[-0.26, 0.0, 0.0, 0.0, 0.0, -0.2775])"),
+    (1, "relative_interior"): (
+        "([-1, 1, 0, -1, 5], [-3.229, 1.07325, -3.559, -3.537, -0.2775], "
+        "[-0.183, -0.06925000000000003, 0.0, 0.0, 0.0, -0.2775])"),
+    (1000, "optimal"): (
+        "([-1, 1, 0, -1, 5], [-3229, 1004, -3482, -3537, -277.5], "
+        "[-260, 0, 0, 0, 0, -277.5])"),
+    (1000, "relative_interior"): (
+        "([-1, 1, 0, -1, 5], [-3229, 1073.25, -3559, -3537, -277.5], "
+        "[-183, -69.25, 0, 0, 0, -277.5])"),
+}
+
+
+@pytest.mark.parametrize("factor, mode", sorted(SOLVE_ILAP_GOLDEN))
+def test_solve_ilap_output_is_pinned(factor, mode):
+    """Float costs, and the same costs x1000 (integral, doubled path)."""
+    inst = row_kinds_instance().unary.scale_costs(factor)
+    x, dual = solve_ilap(inst, mode=mode)
+    assert repr((x, dual.alpha, dual.beta)) == SOLVE_ILAP_GOLDEN[(factor, mode)]
+
+
+LAP_COMMAND_GOLDEN = {
+    "tiny.ilap": {
+        "status": "optimal", "value": 4,
+        "assignment": {"0": "#", "1": "1", "2": "0"},
+        "alpha": [4, 4, 4], "beta": [-4, -4],
+        "dual_objective": 4, "relative_interior": True,
+    },
+    "example1.lap": {
+        "status": "optimal", "value": 24,
+        "assignment": {"0": "4", "1": "1", "2": "3", "3": "0", "4": "2"},
+        "alpha": [6, 7, 9, 8, 9], "beta": [-4, -4, -5, -2, 0],
+        "dual_objective": 24, "relative_interior": True,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAP_COMMAND_GOLDEN))
+def test_lap_command_output_is_pinned(name, capsys):
+    assert main(["lap", "--input", str(FIXTURES / name)]) == 0
+    expected = json.dumps(LAP_COMMAND_GOLDEN[name], indent=2) + "\n"
+    assert capsys.readouterr().out == expected

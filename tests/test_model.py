@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from qapbound.model import (
@@ -195,3 +197,106 @@ class TestDuals:
             dual = LapDual(alpha, beta)
             assert dual_feasible(inst, dual) is None
             assert dual_objective(inst, dual) <= value + inst.atol
+
+
+def _cost_kinds(rng):
+    """One cost of each kind the constructor normalizes differently."""
+    return rng.choice([
+        rng.randint(-9, 9),                      # int
+        float(rng.randint(-9, 9)),               # integer-valued float -> int
+        rng.randint(-19, 19) / 2,                # half
+        round(rng.uniform(-9, 9), 3),            # decimal
+        Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])),
+        2.0**60,                                 # integer-valued, stays float
+        -(2**60),                                # big int
+    ])
+
+
+def _describe(inst):
+    return (repr(inst.costs), repr(inst.max_abs_cost), inst.integral,
+            repr(inst.atol), inst.tolerance)
+
+
+class TestWithCosts:
+    """``with_costs`` normalizes exactly like the constructor and shares
+    the structure."""
+
+    def test_matches_constructor(self):
+        rng = seeded(307)
+        for trial in range(200):
+            unary = random_ilap(rng, tolerance=rng.choice([0, 1e-9, 1e-6]))
+            if trial % 2:
+                unary = IlapInstance(
+                    unary.allowed, unary.costs, unary.num_labels,
+                    vertex_names=[f"v{v}" for v in range(unary.num_vertices)],
+                    label_names=[f"l{lab}" for lab in range(unary.num_labels)],
+                    tolerance=unary.tolerance)
+            rows = [[_cost_kinds(rng) for _ in labs] for labs in unary.allowed]
+            new = unary.with_costs(rows)
+            ref = IlapInstance(unary.allowed, rows, unary.num_labels,
+                               tolerance=unary.tolerance)
+            assert _describe(new) == _describe(ref)
+            for name in ("allowed", "_index", "vertices_for_label",
+                         "vertex_names", "label_names", "_structure_cache"):
+                assert getattr(new, name) is getattr(unary, name)
+            assert new._reduced is None
+
+    def test_lap_matches_constructor(self):
+        rng = seeded(311)
+        for _ in range(100):
+            lap = random_lap(rng, rng.randint(1, 7))
+            rows = [[_cost_kinds(rng) for _ in labs] for labs in lap.allowed]
+            new = lap.with_costs(rows, tolerance=1e-6)
+            ref = LapInstance(lap.allowed, rows, tolerance=1e-6)
+            assert _describe(new) == _describe(ref)
+            assert new.allowed is lap.allowed
+
+    def test_scale_and_tolerance_match_constructor(self):
+        rng = seeded(313)
+        for _ in range(50):
+            unary = random_ilap(rng)
+            unary = unary.with_costs(
+                [[_cost_kinds(rng) for _ in labs] for labs in unary.allowed])
+            scaled = IlapInstance(
+                unary.allowed, [[2 * c for c in row] for row in unary.costs],
+                unary.num_labels, tolerance=unary.tolerance)
+            assert _describe(unary.scale_costs(2)) == _describe(scaled)
+            relaxed = IlapInstance(unary.allowed, unary.costs,
+                                   unary.num_labels, tolerance=1e-3)
+            assert (_describe(unary.replace_tolerance(1e-3))
+                    == _describe(relaxed))
+
+    @pytest.mark.parametrize("bad, error", [
+        (float("nan"), ValueError),
+        (float("inf"), ValueError),
+        (True, TypeError),
+    ])
+    def test_bad_cost_raises_as_constructor(self, bad, error):
+        unary = IlapInstance([[DUMMY, 0], [DUMMY, 0, 1]], [[0, 1], [2, 3, 4]], 2)
+        rows = [[0, 1], [2, bad, 4]]
+        with pytest.raises(error) as new:
+            unary.with_costs(rows)
+        with pytest.raises(error) as ref:
+            IlapInstance(unary.allowed, rows, 2)
+        assert str(new.value) == str(ref.value)
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 1], [2, 3]],            # vertex 1 row one cost short
+        [[0, 1], [2, 3, 4, 5]],      # vertex 1 row one cost long
+        [[0, 1]],                    # one row missing
+    ])
+    def test_wrong_shape_raises_as_constructor(self, rows):
+        unary = IlapInstance([[DUMMY, 0], [DUMMY, 0, 1]], [[0, 1], [2, 3, 4]], 2)
+        with pytest.raises(ValueError) as new:
+            unary.with_costs(rows)
+        with pytest.raises(ValueError) as ref:
+            IlapInstance(unary.allowed, rows, 2)
+        assert str(new.value) == str(ref.value)
+
+    def test_negative_tolerance_rejected(self):
+        unary = IlapInstance([[DUMMY]], [[0]], 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            unary.with_costs([[1]], tolerance=-1)
+
+    def test_objective_names_share_one_function(self):
+        assert ilap_objective is lap_objective

@@ -9,6 +9,7 @@ from qapbound.model import (
     FeasibilityError,
     IlapInstance,
     LapDual,
+    LapInstance,
     dual_feasible,
     dual_objective,
     ilap_objective,
@@ -323,3 +324,72 @@ def _uniform_mixture(optima):
             row = mu.setdefault(node, {})
             row[lab] = row.get(lab, 0) + weight
     return mu
+
+
+def _constructed_reduction(inst):
+    """The reduced square instance built row by row through the
+    ``LapInstance`` constructor, as the reduction is defined."""
+    nv = inst.num_vertices
+    nl = inst.num_labels
+    allowed, costs = [], []
+    for v in range(nv):
+        allowed.append([v] + [nv + lab for lab in inst.allowed[v] if lab != DUMMY])
+        costs.append([inst.dummy_cost(v)] + [
+            c / 2 if not isinstance(c, int) or c % 2 else c // 2
+            for lab, c in zip(inst.allowed[v], inst.costs[v]) if lab != DUMMY])
+    for lab in range(nl):
+        vertices = list(inst.vertices_for_label[lab])
+        allowed.append(vertices + [nv + lab])
+        costs.append([c / 2 if not isinstance(c, int) or c % 2 else c // 2
+                      for c in (inst.cost(u, lab) for u in vertices)]
+                     + [0 if inst.integral else 0.0])
+    names = None
+    if inst.vertex_names or inst.label_names:
+        names = [inst.vertex_name(v) for v in range(nv)] + [
+            inst.label_name(lab) for lab in range(nl)]
+    return LapInstance(allowed, costs, vertex_names=names, label_names=names,
+                       tolerance=inst.tolerance)
+
+
+class TestReducedLayout:
+    """The reduction prices a layout built once per structure."""
+
+    def test_matches_constructed_instance(self):
+        rng = seeded(331)
+        for trial in range(150):
+            inst = random_ilap(rng, tolerance=rng.choice([0, 1e-9, 1e-6]))
+            if trial % 3 == 1:
+                inst = inst.with_costs([[c / 2 for c in row] for row in inst.costs])
+            elif trial % 3 == 2:
+                inst = IlapInstance(
+                    inst.allowed, inst.costs, inst.num_labels,
+                    label_names=[f"L{lab}" for lab in range(inst.num_labels)],
+                    tolerance=inst.tolerance)
+            for _ in range(3):
+                lap = reduce_ilap_to_lap(inst).lap
+                ref = _constructed_reduction(inst)
+                for name in ("allowed", "_index", "vertices_for_label",
+                             "vertex_names", "label_names", "num_vertices"):
+                    assert getattr(lap, name) == getattr(ref, name)
+                assert (repr(lap.costs), repr(lap.max_abs_cost), lap.integral,
+                        repr(lap.atol)) == (repr(ref.costs),
+                                            repr(ref.max_abs_cost),
+                                            ref.integral, repr(ref.atol))
+                # re-price the same structure with new costs
+                inst = inst.with_costs([[c + rng.choice([0, 1, 0.25, -3])
+                                         for c in row] for row in inst.costs])
+
+    def test_memoized_per_instance(self):
+        inst = random_ilap(seeded(337))
+        assert reduce_ilap_to_lap(inst) is reduce_ilap_to_lap(inst)
+        again = inst.with_costs(inst.costs)
+        assert reduce_ilap_to_lap(again) is not reduce_ilap_to_lap(inst)
+        assert reduce_ilap_to_lap(again).lap.allowed is \
+            reduce_ilap_to_lap(inst).lap.allowed
+
+    def test_layout_follows_the_tolerance_of_each_instance(self):
+        inst = random_ilap(seeded(347))
+        reduce_ilap_to_lap(inst)
+        relaxed = inst.replace_tolerance(1e-3)
+        assert reduce_ilap_to_lap(relaxed).lap.tolerance == 1e-3
+        assert reduce_ilap_to_lap(inst).lap.tolerance == inst.tolerance
