@@ -40,7 +40,8 @@ def _as_iqap(inst) -> IqapInstance:
         return inst
     if isinstance(inst, IlapInstance):
         return IqapInstance(inst, [])
-    raise ValueError("bound solving needs a dummy label; got a square instance")
+    raise ValueError("bound solving needs a dummy label; "
+                     "this is a square instance (try the 'lap' subcommand)")
 
 
 def _run_job(job: dict) -> dict:
@@ -130,7 +131,9 @@ def run_batch(manifest_path, workers: int | None = None):
     if workers is None:
         workers = default_workers()
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # The pool starts all its workers at the first submit, so never ask
+        # for more than there are jobs.
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             raw = list(pool.map(_run_job, jobs))
     else:
         raw = [_run_job(job) for job in jobs]

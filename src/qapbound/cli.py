@@ -23,13 +23,14 @@ import io
 import json
 import sys
 
-from .batch import run_batch
+from .batch import _as_iqap, run_batch
 from .bounds import METHODS, SolverConfig, run
 from .formats import ParseError, augment_instance, load_instance
 from .lap import equality_subgraph, solve_lap
 from .model import (
     IlapInstance,
     IqapInstance,
+    LapDual,
     LapInstance,
     dual_objective,
     ilap_objective,
@@ -42,13 +43,7 @@ from .oracle import (
     search_space_size,
     SEARCH_SPACE_GUARD,
 )
-from .reduction import (
-    decompose_assignment,
-    lift_assignment,
-    map_dual,
-    reduce_ilap_to_lap,
-    solve_ilap,
-)
+from .reduction import _half, lift_assignment, reduce_ilap_to_lap, solve_ilap
 from .relative_interior import (
     perfectly_matchable_edges,
     shift_to_relative_interior,
@@ -81,20 +76,12 @@ def _load(args, *, augment: bool = False):
         raise InputError(str(exc)) from exc
 
 
-def _as_iqap(inst) -> IqapInstance:
-    if isinstance(inst, IqapInstance):
-        return inst
-    if isinstance(inst, IlapInstance):
-        return IqapInstance(inst, [])
-    raise InputError("bound solving needs a dummy label; "
-                     "this is a square instance (try the 'lap' subcommand)")
-
-
 def _cmd_solve(args) -> int:
-    inst = _as_iqap(_load(args, augment=args.augment))
-    if args.time_limit is None and args.max_iters is None:
-        raise InputError("set --time-limit or --max-iters")
+    inst = _load(args, augment=args.augment)
     try:
+        inst = _as_iqap(inst)
+        if args.time_limit is None and args.max_iters is None:
+            raise InputError("set --time-limit or --max-iters")
         config = SolverConfig(
             method=args.method,
             time_limit=args.time_limit,
@@ -122,49 +109,42 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _lap_payload(inst: LapInstance) -> dict:
-    solved = solve_lap(inst)
-    if solved is None:
-        return {"status": "infeasible"}
-    x, dual = solved
-    shifted = shift_to_relative_interior(inst, dual, x)
-    subgraph = equality_subgraph(inst, shifted)
-    flag = set(subgraph.edges()) == perfectly_matchable_edges(subgraph, x)
+def _relative_interior_flag(inst, dual, x) -> bool:
+    """Whether exactly the tight edges of ``dual`` lie on optimal assignments.
+
+    ``dual`` and ``x`` must be optimal for ``inst``.  A dummy-label instance
+    is checked on its reduced instance: that instance is symmetric, so
+    giving each node half its folded potential on both sides lifts ``dual``
+    to a reduced optimum, which is in the relative interior exactly when
+    ``dual`` is.
+    """
+    if isinstance(inst, IlapInstance):
+        halves = [_half(p) for p in (*dual.alpha, *dual.beta)]
+        dual = LapDual(halves, list(halves))
+        x = lift_assignment(inst, x)
+        inst = reduce_ilap_to_lap(inst).lap
+    subgraph = equality_subgraph(inst, dual)
+    return set(subgraph.edges()) == perfectly_matchable_edges(subgraph, x)
+
+
+def _lap_payload(inst: LapInstance | IlapInstance) -> dict:
+    if isinstance(inst, LapInstance):
+        solved = solve_lap(inst)
+        if solved is None:
+            return {"status": "infeasible"}
+        x, dual = solved
+        dual = shift_to_relative_interior(inst, dual, x)
+    else:
+        x, dual = solve_ilap(inst, mode="relative_interior")
     return {
         "status": "optimal",
         "value": lap_objective(inst, x),
         "assignment": {inst.vertex_name(v): inst.label_name(lab)
                        for v, lab in enumerate(x)},
-        "alpha": list(shifted.alpha),
-        "beta": list(shifted.beta),
-        "dual_objective": dual_objective(inst, shifted),
-        "relative_interior": flag,
-    }
-
-
-def _ilap_payload(inst: IlapInstance) -> dict:
-    reduced = reduce_ilap_to_lap(inst)
-    solved = solve_lap(reduced.lap)
-    assert solved is not None, "the reduced instance always has a matching"
-    xp, dual_p = solved
-    shifted = shift_to_relative_interior(reduced.lap, dual_p, xp)
-    subgraph = equality_subgraph(reduced.lap, shifted)
-    flag = set(subgraph.edges()) == perfectly_matchable_edges(subgraph, xp)
-    x1, x2 = decompose_assignment(inst, xp)
-    if ilap_objective(inst, x1) <= ilap_objective(inst, x2):
-        x = x1
-    else:
-        x = x2
-    dual = map_dual(inst, shifted)
-    return {
-        "status": "optimal",
-        "value": ilap_objective(inst, x),
-        "assignment": {inst.vertex_name(v): inst.label_name(lab)
-                       for v, lab in enumerate(x)},
         "alpha": list(dual.alpha),
         "beta": list(dual.beta),
         "dual_objective": dual_objective(inst, dual),
-        "relative_interior": flag,
+        "relative_interior": _relative_interior_flag(inst, dual, x),
     }
 
 
@@ -174,10 +154,7 @@ def _cmd_lap(args) -> int:
         if inst.edges:
             raise InputError("instance has pairwise costs; use 'solve'")
         inst = inst.unary
-    if isinstance(inst, LapInstance):
-        payload = _lap_payload(inst)
-    else:
-        payload = _ilap_payload(inst)
+    payload = _lap_payload(inst)
     if args.output == "json":
         print(json.dumps(payload, indent=2))
     else:

@@ -569,42 +569,16 @@ def dual_objective(inst, dual):
 PrimalVector = Mapping[int, Mapping[int, float]]
 
 
-def _primal_entry(mu: PrimalVector, v: int, lab: int):
-    row = mu.get(v)
-    if row is None:
-        return 0
-    return row.get(lab, 0)
-
-
-def lap_primal_feasible(inst: LapInstance, mu: PrimalVector,
+def lap_primal_feasible(inst: LapInstance | IlapInstance, mu: PrimalVector,
                         tol: float | None = None) -> Violation | None:
+    """Diagnose the first primal constraint ``mu`` violates beyond ``tol``.
+
+    Rows sum to one.  Columns of a ``LapInstance`` sum to one; those of an
+    ``IlapInstance`` sum to at most one, and its dummy column is free.
+    """
     if tol is None:
         tol = inst.atol
-    n = inst.num_vertices
-    col = [0] * inst.num_labels
-    for v in range(n):
-        row_sum = 0
-        for lab, value in mu.get(v, {}).items():
-            if not inst.allows(v, lab):
-                return Violation("disallowed",
-                                 f"mu[{v}][{lab}] set on a disallowed pair", v, lab)
-            if value < -tol:
-                return Violation("negative", f"mu[{v}][{lab}] = {value} < 0", v, lab)
-            row_sum += value
-            col[lab] += value
-        if abs(row_sum - 1) > tol:
-            return Violation("row", f"mu row {v} sums to {row_sum}, expected 1", v)
-    for lab, s in enumerate(col):
-        if abs(s - 1) > tol:
-            return Violation("column", f"mu column {lab} sums to {s}, expected 1",
-                             None, lab)
-    return None
-
-
-def ilap_primal_feasible(inst: IlapInstance, mu: PrimalVector,
-                         tol: float | None = None) -> Violation | None:
-    if tol is None:
-        tol = inst.atol
+    square = isinstance(inst, LapInstance)
     col = [0] * inst.num_labels
     for v in range(inst.num_vertices):
         row_sum = 0
@@ -615,11 +589,14 @@ def ilap_primal_feasible(inst: IlapInstance, mu: PrimalVector,
             if value < -tol:
                 return Violation("negative", f"mu[{v}][{lab}] = {value} < 0", v, lab)
             row_sum += value
-            if lab != DUMMY:
+            if square or lab != DUMMY:
                 col[lab] += value
         if abs(row_sum - 1) > tol:
             return Violation("row", f"mu row {v} sums to {row_sum}, expected 1", v)
     for lab, s in enumerate(col):
+        if square and abs(s - 1) > tol:
+            return Violation("column", f"mu column {lab} sums to {s}, expected 1",
+                             None, lab)
         if s > 1 + tol:
             return Violation("column", f"mu column {lab} sums to {s} > 1",
                              None, lab)

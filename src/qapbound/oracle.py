@@ -16,7 +16,6 @@ from .model import (
     IqapInstance,
     LapInstance,
     dual_feasible,
-    ilap_primal_feasible,
     lap_primal_feasible,
 )
 
@@ -192,12 +191,9 @@ def check_primal_relative_interior(inst, mu) -> bool:
     for dummy-label instances a label's column mass must hit one exactly
     when every optimal assignment uses that label.
     """
-    if isinstance(inst, LapInstance):
-        viol = lap_primal_feasible(inst, mu)
-    elif isinstance(inst, IlapInstance):
-        viol = ilap_primal_feasible(inst, mu)
-    else:
+    if not isinstance(inst, (LapInstance, IlapInstance)):
         raise TypeError("primal checks cover unary instances only")
+    viol = lap_primal_feasible(inst, mu)
     if viol is not None:
         raise FeasibilityError(viol.message)
     _check_guard(inst)

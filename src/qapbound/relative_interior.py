@@ -16,14 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lap import EqualitySubgraph
-from .model import (
-    Assignment,
-    FeasibilityError,
-    LapDual,
-    LapInstance,
-    require_dual_feasible,
-)
+from .lap import EqualitySubgraph, equality_subgraph
+from .model import Assignment, FeasibilityError, LapDual, LapInstance
 
 
 def _tarjan_components(n: int, neighbors):
@@ -189,46 +183,25 @@ def shift_to_relative_interior(inst: LapInstance, dual: LapDual,
     optimal assignment tight.  ``delta_log``, when given, collects the slack
     value spread at each processed component, in processing order.
 
+    The components swept are those of ``build_exchange_digraph`` on the
+    ``equality_subgraph`` of ``dual``.
+
     The per-component slack is computed from the already-updated potentials,
     and with non-integral costs it is floored at twice the instance
     tolerance so removed edges land strictly below the tightness test.
     """
-    require_dual_feasible(inst, dual)
-    n = inst.num_vertices
-    atol = inst.atol
-    alpha = list(dual.alpha)
-    beta = list(dual.beta)
-    active = []
-    for v, (labs, cs) in enumerate(zip(inst.allowed, inst.costs)):
-        av = alpha[v]
-        active.append([lab for lab, c in zip(labs, cs)
-                       if c - av - beta[lab] <= atol])
-    subgraph = EqualitySubgraph(tuple(tuple(labs) for labs in active))
+    subgraph = equality_subgraph(inst, dual)
     try:
-        _check_matching_in_subgraph(subgraph, x)
+        digraph = build_exchange_digraph(subgraph, x)
     except FeasibilityError as exc:
         raise FeasibilityError(
             f"inputs are not an optimal pair: {exc}") from exc
-
-    xinv = _inverse(x)
-
-    def neighbors(u):
-        xu = x[u]
-        for lab in active[u]:
-            if lab != xu:
-                yield xinv[lab]
-
-    components, component_of = _tarjan_components(n, neighbors)
-    has_incoming = [False] * len(components)
-    for u in range(n):
-        cu = component_of[u]
-        for v in neighbors(u):
-            if component_of[v] != cu:
-                has_incoming[component_of[v]] = True
-
-    floor = 2 * atol
+    alpha = list(dual.alpha)
+    beta = list(dual.beta)
+    floor = 2 * inst.atol
+    components = digraph.components
     for ci in range(len(components) - 1, -1, -1):
-        if not has_incoming[ci]:
+        if not digraph.has_incoming[ci]:
             continue
         comp = components[ci]
         comp_labels = {x[v] for v in comp}

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -6,8 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from qapbound.cli import main
+from qapbound import batch
+from qapbound.cli import _lap_payload, _relative_interior_flag, main
+from qapbound.lap import solve_lap
+from qapbound.model import IlapInstance, dual_objective
+from qapbound.oracle import brute_force_optimum, check_dual_relative_interior
+from qapbound.reduction import SOLVE_MODES, solve_ilap
+from qapbound.relative_interior import shift_to_relative_interior
 from qapbound.results import BEST_BOUND_FACTOR
+
+from helpers import random_ilap, random_lap, seeded
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -77,6 +86,15 @@ class TestSolve:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_square_instance_is_input_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "solve", "--input", str(FIXTURES / "example1.lap"),
+            "--max-iters", "5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "try the 'lap' subcommand" in err
+
     def test_unknown_flag_is_input_error(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--frobnicate")
         assert code == 1
@@ -112,6 +130,61 @@ class TestLap:
             "--output", "text")
         assert code == 0
         assert "value: 24" in out
+
+
+def _decimal(inst):
+    """``inst`` with costs in tenths, so sums of costs tie only up to
+    rounding."""
+    return inst.with_costs([[round(c * 0.1, 1) for c in row]
+                            for row in inst.costs])
+
+
+def _random_unary_instances(seed, count):
+    rng = seeded(seed)
+    for i in range(count):
+        if i % 2:
+            inst = random_ilap(rng, max_vertices=5, max_labels=5)
+        else:
+            inst = random_lap(rng, rng.randint(1, 5), extra=0.4)
+        yield _decimal(inst) if i % 4 >= 2 else inst
+
+
+class TestLapPayload:
+    """One solve-and-certify path for square and dummy-label instances."""
+
+    def test_payload_matches_enumeration(self):
+        for inst in _random_unary_instances(8, 240):
+            payload = _lap_payload(inst)
+            best, _ = brute_force_optimum(inst)
+            assert payload["status"] == "optimal"
+            assert payload["value"] == pytest.approx(best, rel=0,
+                                                     abs=inst.atol)
+            assert payload["dual_objective"] == pytest.approx(
+                best, rel=0, abs=inst.atol)
+            assert payload["relative_interior"] is True
+
+    def test_flag_matches_oracle(self):
+        outside = 0
+        for inst in _random_unary_instances(9, 240):
+            if isinstance(inst, IlapInstance):
+                solved = [solve_ilap(inst, mode=mode) for mode in SOLVE_MODES]
+            else:
+                x, dual = solve_lap(inst)
+                solved = [(x, dual),
+                          (x, shift_to_relative_interior(inst, dual, x))]
+            for x, dual in solved:
+                expected = check_dual_relative_interior(inst, dual)
+                assert _relative_interior_flag(inst, dual, x) == expected
+                outside += not expected
+        assert outside > 50  # unshifted optima are often not interior
+
+    def test_dual_fields_match_the_returned_dual(self):
+        inst = next(i for i in _random_unary_instances(10, 40)
+                    if isinstance(i, IlapInstance) and i.integral)
+        x, dual = solve_ilap(inst, mode="relative_interior")
+        payload = _lap_payload(inst)
+        assert payload["alpha"] == dual.alpha and payload["beta"] == dual.beta
+        assert payload["dual_objective"] == dual_objective(inst, dual)
 
 
 class TestVerify:
@@ -187,6 +260,28 @@ class TestBatch:
         _, sequential, _ = run_batch(FIXTURES / "manifest.json", workers=1)
         _, pooled, _ = run_batch(FIXTURES / "manifest.json", workers=3)
         assert strip(sequential) == strip(pooled)
+
+
+    def test_worker_pool_never_exceeds_job_count(self, monkeypatch):
+        recorded = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(batch, "ProcessPoolExecutor", SerialPool)
+        _, rows, _ = batch.run_batch(FIXTURES / "manifest.json", workers=64)
+        assert recorded == [len(rows)] == [15]
+        assert multiprocessing.active_children() == []
 
 
 class TestModuleEntry:

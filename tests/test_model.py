@@ -16,6 +16,7 @@ from qapbound.model import (
     ilap_objective,
     iqap_objective,
     lap_objective,
+    lap_primal_feasible,
 )
 from qapbound.oracle import brute_force_optimum
 
@@ -147,6 +148,46 @@ class TestFeasibility:
         inst = LapInstance([[0]], [[0]])
         viol = check_feasible(inst, [0, 0])
         assert viol is not None and viol.kind == "dimension"
+
+
+PRIMAL_LAP = LapInstance([[0, 1], [1]], [[1, 2], [3]])
+PRIMAL_ILAP = IlapInstance([[DUMMY, 0, 1], [DUMMY, 1]], [[0, 1, 2], [0, 3]], 2)
+
+
+class TestPrimalFeasible:
+    """One checker for both unary classes.  The verdicts were recorded from
+    the separate square and dummy-label checkers this one replaced."""
+
+    @pytest.mark.parametrize("inst, mu, expected", [
+        (PRIMAL_LAP, {0: {0: 1}, 1: {1: 1}}, None),
+        (PRIMAL_LAP, {0: {0: 1}, 1: {0: 1}},
+         ("disallowed", "mu[1][0] set on a disallowed pair")),
+        (PRIMAL_LAP, {0: {0: 1.5, 1: -0.5}, 1: {1: 1}},
+         ("negative", "mu[0][1] = -0.5 < 0")),
+        (PRIMAL_LAP, {0: {0: 0.5}, 1: {1: 1}},
+         ("row", "mu row 0 sums to 0.5, expected 1")),
+        (PRIMAL_LAP, {0: {1: 1}, 1: {1: 1}},
+         ("column", "mu column 0 sums to 0, expected 1")),
+        (PRIMAL_LAP, {0: {DUMMY: 1}, 1: {1: 1}},
+         ("disallowed", "mu[0][-1] set on a disallowed pair")),
+        (PRIMAL_ILAP, {0: {0: 1}, 1: {1: 1}}, None),
+        (PRIMAL_ILAP, {0: {0: 1}, 1: {0: 1}},
+         ("disallowed", "mu[1][0] set on a disallowed pair")),
+        (PRIMAL_ILAP, {0: {0: 1.5, DUMMY: -0.5}, 1: {1: 1}},
+         ("negative", "mu[0][-1] = -0.5 < 0")),
+        (PRIMAL_ILAP, {0: {0: 0.5}, 1: {1: 1}},
+         ("row", "mu row 0 sums to 0.5, expected 1")),
+        (PRIMAL_ILAP, {0: {1: 1}, 1: {1: 1}},
+         ("column", "mu column 1 sums to 2 > 1")),
+        # the dummy column is free and other columns may stay below one
+        (PRIMAL_ILAP, {0: {DUMMY: 1}, 1: {DUMMY: 1}}, None),
+        (PRIMAL_ILAP, {0: {DUMMY: 0.5, 0: 0.5}, 1: {DUMMY: 0.5, 1: 0.5}},
+         None),
+    ])
+    def test_violation_kinds(self, inst, mu, expected):
+        viol = lap_primal_feasible(inst, mu)
+        got = None if viol is None else (viol.kind, viol.message)
+        assert got == expected
 
 
 class TestDuals:

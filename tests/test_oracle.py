@@ -147,3 +147,8 @@ class TestPrimalInteriorCheck:
         assert not check_primal_relative_interior(inst, saturated)
         mixed = {0: {DUMMY: 0.625, 0: 0.375}, 1: {DUMMY: 0.625, 0: 0.375}}
         assert check_primal_relative_interior(inst, mixed)
+
+    def test_quadratic_instance_is_rejected(self):
+        inst = IqapInstance(IlapInstance([[DUMMY, 0]], [[0, 0]], 1), [])
+        with pytest.raises(TypeError, match="unary instances only"):
+            check_primal_relative_interior(inst, {0: {DUMMY: 1}})

@@ -3,7 +3,13 @@ import time
 import pytest
 
 from qapbound.lap import EqualitySubgraph, equality_subgraph, solve_lap
-from qapbound.model import FeasibilityError, LapDual, LapInstance, dual_objective
+from qapbound.model import (
+    DualInfeasibleError,
+    FeasibilityError,
+    LapDual,
+    LapInstance,
+    dual_objective,
+)
 from qapbound.oracle import minimally_assignable_pairs
 from qapbound.relative_interior import (
     build_exchange_digraph,
@@ -108,6 +114,15 @@ class TestShift:
             # b->C is not tight under the initial dual
             shift_to_relative_interior(
                 inst, example1_initial_dual(), [4, 2, 3, 1, 0])
+
+    def test_rejects_infeasible_dual(self):
+        inst = example1_instance()
+        dual = example1_initial_dual()
+        dual.alpha[0] += 1  # a takes A at 3 - 3 - 1 < 0
+        with pytest.raises(DualInfeasibleError,
+                           match=r"^dual constraint violated at vertex 0, "
+                                 r"label 0$"):
+            shift_to_relative_interior(inst, dual, EXAMPLE1_MATCHING)
 
     def test_random_instances_active_set_matches_enumeration(self):
         rng = seeded(55)
