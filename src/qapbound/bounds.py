@@ -19,7 +19,7 @@ total.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .beta_steps import beta_bca_pass, beta_exact_update
 from .model import IqapInstance
@@ -64,15 +64,11 @@ class BoundReport:
     wall_time: float = 0.0
 
     def to_dict(self, *, include_trajectory: bool = True) -> dict:
-        out = {
-            "instance": self.instance,
-            "method": self.method,
-            "final_bound": self.final_bound,
-            "iterations": self.iterations,
-            "wall_time": self.wall_time,
-        }
+        """The fields in definition order, the trajectory moved last."""
+        out = asdict(self)
+        trajectory = out.pop("bound_trajectory")
         if include_trajectory:
-            out["bound_trajectory"] = list(self.bound_trajectory)
+            out["bound_trajectory"] = trajectory
         return out
 
 

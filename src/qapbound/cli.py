@@ -32,8 +32,8 @@ from .model import (
     IqapInstance,
     LapDual,
     LapInstance,
+    _half,
     dual_objective,
-    ilap_objective,
     lap_objective,
 )
 from .oracle import (
@@ -43,7 +43,7 @@ from .oracle import (
     search_space_size,
     SEARCH_SPACE_GUARD,
 )
-from .reduction import _half, lift_assignment, reduce_ilap_to_lap, solve_ilap
+from .reduction import lift_assignment, reduce_ilap_to_lap, solve_ilap
 from .relative_interior import (
     perfectly_matchable_edges,
     shift_to_relative_interior,
@@ -95,16 +95,14 @@ def _cmd_solve(args) -> int:
         print(json.dumps(report.to_dict(include_trajectory=args.trajectory),
                          indent=2))
     else:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        header = ["instance", "method", "final_bound", "iterations", "wall_time"]
-        row = [report.instance, report.method, report.final_bound,
-               report.iterations, report.wall_time]
+        record = report.to_dict(include_trajectory=args.trajectory)
         if args.trajectory:
-            header.append("bound_trajectory")
-            row.append(";".join(repr(b) for b in report.bound_trajectory))
-        writer.writerow(header)
-        writer.writerow(row)
+            record["bound_trajectory"] = ";".join(
+                map(repr, record["bound_trajectory"]))
+        out = io.StringIO()
+        writer = csv.DictWriter(out, record)
+        writer.writeheader()
+        writer.writerow(record)
         sys.stdout.write(out.getvalue())
     return 0
 
@@ -127,15 +125,23 @@ def _relative_interior_flag(inst, dual, x) -> bool:
     return set(subgraph.edges()) == perfectly_matchable_edges(subgraph, x)
 
 
+def _solve_interior(inst: LapInstance | IlapInstance):
+    """An optimal assignment and a dual in the relative interior of the dual
+    optimal set, or None for a square instance without a perfect matching."""
+    if isinstance(inst, IlapInstance):
+        return solve_ilap(inst, mode="relative_interior")
+    solved = solve_lap(inst)
+    if solved is None:
+        return None
+    x, dual = solved
+    return x, shift_to_relative_interior(inst, dual, x)
+
+
 def _lap_payload(inst: LapInstance | IlapInstance) -> dict:
-    if isinstance(inst, LapInstance):
-        solved = solve_lap(inst)
-        if solved is None:
-            return {"status": "infeasible"}
-        x, dual = solved
-        dual = shift_to_relative_interior(inst, dual, x)
-    else:
-        x, dual = solve_ilap(inst, mode="relative_interior")
+    solved = _solve_interior(inst)
+    if solved is None:
+        return {"status": "infeasible"}
+    x, dual = solved
     return {
         "status": "optimal",
         "value": lap_objective(inst, x),
@@ -169,40 +175,26 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def _verify_lap(inst: LapInstance) -> bool:
-    value, optima = brute_force_optimum(inst)
-    solved = solve_lap(inst)
+def _verify_unary(inst: LapInstance | IlapInstance) -> bool:
+    value, _ = brute_force_optimum(inst)
+    solved = _solve_interior(inst)
     if value is None:
         return _check("solver agrees instance is infeasible", solved is None)
     if not _check("solver finds an optimum", solved is not None):
         return False
     x, dual = solved
+    objective = lap_objective(inst, x)
     ok = _check("solver value matches enumeration",
-                abs(lap_objective(inst, x) - value) <= inst.atol,
-                f"value {value}")
+                abs(objective - value) <= inst.atol, f"value {value}")
     ok &= _check("dual objective matches",
                  abs(dual_objective(inst, dual) - value) <= inst.atol)
-    shifted = shift_to_relative_interior(inst, dual, x)
-    ok &= _check("shifted dual is in the relative interior",
-                 check_dual_relative_interior(inst, shifted))
-    return ok
-
-
-def _verify_ilap(inst: IlapInstance) -> bool:
-    value, _ = brute_force_optimum(inst)
-    x, dual = solve_ilap(inst, mode="relative_interior")
-    ok = _check("solver value matches enumeration",
-                abs(ilap_objective(inst, x) - value) <= inst.atol,
-                f"value {value}")
-    ok &= _check("dual objective matches",
-                 abs(dual_objective(inst, dual) - value) <= inst.atol)
-    ok &= _check("mapped dual is in the relative interior",
+    ok &= _check("dual is in the relative interior",
                  check_dual_relative_interior(inst, dual))
-    xp = lift_assignment(inst, x)
-    reduced = reduce_ilap_to_lap(inst)
-    ok &= _check("lifted assignment keeps the objective",
-                 abs(lap_objective(reduced.lap, xp)
-                     - ilap_objective(inst, x)) <= inst.atol)
+    if isinstance(inst, IlapInstance):
+        lifted = lap_objective(reduce_ilap_to_lap(inst).lap,
+                               lift_assignment(inst, x))
+        ok &= _check("lifted assignment keeps the objective",
+                     abs(lifted - objective) <= inst.atol)
     return ok
 
 
@@ -234,12 +226,10 @@ def _cmd_verify(args) -> int:
             print(f"skipped: search space of {size} assignments exceeds "
                   f"the enumeration guard of {SEARCH_SPACE_GUARD}")
             return 0
-        if isinstance(inst, LapInstance):
-            ok = _verify_lap(inst)
-        elif isinstance(inst, IlapInstance):
-            ok = _verify_ilap(inst)
-        else:
+        if isinstance(inst, IqapInstance):
             ok = _verify_iqap(inst)
+        else:
+            ok = _verify_unary(inst)
     except GuardExceeded as exc:
         print(f"skipped: {exc}")
         return 0

@@ -86,11 +86,9 @@ def parse_dd(text: str, *, dummy_cost=0.0, tolerance: float = 1e-9) -> IqapInsta
     """Parse the graph-matching text format into a quadratic instance."""
     header = None
     records: dict[int, tuple[int, int]] = {}
-    pair_seen: set[tuple[int, int]] = set()
     unary: dict[tuple[int, int], float] = {}
     edge_cells: dict[tuple[int, int], dict] = {}
     edge_pairs_seen: set[tuple[int, int]] = set()
-    counts = {"a": 0, "e": 0}
     for line, tokens in _tokenize(text):
         kind = tokens[0]
         if kind == "p":
@@ -119,12 +117,10 @@ def parse_dd(text: str, *, dummy_cost=0.0, tolerance: float = 1e-9) -> IqapInsta
                 raise ParseError(f"vertex {v} outside 0..{n0 - 1}", line)
             if not 0 <= lab < n1:
                 raise ParseError(f"label {lab} outside 0..{n1 - 1}", line)
-            if (v, lab) in pair_seen:
+            if (v, lab) in unary:
                 raise ParseError(f"duplicate assignment pair ({v}, {lab})", line)
-            pair_seen.add((v, lab))
             records[rec_id] = (v, lab)
             unary[(v, lab)] = cost
-            counts["a"] += 1
         elif kind == "e":
             if header is None:
                 raise ParseError("edge record before header", line)
@@ -150,18 +146,17 @@ def parse_dd(text: str, *, dummy_cost=0.0, tolerance: float = 1e-9) -> IqapInsta
                     line)
             edge_pairs_seen.add(pair_key)
             edge_cells.setdefault((u, v), {})[(k, l)] = cost
-            counts["e"] += 1
         else:
             raise ParseError(f"unknown record type {kind!r}", line)
     if header is None:
         raise ParseError("missing 'p' header")
     n0, n1, a_count, e_count = header
-    if counts["a"] != a_count:
+    if len(records) != a_count:
         raise ParseError(
-            f"header announces {a_count} assignments, file has {counts['a']}")
-    if counts["e"] != e_count:
+            f"header announces {a_count} assignments, file has {len(records)}")
+    if len(edge_pairs_seen) != e_count:
         raise ParseError(
-            f"header announces {e_count} edges, file has {counts['e']}")
+            f"header announces {e_count} edges, file has {len(edge_pairs_seen)}")
     allowed = [[DUMMY] for _ in range(n0)]
     costs = [[dummy_cost] for _ in range(n0)]
     for (v, lab), cost in unary.items():

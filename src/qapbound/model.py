@@ -65,6 +65,13 @@ class Violation:
         return self.message
 
 
+def _half(c):
+    """Half of a cost, kept an int when ``c`` is an even int."""
+    if isinstance(c, int) and c % 2 == 0:
+        return c // 2
+    return c / 2
+
+
 def _as_cost(value, where: str):
     if isinstance(value, bool):
         raise TypeError(f"{where}: boolean is not a valid cost")
@@ -573,11 +580,16 @@ def lap_primal_feasible(inst: LapInstance | IlapInstance, mu: PrimalVector,
                         tol: float | None = None) -> Violation | None:
     """Diagnose the first primal constraint ``mu`` violates beyond ``tol``.
 
-    Rows sum to one.  Columns of a ``LapInstance`` sum to one; those of an
-    ``IlapInstance`` sum to at most one, and its dummy column is free.
+    Rows are keyed by vertices and sum to one.  Columns of a
+    ``LapInstance`` sum to one; those of an ``IlapInstance`` sum to at most
+    one, and its dummy column is free.
     """
     if tol is None:
         tol = inst.atol
+    for v in mu:
+        if v not in range(inst.num_vertices):
+            return Violation("dimension", f"mu has a row for {v!r}, "
+                             f"outside vertices 0..{inst.num_vertices - 1}")
     square = isinstance(inst, LapInstance)
     col = [0] * inst.num_labels
     for v in range(inst.num_vertices):

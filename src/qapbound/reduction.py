@@ -40,6 +40,7 @@ from .model import (
     LapDual,
     LapInstance,
     PrimalVector,
+    _half,
     ilap_objective,
     lap_primal_feasible,
     require_dual_feasible,
@@ -48,12 +49,6 @@ from .model import (
 from .relative_interior import shift_to_relative_interior
 
 SOLVE_MODES = ("optimal", "relative_interior")
-
-
-def _half(c):
-    if isinstance(c, int) and c % 2 == 0:
-        return c // 2
-    return c / 2
 
 
 @dataclass(frozen=True)
@@ -66,12 +61,6 @@ class ReducedLap:
 
     def label_node(self, lab: int) -> int:
         return self.num_vertices + lab
-
-    def is_vertex_node(self, node: int) -> bool:
-        return node < self.num_vertices
-
-    def original_label(self, node: int) -> int:
-        return node - self.num_vertices
 
 
 @dataclass(frozen=True)

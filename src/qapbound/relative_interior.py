@@ -17,17 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lap import EqualitySubgraph, equality_subgraph
-from .model import Assignment, FeasibilityError, LapDual, LapInstance
+from .model import Assignment, FeasibilityError, LapDual, LapInstance, _half
 
 
-def _tarjan_components(n: int, neighbors):
-    """Strongly connected components of an implicit digraph, iteratively.
+def _tarjan_components(adjacency):
+    """Strongly connected components of a digraph, iteratively.
 
-    ``neighbors(v)`` yields the successors of ``v``.  Returns
+    ``adjacency[v]`` lists the successors of ``v``.  Returns
     ``(components, component_of)`` with components listed in a topological
     order of the condensation (ancestors first); Tarjan emits them in the
     reverse of that order, so one traversal suffices.
     """
+    n = len(adjacency)
     index = [0] * n          # 0 means unvisited, else discovery index + 1
     low = [0] * n
     on_stack = bytearray(n)
@@ -41,7 +42,7 @@ def _tarjan_components(n: int, neighbors):
         counter += 1
         stack.append(root)
         on_stack[root] = 1
-        work = [(root, neighbors(root))]
+        work = [(root, iter(adjacency[root]))]
         while work:
             v, it = work[-1]
             advanced = False
@@ -51,7 +52,7 @@ def _tarjan_components(n: int, neighbors):
                     counter += 1
                     stack.append(w)
                     on_stack[w] = 1
-                    work.append((w, neighbors(w)))
+                    work.append((w, iter(adjacency[w])))
                     advanced = True
                     break
                 if on_stack[w] and index[w] < low[v]:
@@ -138,8 +139,7 @@ def build_exchange_digraph(subgraph: EqualitySubgraph,
     adjacency = tuple(
         tuple(xinv[lab] for lab in subgraph.adjacency[u] if lab != x[u])
         for u in range(n))
-    components, component_of = _tarjan_components(
-        n, lambda v: iter(adjacency[v]))
+    components, component_of = _tarjan_components(adjacency)
     has_incoming = [False] * len(components)
     for u in range(n):
         cu = component_of[u]
@@ -220,10 +220,7 @@ def shift_to_relative_interior(inst: LapInstance, dual: LapDual,
             delta = floor
         else:
             delta = slack
-        if isinstance(delta, int) and delta % 2 == 0:
-            half = delta // 2
-        else:
-            half = delta / 2
+        half = _half(delta)
         for v in comp:
             alpha[v] += half
         for lab in comp_labels:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 BEST_BOUND_FACTOR = 1 + 1e-10
 
@@ -29,15 +29,7 @@ class InstanceResult:
     best: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "group": self.group,
-            "method": self.method,
-            "final_bound": self.final_bound,
-            "iterations": self.iterations,
-            "wall_time": self.wall_time,
-            "best": self.best,
-        }
+        return asdict(self)
 
 
 def best_bound_flags(bounds: dict[str, float]) -> dict[str, bool]:
@@ -71,12 +63,7 @@ class GroupSummary:
     average_bounds: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "instances": self.instances,
-            "best_counts": dict(self.best_counts),
-            "average_bounds": dict(self.average_bounds),
-        }
+        return asdict(self)
 
 
 def aggregate(rows: list[InstanceResult],
@@ -117,12 +104,10 @@ def table_to_json(rows: list[InstanceResult],
 
 def rows_to_csv(rows: list[InstanceResult]) -> str:
     out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["instance", "group", "method", "final_bound",
-                     "iterations", "wall_time", "best"])
+    writer = csv.DictWriter(out, [f.name for f in fields(InstanceResult)])
+    writer.writeheader()
     for r in rows:
-        writer.writerow([r.instance, r.group, r.method, r.final_bound,
-                         r.iterations, r.wall_time, int(r.best)])
+        writer.writerow({**r.to_dict(), "best": int(r.best)})
     return out.getvalue()
 
 

@@ -198,6 +198,10 @@ class TestVerify:
         assert "FAIL" not in out
 
 
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a sequential run started a worker pool")
+
+
 class TestBatch:
     def test_manifest_grid(self, capsys):
         code, out, _ = run_cli(
@@ -249,6 +253,45 @@ class TestBatch:
         code, _, err = run_cli(capsys, "batch", "--manifest", str(bad))
         assert code == 1
         assert "instances" in err
+
+    @pytest.mark.parametrize("manifest, key", [
+        ({"instances": [{"path": "toy1.dd"}], "defualts": {}}, "defualts"),
+        ({"defaults": {"max_iterations": 2, "timelimit": 5},
+          "instances": [{"path": "toy1.dd"}]}, "timelimit"),
+        ({"defaults": {"max_iterations": 2},
+          "instances": [{"path": "toy1.dd", "augmnet": True, "grup": "x"}]},
+         "augmnet"),
+    ], ids=["top-level", "defaults", "instance"])
+    def test_unknown_manifest_key_is_input_error(self, tmp_path, capsys,
+                                                 manifest, key):
+        for entry in manifest["instances"]:
+            entry["path"] = str(FIXTURES / entry["path"])
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"methods": ["bca"], **manifest}))
+        code, out, err = run_cli(capsys, "batch", "--manifest", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: unknown manifest key ")
+        assert repr(key) in err
+
+    def test_malformed_worker_count_is_input_error(self, monkeypatch, capsys):
+        monkeypatch.setenv(batch.WORKERS_ENV, "two")
+        monkeypatch.setattr(batch, "ProcessPoolExecutor", _no_pool)
+        code, out, err = run_cli(
+            capsys, "batch", "--manifest", str(FIXTURES / "manifest.json"))
+        assert code == 1
+        assert out == ""
+        assert err == "error: QAPBOUND_WORKERS must be an integer, got 'two'\n"
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_worker_count_runs_sequentially(self, monkeypatch,
+                                                         capsys, value):
+        monkeypatch.setenv(batch.WORKERS_ENV, value)
+        monkeypatch.setattr(batch, "ProcessPoolExecutor", _no_pool)
+        code, out, _ = run_cli(
+            capsys, "batch", "--manifest", str(FIXTURES / "manifest.json"))
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == 15
 
     def test_worker_pool_matches_sequential(self):
         from qapbound.batch import run_batch

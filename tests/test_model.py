@@ -154,6 +154,10 @@ PRIMAL_LAP = LapInstance([[0, 1], [1]], [[1, 2], [3]])
 PRIMAL_ILAP = IlapInstance([[DUMMY, 0, 1], [DUMMY, 1]], [[0, 1, 2], [0, 3]], 2)
 
 
+def outside_row(key):
+    return ("dimension", f"mu has a row for {key}, outside vertices 0..1")
+
+
 class TestPrimalFeasible:
     """One checker for both unary classes.  The verdicts were recorded from
     the separate square and dummy-label checkers this one replaced."""
@@ -183,6 +187,13 @@ class TestPrimalFeasible:
         (PRIMAL_ILAP, {0: {DUMMY: 1}, 1: {DUMMY: 1}}, None),
         (PRIMAL_ILAP, {0: {DUMMY: 0.5, 0: 0.5}, 1: {DUMMY: 0.5, 1: 0.5}},
          None),
+        # rows keyed outside the vertices, checked before any row
+        (PRIMAL_LAP, {0: {0: 1}, 1: {1: 1}, 2: {0: 5.0}}, outside_row(2)),
+        (PRIMAL_LAP, {0: {0: 1}, 1: {1: 1}, -1: {0: 5.0}}, outside_row(-1)),
+        (PRIMAL_LAP, {0: {0: 0.5}, 1: {1: 1}, 7: {}}, outside_row(7)),
+        (PRIMAL_ILAP, {0: {0: 1}, 1: {1: 1}, 2: {0: 5.0}}, outside_row(2)),
+        (PRIMAL_ILAP, {0: {0: 1}, 1: {1: 1}, -1: {0: 5.0}}, outside_row(-1)),
+        (PRIMAL_ILAP, {0: {0: 0.5}, 1: {1: 1}, 7: {}}, outside_row(7)),
     ])
     def test_violation_kinds(self, inst, mu, expected):
         viol = lap_primal_feasible(inst, mu)

@@ -139,6 +139,12 @@ class TestPrimalInteriorCheck:
         with pytest.raises(FeasibilityError):
             check_primal_relative_interior(inst, {0: {0: 0.5}, 1: {1: 0.5}})
 
+    def test_row_outside_the_vertices_raises(self):
+        inst = LapInstance([[0, 1], [0, 1]], [[0, 5], [5, 0]])
+        with pytest.raises(FeasibilityError, match="row for 7"):
+            check_primal_relative_interior(
+                inst, {0: {0: 1}, 1: {1: 1}, 7: {0: 5.0}})
+
     def test_ilap_column_strictness_matters(self):
         # two vertices, one label, all costs zero: the saturated mixture
         # hits the column bound although some optimum leaves the label free

@@ -219,6 +219,13 @@ class TestMapPrimal:
         with pytest.raises(FeasibilityError):
             map_primal(inst, {0: {0: 2.0}})
 
+    def test_rejects_rows_outside_the_reduced_nodes(self):
+        inst = example2_instance()
+        xp = lift_assignment(inst, [1, 0, DUMMY, DUMMY])
+        for key in (len(xp), -1):
+            with pytest.raises(FeasibilityError, match=f"row for {key},"):
+                map_primal(inst, {**indicator(xp, None), key: {0: 5.0}})
+
     def test_uniform_mixture_is_interior(self):
         rng = seeded(47)
         done = 0
