@@ -8,6 +8,7 @@ for the common benchmark formats and a CLI.
 """
 
 from .model import (
+    DEFAULT_TOLERANCE,
     DUMMY,
     DualInfeasibleError,
     FeasibilityError,
@@ -23,7 +24,6 @@ from .model import (
     ilap_objective,
     iqap_objective,
     lap_objective,
-    objective,
 )
 from .lap import EqualitySubgraph, equality_subgraph, solve_lap
 from .relative_interior import (
@@ -43,8 +43,10 @@ from .reduction import (
 )
 from .wcsp import IqapDualState, mplp_pp_edge_update, mplp_pp_pass, reparam_pairwise
 from .beta_steps import beta_bca_pass, beta_coordinate_update, beta_exact_update
-from .bounds import METHODS, BoundReport, SolverConfig, dual_bound, run
+from .bounds import (DEFAULT_EPSILON, METHODS, BoundReport, SolverConfig,
+                     dual_bound, run)
 from .formats import (
+    DEFAULT_DUMMY_COST,
     augment_instance,
     convert_qaplib_to_iqap,
     load_instance,

@@ -5,7 +5,7 @@ A manifest is a JSON object::
     {
       "methods": ["bca", "hung", "hung-ri"],
       "defaults": {"max_iterations": 20, "time_limit": null,
-                   "augment": false, "tolerance": 1e-9, "dummy_cost": 0.0},
+                   "augment": false},
       "instances": [
         {"path": "toy.dd", "group": "toy", "format": "auto",
          "max_iterations": 5, "time_limit": 60, "augment": true}
@@ -15,11 +15,12 @@ A manifest is a JSON object::
 Instance paths are resolved relative to the manifest file.  Per-instance
 fields override the defaults, so per-group time limits are expressed by
 giving every instance of the group the same limit.  Entries may also set
-``tag`` (default: the file stem) and ``epsilon``; any other key is an
-error.  Jobs run concurrently up to a worker cap (``QAPBOUND_WORKERS``, an
-integer, or the ``workers`` argument, one worker by default); each worker
-owns one solver state, and rows are assembled deterministically after all
-jobs finish.
+``tag`` (default: the file stem), ``tolerance``, ``dummy_cost`` and
+``epsilon``.  Any other key, or a value of the wrong JSON type, is an error,
+and every job's ``SolverConfig`` is built before any job runs.  Jobs run
+concurrently up to a worker cap (``QAPBOUND_WORKERS``, an integer, or the
+``workers`` argument, one worker by default); each worker owns one solver
+state, and rows are assembled deterministically after all jobs finish.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .bounds import METHODS, SolverConfig, run
-from .formats import load_instance
-from .model import IlapInstance, IqapInstance
+from .bounds import DEFAULT_EPSILON, METHODS, SolverConfig, run
+from .formats import DEFAULT_DUMMY_COST, load_instance
+from .model import DEFAULT_TOLERANCE, IlapInstance, IqapInstance
 from .results import InstanceResult, aggregate, mark_best_bounds
 
 WORKERS_ENV = "QAPBOUND_WORKERS"
@@ -50,13 +51,7 @@ def _run_job(job: dict) -> InstanceResult:
     inst = _as_iqap(load_instance(
         job["path"], fmt=job["format"], dummy_cost=job["dummy_cost"],
         tolerance=job["tolerance"], augment=job["augment"]))
-    config = SolverConfig(
-        method=job["method"],
-        time_limit=job["time_limit"],
-        max_iterations=job["max_iterations"],
-        bound_improvement_epsilon=job["epsilon"],
-    )
-    report = run(inst, config, instance_tag=job["tag"])
+    report = run(inst, job["config"], instance_tag=job["tag"])
     return InstanceResult(group=job["group"],
                           **report.to_dict(include_trajectory=False))
 
@@ -75,53 +70,77 @@ def default_workers() -> int:
 _DEFAULTS = {
     "format": "auto",
     "augment": False,
-    "tolerance": 1e-9,
-    "dummy_cost": 0.0,
+    "tolerance": DEFAULT_TOLERANCE,
+    "dummy_cost": DEFAULT_DUMMY_COST,
     "time_limit": None,
     "max_iterations": None,
-    "epsilon": 1e-9,
+    "epsilon": DEFAULT_EPSILON,
 }
 _ENTRY_KEYS = {*_DEFAULTS, "path", "group", "tag"}
+_TOP_LEVEL = {"methods": (list, "a list"), "defaults": (dict, "an object"),
+              "instances": (list, "a list")}
+_STRING_KEYS = ("path", "group", "tag", "format")
+_BUDGET_KEYS = ("time_limit", "max_iterations")
 
 
-def _reject_unknown_keys(obj: dict, known, where: str) -> None:
-    for key in obj:
-        if key not in known:
+def _check_entry(entry: dict, where: str) -> None:
+    """Reject an unknown key or a value of the wrong JSON type."""
+    for key, value in entry.items():
+        if key not in _ENTRY_KEYS:
             raise ValueError(f"unknown manifest key {key!r} in {where}")
+        if key in _STRING_KEYS:
+            expected, ok = "a string", isinstance(value, str)
+        elif key == "augment":
+            expected, ok = "true or false", isinstance(value, bool)
+        else:
+            expected = "a number or null" if key in _BUDGET_KEYS else "a number"
+            ok = (type(value) in (int, float)
+                  or value is None and key in _BUDGET_KEYS)
+        if not ok:
+            raise ValueError(f"{where}: {key!r} must be {expected}, "
+                             f"got {value!r}")
 
 
 def load_manifest(path):
+    """Check a manifest and expand it into one job per instance and method."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
     if not isinstance(manifest, dict) or "instances" not in manifest:
         raise ValueError("manifest must be an object with an 'instances' list")
-    _reject_unknown_keys(manifest, ("methods", "defaults", "instances"),
-                         "the top level")
+    for key, value in manifest.items():
+        if key not in _TOP_LEVEL:
+            raise ValueError(f"unknown manifest key {key!r} in the top level")
+        kind, expected = _TOP_LEVEL[key]
+        if not isinstance(value, kind):
+            raise ValueError(f"manifest {key!r} must be {expected}")
     methods = manifest.get("methods", list(METHODS))
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r} in manifest")
     defaults = manifest.get("defaults", {})
-    _reject_unknown_keys(defaults, _ENTRY_KEYS, "defaults")
+    _check_entry(defaults, "defaults")
     defaults = {**_DEFAULTS, **defaults}
     jobs = []
     for entry in manifest["instances"]:
-        if "path" not in entry:
-            raise ValueError("manifest instance entry is missing 'path'")
-        _reject_unknown_keys(entry, _ENTRY_KEYS, f"instance {entry['path']}")
+        if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)):
+            raise ValueError("each entry of 'instances' must be an object "
+                             "with a string 'path'")
+        where = f"instance {entry['path']}"
+        _check_entry(entry, where)
         merged = {**defaults, **entry}
         instance_path = (path.parent / merged["path"]).resolve()
         if not instance_path.is_file():
             raise ValueError(f"instance file not found: {instance_path}")
-        if merged["time_limit"] is None and merged["max_iterations"] is None:
-            raise ValueError(
-                f"instance {merged['path']}: set a time limit or iteration cap")
+        try:
+            configs = [SolverConfig(
+                method=method, time_limit=merged["time_limit"],
+                max_iterations=merged["max_iterations"],
+                bound_improvement_epsilon=merged["epsilon"],
+            ) for method in methods]
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         merged.update(path=str(instance_path),
                       tag=merged.get("tag") or Path(merged["path"]).stem,
-                      group=merged.get("group", "default"),
-                      augment=bool(merged["augment"]))
-        jobs.extend({**merged, "method": method} for method in methods)
+                      group=merged.get("group", "default"))
+        jobs.extend({**merged, "config": config} for config in configs)
     return methods, jobs
 
 

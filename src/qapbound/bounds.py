@@ -18,6 +18,7 @@ total.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -27,6 +28,8 @@ from .wcsp import IqapDualState, mplp_pp_pass, pairwise_minimum
 
 METHODS = ("bca", "hung", "hung-ri")
 
+DEFAULT_EPSILON = 1e-9
+
 
 @dataclass
 class SolverConfig:
@@ -35,8 +38,7 @@ class SolverConfig:
     method: str = "hung-ri"
     time_limit: float | None = None
     max_iterations: int | None = None
-    bound_improvement_epsilon: float = 1e-9
-    tolerance: float | None = None
+    bound_improvement_epsilon: float = DEFAULT_EPSILON
     backward_mplp_pass: bool = False
 
     def __post_init__(self):
@@ -44,11 +46,11 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.time_limit is None and self.max_iterations is None:
             raise ValueError("set a time limit or an iteration cap")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time_limit must be positive")
+        if self.time_limit is not None and not 0 < self.time_limit < math.inf:
+            raise ValueError("time_limit must be finite and positive")
         if self.max_iterations is not None and self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        if self.bound_improvement_epsilon < 0:
+        if not self.bound_improvement_epsilon >= 0:
             raise ValueError("bound_improvement_epsilon must be non-negative")
 
 
@@ -96,8 +98,6 @@ def run(inst: IqapInstance, config: SolverConfig,
     iteration improves the bound by less than the configured epsilon (an
     epsilon of zero disables early stopping).
     """
-    if config.tolerance is not None and config.tolerance != inst.tolerance:
-        inst = inst.replace_tolerance(config.tolerance)
     state = IqapDualState(inst)
     start = time.perf_counter()
     trajectory = [dual_bound(inst, state)]

@@ -24,10 +24,13 @@ import json
 import sys
 
 from .batch import _as_iqap, run_batch
-from .bounds import METHODS, SolverConfig, run
-from .formats import ParseError, augment_instance, load_instance
+from .bounds import DEFAULT_EPSILON, METHODS, SolverConfig, run
+from .formats import (DEFAULT_DUMMY_COST, ParseError, augment_instance,
+                      load_instance)
 from .lap import equality_subgraph, solve_lap
 from .model import (
+    DEFAULT_TOLERANCE,
+    DUMMY,
     IlapInstance,
     IqapInstance,
     LapDual,
@@ -69,8 +72,7 @@ class _Parser(argparse.ArgumentParser):
 def _load(args, *, augment: bool = False):
     fmt = "qaplib" if getattr(args, "qaplib", False) else "auto"
     try:
-        return load_instance(args.input, fmt=fmt,
-                             dummy_cost=getattr(args, "dummy_cost", 0.0),
+        return load_instance(args.input, fmt=fmt, dummy_cost=args.dummy_cost,
                              tolerance=args.tolerance, augment=augment)
     except (OSError, ParseError, ValueError) as exc:
         raise InputError(str(exc)) from exc
@@ -145,7 +147,7 @@ def _lap_payload(inst: LapInstance | IlapInstance) -> dict:
     return {
         "status": "optimal",
         "value": lap_objective(inst, x),
-        "assignment": {inst.vertex_name(v): inst.label_name(lab)
+        "assignment": {str(v): "#" if lab == DUMMY else str(lab)
                        for v, lab in enumerate(x)},
         "alpha": list(dual.alpha),
         "beta": list(dual.beta),
@@ -262,37 +264,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dual lower bounds for sparse incomplete quadratic "
                     "assignment problems")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags of every subcommand that reads one instance file.
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--input", required=True)
+    instance.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    instance.add_argument("--dummy-cost", type=float, default=DEFAULT_DUMMY_COST)
 
-    solve = sub.add_parser("solve", help="run the bound solver on an instance")
+    solve = sub.add_parser("solve", parents=[instance],
+                           help="run the bound solver on an instance")
     solve.add_argument("--method", choices=METHODS, default="hung-ri")
-    solve.add_argument("--input", required=True)
     solve.add_argument("--qaplib", action="store_true",
                        help="treat the input as a flow/distance benchmark file")
     solve.add_argument("--augment", action="store_true",
                        help="price shared-label collisions before solving")
     solve.add_argument("--time-limit", type=float, default=None, metavar="S")
     solve.add_argument("--max-iters", type=int, default=None, metavar="N")
-    solve.add_argument("--tolerance", type=float, default=1e-9)
-    solve.add_argument("--epsilon", type=float, default=1e-9,
+    solve.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
                        help="stop once one iteration improves the bound by less")
-    solve.add_argument("--dummy-cost", type=float, default=0.0)
     solve.add_argument("--output", choices=("json", "csv"), default="json")
     solve.add_argument("--trajectory", action="store_true",
                        help="include the per-iteration bounds in the output")
     solve.set_defaults(func=_cmd_solve)
 
-    lap = sub.add_parser("lap", help="solve one assignment instance exactly")
-    lap.add_argument("--input", required=True)
-    lap.add_argument("--tolerance", type=float, default=1e-9)
-    lap.add_argument("--dummy-cost", type=float, default=0.0)
+    lap = sub.add_parser("lap", parents=[instance],
+                         help="solve one assignment instance exactly")
     lap.add_argument("--output", choices=("json", "text"), default="json")
     lap.set_defaults(func=_cmd_lap)
 
     verify = sub.add_parser(
-        "verify", help="cross-check the solvers against enumeration")
-    verify.add_argument("--input", required=True)
-    verify.add_argument("--tolerance", type=float, default=1e-9)
-    verify.add_argument("--dummy-cost", type=float, default=0.0)
+        "verify", parents=[instance],
+        help="cross-check the solvers against enumeration")
     verify.set_defaults(func=_cmd_verify)
 
     batch = sub.add_parser("batch", help="run a manifest of benchmark jobs")

@@ -13,8 +13,8 @@ Graph-matching format (``.dd``)::
 in 0..A-1, each opening one (vertex, label) pair with its unary cost; ``E``
 edge records attaching a pairwise cost to two assignment ids on distinct
 vertices.  A dummy label is appended to every vertex at a configurable cost
-(zero by default: formats of this family price non-assignment into the
-unary costs).
+(``DEFAULT_DUMMY_COST``, zero: formats of this family price non-assignment
+into the unary costs).
 
 Square/dummy assignment format (``.lap`` / ``.ilap``)::
 
@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 
 from .model import (
+    DEFAULT_TOLERANCE,
     DUMMY,
     IlapInstance,
     IqapInstance,
@@ -40,6 +41,8 @@ from .model import (
 )
 
 AUGMENT_VALUE = 10**7
+
+DEFAULT_DUMMY_COST = 0.0
 
 
 class ParseError(ValueError):
@@ -82,7 +85,8 @@ def _cost_field(token: str, line: int):
 # Graph-matching format
 
 
-def parse_dd(text: str, *, dummy_cost=0.0, tolerance: float = 1e-9) -> IqapInstance:
+def parse_dd(text: str, *, dummy_cost=DEFAULT_DUMMY_COST,
+             tolerance: float = DEFAULT_TOLERANCE) -> IqapInstance:
     """Parse the graph-matching text format into a quadratic instance."""
     header = None
     records: dict[int, tuple[int, int]] = {}
@@ -204,7 +208,7 @@ def serialize_dd(inst: IqapInstance) -> str:
 # Square / dummy assignment format
 
 
-def parse_lap_file(text: str, *, tolerance: float = 1e-9):
+def parse_lap_file(text: str, *, tolerance: float = DEFAULT_TOLERANCE):
     """Parse the square/dummy assignment format.
 
     Returns a ``LapInstance`` for a ``p lap`` header and an ``IlapInstance``
@@ -221,7 +225,8 @@ def parse_lap_file(text: str, *, tolerance: float = 1e-9):
             if len(tokens) >= 2 and tokens[1] == "lap":
                 if len(tokens) != 3:
                     raise ParseError("header must be 'p lap n'", line)
-                header = ("lap", _int_field(tokens[2], "size", line), None)
+                n = _int_field(tokens[2], "size", line)
+                header = ("lap", n, n)
             elif len(tokens) >= 2 and tokens[1] == "ilap":
                 if len(tokens) != 4:
                     raise ParseError("header must be 'p ilap nv nl'", line)
@@ -229,6 +234,8 @@ def parse_lap_file(text: str, *, tolerance: float = 1e-9):
                           _int_field(tokens[3], "label count", line))
             else:
                 raise ParseError("header must start 'p lap' or 'p ilap'", line)
+            if min(header[1:]) < 0:
+                raise ParseError("header counts must be non-negative", line)
         elif kind == "d":
             if header is None or header[0] != "ilap":
                 raise ParseError("dummy record outside an ilap file", line)
@@ -248,8 +255,7 @@ def parse_lap_file(text: str, *, tolerance: float = 1e-9):
             v = _int_field(tokens[1], "vertex", line)
             lab = _int_field(tokens[2], "label", line)
             cost = _cost_field(tokens[3], line)
-            nv = header[1]
-            nl = header[1] if header[0] == "lap" else header[2]
+            _, nv, nl = header
             if not 0 <= v < nv:
                 raise ParseError(f"vertex {v} out of range", line)
             if not 0 <= lab < nl:
@@ -358,8 +364,8 @@ def qaplib_shift_constant(flow, dist):
     return 1 + total + max(0, diagonal)
 
 
-def convert_qaplib_to_iqap(flow, dist, shift="auto",
-                           tolerance: float = 1e-9) -> IqapInstance:
+def convert_qaplib_to_iqap(flow, dist, *,
+                           tolerance: float = DEFAULT_TOLERANCE) -> IqapInstance:
     """Convert flow/distance matrices to a dummy-label quadratic instance.
 
     Vertices are facilities, non-dummy labels are locations, all locations
@@ -373,10 +379,7 @@ def convert_qaplib_to_iqap(flow, dist, shift="auto",
     if any(len(row) != n for row in flow) or len(dist) != n or any(
             len(row) != n for row in dist):
         raise ValueError("flow and distance must be square matrices of equal size")
-    if shift == "auto":
-        shift = qaplib_shift_constant(flow, dist)
-    else:
-        shift = _as_cost(shift, "shift")
+    shift = qaplib_shift_constant(flow, dist)
     allowed = [[DUMMY] + list(range(n)) for _ in range(n)]
     costs = [[0] + [flow[v][v] * dist[lab][lab] - shift for lab in range(n)]
              for v in range(n)]
@@ -409,13 +412,14 @@ def qap_objective(flow, dist, perm) -> float:
 # Instance surgery
 
 
-def augment_instance(inst: IqapInstance, value=AUGMENT_VALUE) -> IqapInstance:
+def augment_instance(inst: IqapInstance) -> IqapInstance:
     """Price label collisions on edges without changing the optimum.
 
     For every edge and every non-dummy label allowed at both endpoints whose
     diagonal cell currently costs zero (stored or implicit), the cell is set
-    to ``value``.  Explicitly stored non-zero diagonal cells are kept.  No
-    feasible assignment uses such a cell, so optimal values are unchanged.
+    to ``AUGMENT_VALUE``.  Explicitly stored non-zero diagonal cells are
+    kept.  No feasible assignment uses such a cell, so optimal values are
+    unchanged.
     """
     edges = []
     for e in inst.edges:
@@ -424,7 +428,7 @@ def augment_instance(inst: IqapInstance, value=AUGMENT_VALUE) -> IqapInstance:
         cells = dict(e.cells)
         for lab in shared:
             if cells.get((lab, lab), 0) == 0:
-                cells[(lab, lab)] = value
+                cells[(lab, lab)] = AUGMENT_VALUE
         edges.append((e.u, e.v, cells))
     return IqapInstance(inst.unary, edges)
 
@@ -444,8 +448,8 @@ def sniff_format(text: str) -> str:
     return "qaplib"
 
 
-def load_instance(path, *, fmt: str = "auto", dummy_cost=0.0,
-                  tolerance: float = 1e-9, augment: bool = False):
+def load_instance(path, *, fmt: str = "auto", dummy_cost=DEFAULT_DUMMY_COST,
+                  tolerance: float = DEFAULT_TOLERANCE, augment: bool = False):
     """Read an instance file; returns a LAP, ILAP, or IQAP instance."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()

@@ -15,8 +15,8 @@ cost tuple.  Integer-valued costs are stored as Python ints so that integral
 instances can be processed in exact arithmetic.
 
 A unary instance is a *structure* and its *costs*.  The structure (the
-sorted ``allowed`` rows, the label-index and vertices-per-label tables, the
-names) is validated and built once, by the constructor.  ``with_costs``
+sorted ``allowed`` rows, the label-index and vertices-per-label tables) is
+validated and built once, by the constructor.  ``with_costs``
 returns a new instance over the same structure: it checks and normalizes
 only the new costs, through the same code path as the constructor, and
 shares the structure objects.  This is how the exact label step re-prices
@@ -29,8 +29,9 @@ on what they are derived from) and safe to share across threads or
 processes.
 
 Every tolerance comparison in the package goes through the instance's
-``atol``: the configured relative knob ``tolerance`` scaled by
-``1 + max_abs_cost``.
+``atol``: the relative knob ``tolerance`` (``DEFAULT_TOLERANCE`` unless
+given) scaled by ``1 + max_abs_cost``.  The knob is fixed when an instance
+is built, by its constructor or by ``with_costs``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 DUMMY = -1
+
+DEFAULT_TOLERANCE = 1e-9
 
 Assignment = Sequence[int]
 
@@ -152,7 +155,7 @@ class _BaseInstance:
     """Shared helpers for the two unary instance classes.
 
     An instance is a *structure* (vertex and label counts, the sorted
-    ``allowed`` rows, the index tables built from them, names) plus *costs*
+    ``allowed`` rows, the index tables built from them) plus *costs*
     (``costs``, ``max_abs_cost``, ``integral``, ``tolerance``).
     ``with_costs`` makes a new instance that shares the structure of this
     one, including ``_structure_cache``.
@@ -164,10 +167,9 @@ class _BaseInstance:
     costs: tuple[tuple, ...]
 
     _STRUCTURE = ("num_vertices", "num_labels", "allowed", "_index",
-                  "vertices_for_label", "vertex_names", "label_names",
-                  "_structure_cache")
+                  "vertices_for_label", "_structure_cache")
 
-    def _finish_init(self, costs, vertex_names, label_names, tolerance: float):
+    def _finish_init(self, costs, tolerance: float):
         self._set_costs(costs, tolerance)
         self._index = tuple(
             {lab: i for i, lab in enumerate(row)} for row in self.allowed
@@ -178,12 +180,6 @@ class _BaseInstance:
                 if lab != DUMMY:
                     vfl[lab].append(v)
         self.vertices_for_label = tuple(tuple(vs) for vs in vfl)
-        self.vertex_names = tuple(vertex_names) if vertex_names else None
-        self.label_names = tuple(label_names) if label_names else None
-        if self.vertex_names and len(self.vertex_names) != self.num_vertices:
-            raise ValueError("vertex_names length mismatch")
-        if self.label_names and len(self.label_names) != self.num_labels:
-            raise ValueError("label_names length mismatch")
         # Data derived from the structure alone, computed by other modules
         # on first use and shared by every ``with_costs`` copy.
         self._structure_cache = {}
@@ -191,8 +187,8 @@ class _BaseInstance:
     def _set_costs(self, costs, tolerance: float):
         self.costs, self.max_abs_cost, self.integral = _normalize_costs(
             costs, self.allowed)
-        if tolerance < 0:
-            raise ValueError("tolerance must be non-negative")
+        if not (tolerance >= 0 and math.isfinite(tolerance)):
+            raise ValueError("tolerance must be finite and non-negative")
         self.tolerance = float(tolerance)
 
     def with_costs(self, costs, *, tolerance: float | None = None):
@@ -208,9 +204,6 @@ class _BaseInstance:
         new._set_costs(costs, self.tolerance if tolerance is None else tolerance)
         return new
 
-    def replace_tolerance(self, tolerance: float):
-        return self.with_costs(self.costs, tolerance=tolerance)
-
     @property
     def atol(self) -> float:
         return self.tolerance * (1 + self.max_abs_cost)
@@ -225,26 +218,17 @@ class _BaseInstance:
     def cost(self, v: int, lab: int):
         return self.costs[v][self._index[v][lab]]
 
-    def vertex_name(self, v: int) -> str:
-        return self.vertex_names[v] if self.vertex_names else str(v)
-
-    def label_name(self, lab: int) -> str:
-        if lab == DUMMY:
-            return "#"
-        return self.label_names[lab] if self.label_names else str(lab)
-
 
 class LapInstance(_BaseInstance):
     """Square assignment instance: n vertices, n labels, bijective solutions."""
 
-    def __init__(self, allowed, costs, *, vertex_names=None, label_names=None,
-                 tolerance: float = 1e-9):
+    def __init__(self, allowed, costs, *, tolerance: float = DEFAULT_TOLERANCE):
         n = len(allowed)
         self.num_vertices = n
         self.num_labels = n
         self.allowed, costs = _sort_rows(allowed, costs, n,
                                          dummy_required=False)
-        self._finish_init(costs, vertex_names, label_names, tolerance)
+        self._finish_init(costs, tolerance)
 
     def __repr__(self):
         return f"LapInstance(n={self.num_vertices}, pairs={sum(map(len, self.allowed))})"
@@ -260,13 +244,15 @@ class IlapInstance(_BaseInstance):
     # This instance's reduction, memoized by ``reduction.reduce_ilap_to_lap``.
     _reduced = None
 
-    def __init__(self, allowed, costs, num_labels: int, *, vertex_names=None,
-                 label_names=None, tolerance: float = 1e-9):
+    def __init__(self, allowed, costs, num_labels: int, *,
+                 tolerance: float = DEFAULT_TOLERANCE):
+        if num_labels < 0:
+            raise ValueError("num_labels must be non-negative")
         self.num_vertices = len(allowed)
         self.num_labels = num_labels
         self.allowed, costs = _sort_rows(allowed, costs, num_labels,
                                          dummy_required=True)
-        self._finish_init(costs, vertex_names, label_names, tolerance)
+        self._finish_init(costs, tolerance)
 
     def dummy_cost(self, v: int):
         return self.costs[v][self._index[v][DUMMY]]
@@ -417,10 +403,6 @@ class IqapInstance:
         key = (k, l) if u == edge.u else (l, k)
         return edge.cells.get(key, 0)
 
-    def replace_tolerance(self, tolerance: float) -> "IqapInstance":
-        return IqapInstance(self.unary.replace_tolerance(tolerance),
-                            [(e.u, e.v, e.cells) for e in self.edges])
-
     def __repr__(self):
         return (f"IqapInstance(vertices={self.num_vertices}, "
                 f"labels={self.num_labels}, edges={len(self.edges)})")
@@ -483,13 +465,6 @@ def iqap_objective(inst: IqapInstance, x: Assignment):
     for e in inst.edges:
         total += e.cells.get((x[e.u], x[e.v]), 0)
     return total
-
-
-def objective(inst, x: Assignment):
-    """Objective of ``x`` for whichever problem class ``inst`` belongs to."""
-    if isinstance(inst, IqapInstance):
-        return iqap_objective(inst, x)
-    return lap_objective(inst, x)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ membership in the relative interior of the dual optimal set.
 Node layout: nodes 0 .. |V|-1 are the vertices, nodes |V| .. |V|+|L|-1 are
 the non-dummy labels, identically on both sides of the square instance.
 
-The index layout of the square instance (its allowed rows, index tables and
-names, and the original cell behind each cross cell) depends only on the
-allowed sets.  It is built once per instance structure, on the first
+The index layout of the square instance (its allowed rows and index tables,
+and the original cell behind each cross cell) depends only on the allowed
+sets.  It is built once per instance structure, on the first
 reduction, and shared by every instance made from that structure with
 ``with_costs`` or ``scale_costs``.  Each reduction then only prices the
 layout with the instance's costs, and its result is memoized on the
@@ -41,7 +41,6 @@ from .model import (
     LapInstance,
     PrimalVector,
     _half,
-    ilap_objective,
     lap_primal_feasible,
     require_dual_feasible,
     require_feasible,
@@ -67,10 +66,11 @@ class ReducedLap:
 class _Layout:
     """The reduced instance's structure for one ILAP structure.
 
-    ``template`` carries the allowed rows, index tables and names of the
-    square instance (its costs are placeholders); ``label_cells`` lists,
-    for each non-dummy label, the ``(vertex, position in allowed[vertex])``
-    of the original cell behind each cross cell of the label node's row.
+    ``template`` carries the allowed rows and index tables of the square
+    instance (its costs and tolerance are placeholders); ``label_cells``
+    lists, for each non-dummy label, the ``(vertex, position in
+    allowed[vertex])`` of the original cell behind each cross cell of the
+    label node's row.
     """
 
     template: LapInstance
@@ -94,13 +94,7 @@ def _layout(inst: IlapInstance) -> _Layout:
         label_cells.append(tuple((u, inst.label_index(u, lab))
                                  for u in vertices))
         allowed.append(list(vertices) + [nv + lab])
-    names = None
-    if inst.vertex_names or inst.label_names:
-        names = tuple(inst.vertex_name(v) for v in range(nv)) + tuple(
-            inst.label_name(lab) for lab in range(nl))
-    template = LapInstance(allowed, [[0] * len(row) for row in allowed],
-                           vertex_names=names, label_names=names,
-                           tolerance=inst.tolerance)
+    template = LapInstance(allowed, [[0] * len(row) for row in allowed])
     layout = _Layout(template, tuple(label_cells))
     inst._structure_cache["reduction"] = layout
     return layout
@@ -215,9 +209,10 @@ def solve_ilap(inst: IlapInstance, mode: str = "optimal"):
     """Exact solve via the reduction; returns ``(assignment, dual)``.
 
     Always feasible (the all-dummy assignment exists).  The assignment is
-    the cheaper of the two decompositions of the reduced optimum, taking the
-    first on ties.  In ``relative_interior`` mode the reduced dual is first
-    shifted into the relative interior, so the mapped dual lies in the
+    the first decomposition of the reduced optimum: the two decompositions
+    cost twice the reduced optimum together and neither costs less than it,
+    so both are optimal.  In ``relative_interior`` mode the reduced dual is
+    first shifted into the relative interior, so the mapped dual lies in the
     relative interior of the original dual optimal set.
 
     Integral instances take an exact path: all costs are doubled before the
@@ -244,7 +239,5 @@ def solve_ilap(inst: IlapInstance, mode: str = "optimal"):
                         [_half(b) for b in dual.beta])
     # ``base`` has ``inst``'s structure, so it decomposes ``xp`` the same
     # way, and its reduction is already memoized.
-    x1, x2 = decompose_assignment(base, xp)
-    if ilap_objective(inst, x1) <= ilap_objective(inst, x2):
-        return x1, dual
-    return x2, dual
+    x, _ = decompose_assignment(base, xp)
+    return x, dual

@@ -34,7 +34,6 @@ EXAMPLE1_OPTIMAL_PAIRS = {
 
 def example1_instance(tolerance=1e-9):
     return LapInstance([list(range(5))] * 5, EXAMPLE1_COSTS,
-                       vertex_names="abcde", label_names="ABCDE",
                        tolerance=tolerance)
 
 

@@ -28,6 +28,15 @@ class TestConfig:
             SolverConfig(method="bca", max_iterations=1,
                          bound_improvement_epsilon=-1)
 
+    @pytest.mark.parametrize("settings", [
+        {"time_limit": float("nan")},
+        {"time_limit": float("inf")},
+        {"max_iterations": 1, "bound_improvement_epsilon": float("nan")},
+    ], ids=["nan-time-limit", "infinite-time-limit", "nan-epsilon"])
+    def test_rejects_non_finite_settings(self, settings):
+        with pytest.raises(ValueError):
+            SolverConfig(method="bca", **settings)
+
 
 class TestDualBound:
     def test_initial_state_formula(self):
@@ -137,9 +146,9 @@ class TestRun:
         assert report.wall_time < 5.0
 
     def test_tolerance_override(self):
-        inst = edgeless([[DUMMY, 0]] * 2, [[0, 0]] * 2, 1)
-        report = run(inst, SolverConfig(method="bca", max_iterations=1,
-                                        tolerance=1e-6))
+        inst = IqapInstance(IlapInstance([[DUMMY, 0]] * 2, [[0, 0]] * 2, 1,
+                                         tolerance=1e-6), [])
+        report = run(inst, SolverConfig(method="bca", max_iterations=1))
         assert report.final_bound == 0
 
     def test_backward_pass_stays_monotone_and_sound(self):

@@ -86,6 +86,21 @@ class TestSolve:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("setting", [
+        ("--time-limit", "nan"),
+        ("--time-limit", "inf"),
+        ("--epsilon", "nan"),
+        ("--tolerance", "nan"),
+        ("--tolerance", "inf"),
+    ], ids=["nan-time-limit", "infinite-time-limit", "nan-epsilon",
+            "nan-tolerance", "infinite-tolerance"])
+    def test_non_finite_setting_is_input_error(self, capsys, setting):
+        code, out, err = run_cli(
+            capsys, "solve", "--method", "hung-ri",
+            "--input", str(FIXTURES / "toy1.dd"), "--max-iters", "1", *setting)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_square_instance_is_input_error(self, capsys):
         code, out, err = run_cli(
             capsys, "solve", "--input", str(FIXTURES / "example1.lap"),
@@ -130,6 +145,16 @@ class TestLap:
             "--output", "text")
         assert code == 0
         assert "value: 24" in out
+
+    @pytest.mark.parametrize("name", ["example1.lap", "tiny.ilap"])
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_tolerance_is_input_error(self, capsys, name,
+                                                 tolerance):
+        code, out, err = run_cli(
+            capsys, "lap", "--input", str(FIXTURES / name),
+            "--tolerance", tolerance)
+        assert (code, out) == (1, "")
+        assert err == "error: tolerance must be finite and non-negative\n"
 
 
 def _decimal(inst):
@@ -273,6 +298,33 @@ class TestBatch:
         assert out == ""
         assert err.startswith("error: unknown manifest key ")
         assert repr(key) in err
+
+    @pytest.mark.parametrize("where, key, value", [
+        ("entry", "path", 5),
+        ("entry", "augment", "false"),
+        ("entry", "time_limit", float("nan")),
+        ("entry", "max_iterations", True),
+        ("defaults", "max_iterations", "2"),
+        ("defaults", "tolerance", "x"),
+        ("top", "defaults", []),
+        ("top", "instances", 5),
+        ("top", "instances", [5]),
+        ("top", "methods", 5),
+    ])
+    def test_wrong_manifest_type_is_input_error(self, tmp_path, monkeypatch,
+                                                capsys, where, key, value):
+        entry = {"path": str(FIXTURES / "qap3.dat"), "format": "qaplib"}
+        manifest = {"methods": ["bca"], "defaults": {"max_iterations": 2},
+                    "instances": [entry]}
+        {"entry": entry, "defaults": manifest["defaults"],
+         "top": manifest}[where][key] = value
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        monkeypatch.setattr(batch, "ProcessPoolExecutor", _no_pool)
+        code, out, err = run_cli(capsys, "batch", "--manifest", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
 
     def test_malformed_worker_count_is_input_error(self, monkeypatch, capsys):
         monkeypatch.setenv(batch.WORKERS_ENV, "two")

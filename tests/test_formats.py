@@ -171,6 +171,11 @@ class TestLapFormat:
         assert again.allowed == ilap.allowed
         assert again.costs == ilap.costs
 
+    @pytest.mark.parametrize("header", ["p lap -3", "p ilap -2 -1"])
+    def test_negative_header_count_is_a_parse_error(self, header):
+        with pytest.raises(ParseError, match="line 2: header counts"):
+            parse_lap_file(f"c negative size\n{header}\n")
+
     def test_empty_row_is_a_parse_error(self):
         with pytest.raises(ParseError):
             parse_lap_file("p lap 2\na 0 0 1\na 0 1 1\n")

@@ -58,6 +58,17 @@ class TestInstanceConstruction:
         with pytest.raises(ValueError, match="dummy"):
             IlapInstance([[0]], [[1]], 1)
 
+    def test_ilap_rejects_negative_label_count(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            IlapInstance([[DUMMY]], [[0]], -1)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+    def test_rejects_non_finite_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            LapInstance([[0]], [[1]], tolerance=tolerance)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            LapInstance([[0]], [[1]]).with_costs([[1]], tolerance=tolerance)
+
     def test_ilap_sizes_unconstrained(self):
         inst = IlapInstance([[DUMMY, 0], [DUMMY]], [[1, 2], [0]], 7)
         assert inst.num_vertices == 2
@@ -277,19 +288,13 @@ class TestWithCosts:
         rng = seeded(307)
         for trial in range(200):
             unary = random_ilap(rng, tolerance=rng.choice([0, 1e-9, 1e-6]))
-            if trial % 2:
-                unary = IlapInstance(
-                    unary.allowed, unary.costs, unary.num_labels,
-                    vertex_names=[f"v{v}" for v in range(unary.num_vertices)],
-                    label_names=[f"l{lab}" for lab in range(unary.num_labels)],
-                    tolerance=unary.tolerance)
             rows = [[_cost_kinds(rng) for _ in labs] for labs in unary.allowed]
             new = unary.with_costs(rows)
             ref = IlapInstance(unary.allowed, rows, unary.num_labels,
                                tolerance=unary.tolerance)
             assert _describe(new) == _describe(ref)
             for name in ("allowed", "_index", "vertices_for_label",
-                         "vertex_names", "label_names", "_structure_cache"):
+                         "_structure_cache"):
                 assert getattr(new, name) is getattr(unary, name)
             assert new._reduced is None
 
@@ -315,7 +320,7 @@ class TestWithCosts:
             assert _describe(unary.scale_costs(2)) == _describe(scaled)
             relaxed = IlapInstance(unary.allowed, unary.costs,
                                    unary.num_labels, tolerance=1e-3)
-            assert (_describe(unary.replace_tolerance(1e-3))
+            assert (_describe(unary.with_costs(unary.costs, tolerance=1e-3))
                     == _describe(relaxed))
 
     @pytest.mark.parametrize("bad, error", [
