@@ -14,6 +14,16 @@ potentials: every feasible assignment's cost is invariant under
 reparametrization, each non-dummy label is used at most once, and the label
 potentials are non-positive, so dropping the unused ones only decreases the
 total.
+
+A run evaluates that sum in full twice, with ``dual_bound``: on the
+all-zero start, and on the final state for the reported ``final_bound``.
+``dual_bound`` is exact (integer arithmetic after scaling every dyadic
+float by one power of two) and rounds down to a float, so the reported
+bound is certified.  After a full message pass every edge term is 0 in
+exact arithmetic, and the label step leaves the messages alone, so each
+iteration records only ``sum(beta)`` plus each vertex's cheapest
+reparametrized unary, in floats.  Those per-iteration values drive early
+stopping and the trajectory; they are not certified.
 """
 
 from __future__ import annotations
@@ -21,10 +31,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from operator import add
 
 from .beta_steps import beta_bca_pass, beta_exact_update
-from .model import IqapInstance
-from .wcsp import IqapDualState, mplp_pp_pass, pairwise_minimum
+from .model import DUMMY, IqapInstance
+from .wcsp import IqapDualState, _edge_minimum, mplp_pp_pass
 
 METHODS = ("bca", "hung", "hung-ri")
 
@@ -48,8 +59,10 @@ class SolverConfig:
             raise ValueError("set a time limit or an iteration cap")
         if self.time_limit is not None and not 0 < self.time_limit < math.inf:
             raise ValueError("time_limit must be finite and positive")
-        if self.max_iterations is not None and self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
+        cap = self.max_iterations
+        if cap is not None and (type(cap) is not int or cap <= 0):
+            raise ValueError(f"max_iterations must be positive and an int, "
+                             f"got {cap!r}")
         if not self.bound_improvement_epsilon >= 0:
             raise ValueError("bound_improvement_epsilon must be non-negative")
 
@@ -75,16 +88,94 @@ class BoundReport:
 
 
 def dual_bound(inst: IqapInstance, state: IqapDualState) -> float:
-    """Lower bound on the optimum certified by the current dual state."""
+    """Lower bound certified by ``state``: the exact value of its bound.
+
+    The unaries are rebuilt from ``inst.unary.costs`` plus the outgoing
+    messages, not read from ``theta_phi``, whose float updates drift.
+    Every float is dyadic, so one common power of two turns every cost,
+    message and potential into an int, and the bound is summed in ints,
+    edge by edge.  A state that holds no float gives that int sum;
+    otherwise the result is the largest float not above the exact value.
+    """
     atol = inst.atol
     for lab, b in enumerate(state.beta):
         if b > atol:
             raise ValueError(f"beta[{lab}] = {b} is positive beyond tolerance")
-    total = sum(state.beta)
-    for v in range(inst.num_vertices):
-        total += min(state.tilde(v))
+    unary = inst.unary
+    phi = state.phi
+    groups = [state.beta, *phi.values()]
+    if not inst.integral:
+        groups += [*unary.costs, *(e.cells.values() for e in inst.edges)]
+    # The largest denominator is a power of two, or 0 if there is no float.
+    scale = max((x.as_integer_ratio()[1] for group in groups for x in group
+                 if type(x) is float), default=0)
+    sums = [_scaled(row, scale) for row in unary.costs]
+    total = 0
     for e in inst.edges:
-        total += pairwise_minimum(state, e)
+        out_u = _scaled(phi[(e.u, e.v)], scale)
+        out_v = _scaled(phi[(e.v, e.u)], scale)
+        sums[e.u] = list(map(add, sums[e.u], out_u))
+        sums[e.v] = list(map(add, sums[e.v], out_v))
+        total += _edge_minimum(out_u, out_v, _scaled_rows(e.rows_u, scale))
+    beta = _scaled(state.beta, scale)
+    total += sum(beta)
+    for labs, row in zip(unary.allowed, sums):
+        total += min([c if lab == DUMMY else c - beta[lab]
+                      for lab, c in zip(labs, row)])
+    return _round_down(total, scale) if scale else total
+
+
+def _scaled(row, scale: int) -> list:
+    """``row`` times ``scale`` as ints, or a copy of ``row`` for scale 0.
+
+    ``scale`` is a power of two and a multiple of every float's
+    denominator, so a float times it is an integral float, exact unless it
+    overflows.  An overflow, in ``float(scale)`` or ``int(inf)``, takes the
+    slower exact path.
+    """
+    if not scale:
+        return list(row)
+    try:
+        fscale = float(scale)
+        return [x * scale if type(x) is int else int(x * fscale) for x in row]
+    except OverflowError:
+        return [n * (scale // d)
+                for n, d in (x.as_integer_ratio() for x in row)]
+
+
+def _scaled_rows(rows: tuple, scale: int):
+    """A ``PairwiseEdge`` row table with its cells scaled by ``_scaled``."""
+    if not scale:
+        return rows
+    out = []
+    for row in rows:
+        if row is not None:
+            dense, cols, cells = row
+            scaled = _scaled([c for _, c in cells], scale)
+            row = (dense, cols, list(zip([j for j, _ in cells], scaled)))
+        out.append(row)
+    return out
+
+
+def _round_down(num: int, den: int) -> float:
+    """Largest float not above ``num / den`` (``den`` positive)."""
+    q = num / den  # correctly rounded
+    n, d = q.as_integer_ratio()
+    if n * den > num * d:
+        q = math.nextafter(q, -math.inf)
+    return q
+
+
+def _bound_after_pass(state: IqapDualState) -> float:
+    """The bound of ``state`` without its edge terms.
+
+    After a full ``mplp_pp_pass`` each edge's cheapest reparametrized cell
+    is 0 in exact arithmetic, and the label step does not touch messages,
+    so this float value is the bound up to rounding.
+    """
+    total = sum(state.beta)
+    for v in range(state.inst.num_vertices):
+        total += min(state.tilde(v))
     return total
 
 
@@ -93,10 +184,12 @@ def run(inst: IqapInstance, config: SolverConfig,
     """Run the alternating scheme under the configured budgets.
 
     Starts from the all-zero dual; the trajectory records the initial bound
-    and then one value per iteration, measured after the label step.  The
-    run stops at the iteration cap, the time limit, or as soon as one full
-    iteration improves the bound by less than the configured epsilon (an
-    epsilon of zero disables early stopping).
+    and then one value per iteration, measured after the label step without
+    the edge terms (see the module docstring).  The run stops at the
+    iteration cap, the time limit, or as soon as one full iteration improves
+    the bound by less than the configured epsilon (an epsilon of zero
+    disables early stopping).  ``final_bound`` is ``dual_bound`` of the
+    final state.
     """
     state = IqapDualState(inst)
     start = time.perf_counter()
@@ -115,7 +208,7 @@ def run(inst: IqapInstance, config: SolverConfig,
             beta_exact_update(state, relative_interior=False)
         else:
             beta_exact_update(state, relative_interior=True)
-        trajectory.append(dual_bound(inst, state))
+        trajectory.append(_bound_after_pass(state))
         iterations += 1
         if (config.bound_improvement_epsilon > 0
                 and trajectory[-1] - trajectory[-2]
@@ -124,7 +217,7 @@ def run(inst: IqapInstance, config: SolverConfig,
     return BoundReport(
         instance=instance_tag,
         method=config.method,
-        final_bound=trajectory[-1],
+        final_bound=dual_bound(inst, state),
         bound_trajectory=trajectory,
         iterations=iterations,
         wall_time=time.perf_counter() - start,

@@ -8,6 +8,8 @@ and it refuses instances whose raw search space exceeds the guard.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .model import (
     DUMMY,
     DualInfeasibleError,
@@ -117,6 +119,24 @@ def brute_force_optimum(inst):
 
     _enumerate(inst, collect)
     return best, optima
+
+
+def _exact_optimum(inst: IqapInstance, optima) -> Fraction:
+    """Exact optimum of ``inst``: the least exact cost over ``optima``.
+
+    ``brute_force_optimum`` adds costs in floats, so on a float instance its
+    value can lie below the exact optimum.  The ``optima`` it returns hold
+    every assignment within the tolerance window of that value, the exact
+    optimum's among them as long as the window exceeds the rounding.
+    """
+    unary = inst.unary
+
+    def exact_cost(x):
+        terms = [unary.cost(v, lab) for v, lab in enumerate(x)]
+        terms += [e.cells.get((x[e.u], x[e.v]), 0) for e in inst.edges]
+        return sum(map(Fraction, terms))
+
+    return min(map(exact_cost, optima))
 
 
 def minimally_assignable_pairs(inst) -> set[tuple[int, int]]:

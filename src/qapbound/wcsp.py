@@ -27,6 +27,8 @@ does not store, before its stored cells are compared.
 
 from __future__ import annotations
 
+from operator import sub
+
 from .model import DUMMY, IqapInstance
 
 _INF = float("inf")
@@ -174,8 +176,15 @@ def mplp_pp_pass(state: IqapDualState, *, backward: bool = False) -> None:
 
 def pairwise_minimum(state: IqapDualState, edge) -> float:
     """Minimum reparametrized pairwise cost of ``edge`` over all label pairs."""
-    phi_uv = state.phi[(edge.u, edge.v)]
-    phi_vu = state.phi[(edge.v, edge.u)]
-    base_v = [-p for p in phi_vu]
-    per_row = _row_minima(base_v, edge.rows_u)
-    return min(m - p for m, p in zip(per_row, phi_uv))
+    return _edge_minimum(state.phi[(edge.u, edge.v)],
+                         state.phi[(edge.v, edge.u)], edge.rows_u)
+
+
+def _edge_minimum(out_u: list, out_v: list, rows_u: tuple):
+    """Minimum over label pairs of a stored cell minus both messages.
+
+    ``out_u`` and ``out_v`` are the edge's outgoing messages from ``u`` and
+    from ``v``, and ``rows_u`` its row table (cells may be any numbers).
+    """
+    per_row = _row_minima([-p for p in out_v], rows_u)
+    return min(map(sub, per_row, out_u))

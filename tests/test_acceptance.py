@@ -21,6 +21,7 @@ from qapbound.model import (
 )
 from qapbound.oracle import (
     SEARCH_SPACE_GUARD,
+    _exact_optimum,
     brute_force_optimum,
     check_dual_relative_interior,
     check_primal_relative_interior,
@@ -187,7 +188,8 @@ def test_criterion_5_bound_soundness_and_monotonicity():
     with criterion(5, "bound soundness and monotonicity, 500 instances"):
         start = time.perf_counter()
         for inst in iqap_corpus():
-            optimum, _ = brute_force_optimum(inst)
+            optimum, optima = brute_force_optimum(inst)
+            exact = _exact_optimum(inst, optima)
             scale = 1 + inst.max_abs_cost
             for method in METHODS:
                 report = run(inst, SolverConfig(
@@ -198,6 +200,7 @@ def test_criterion_5_bound_soundness_and_monotonicity():
                 assert all(b >= a - 1e-8 * scale
                            for a, b in zip(trajectory, trajectory[1:]))
                 assert report.final_bound <= optimum + 1e-8 * scale
+                assert report.final_bound <= exact
         elapsed = time.perf_counter() - start
         assert elapsed < 300, f"suite took {elapsed:.1f} s"
 

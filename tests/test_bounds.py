@@ -1,13 +1,23 @@
+import itertools
 import json
+import math
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qapbound import bounds
 from qapbound.bounds import METHODS, BoundReport, SolverConfig, dual_bound, run
+from qapbound.formats import load_instance
 from qapbound.model import DUMMY, IlapInstance, IqapInstance
 from qapbound.oracle import brute_force_optimum
-from qapbound.wcsp import IqapDualState
+from qapbound.wcsp import IqapDualState, mplp_pp_pass, pairwise_minimum
 
 from helpers import random_iqap, seeded
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def edgeless(allowed, costs, num_labels):
@@ -36,6 +46,163 @@ class TestConfig:
     def test_rejects_non_finite_settings(self, settings):
         with pytest.raises(ValueError):
             SolverConfig(method="bca", **settings)
+
+    @pytest.mark.parametrize("cap", [2.5, 3.0, True, "2", 0, -1])
+    def test_iteration_cap_must_be_a_positive_int(self, cap):
+        with pytest.raises(ValueError, match="max_iterations must be positive"):
+            SolverConfig(method="bca", max_iterations=cap)
+
+
+def exact_bound(inst, state):
+    """The bound of ``state`` as a ``Fraction``, by enumerating every cell."""
+    unary = inst.unary
+    beta = [Fraction(b) for b in state.beta]
+    theta = [[Fraction(c) for c in row] for row in unary.costs]
+    for (v, _), out in state.phi.items():
+        theta[v] = [t + Fraction(m) for t, m in zip(theta[v], out)]
+    total = sum(beta)
+    for labs, row in zip(unary.allowed, theta):
+        total += min(t if lab == DUMMY else t - beta[lab]
+                     for lab, t in zip(labs, row))
+    for e in inst.edges:
+        out_u = state.phi[(e.u, e.v)]
+        out_v = state.phi[(e.v, e.u)]
+        total += min(
+            Fraction(e.cells.get((k, l), 0)) - Fraction(out_u[i])
+            - Fraction(out_v[j])
+            for i, k in enumerate(unary.allowed[e.u])
+            for j, l in enumerate(unary.allowed[e.v]))
+    return total
+
+
+def dyadic(max_exponent):
+    """Floats ``n * 2**e`` at many scales.  Subnormal ones make the common
+    scale too large for a float."""
+    return st.builds(math.ldexp, st.integers(-2**53 + 1, 2**53 - 1),
+                     st.one_of(st.integers(-70, max_exponent),
+                               st.integers(-1100, max_exponent)))
+
+
+@st.composite
+def dual_states(draw):
+    """A small instance and a state with arbitrary messages and ``beta``.
+
+    With ``ints`` every cost, message and potential is an int.  ``theta_phi``
+    is left at the costs, so it disagrees with the messages.
+    """
+    ints = draw(st.booleans())
+    float_costs = not ints and draw(st.booleans())
+    cost = (st.floats(-50, 50, allow_nan=False) if float_costs
+            else st.integers(-9, 9))
+    message = st.integers(-20, 20) if ints else dyadic(-50)
+    potential = st.integers(-20, 0) if ints else dyadic(-50).map(
+        lambda x: -abs(x))
+    nv = draw(st.integers(1, 4))
+    nl = draw(st.integers(1, 4))
+    allowed = [[DUMMY] + sorted(draw(st.sets(st.integers(0, nl - 1))))
+               for _ in range(nv)]
+    costs = [[draw(cost) for _ in labs] for labs in allowed]
+    edges = []
+    for u, v in itertools.combinations(range(nv), 2):
+        if draw(st.booleans()):
+            edges.append((u, v, {(k, l): draw(cost)
+                                 for k in allowed[u] for l in allowed[v]
+                                 if draw(st.booleans())}))
+    inst = IqapInstance(IlapInstance(allowed, costs, nl), edges)
+    state = IqapDualState(inst)
+    state.beta = [draw(potential) for _ in range(nl)]
+    for key, out in state.phi.items():
+        state.phi[key] = [draw(message) for _ in out]
+    return inst, state
+
+
+class TestCertifiedBound:
+    @settings(max_examples=300, deadline=None)
+    @given(dual_states())
+    def test_is_the_exact_value_rounded_down(self, case):
+        inst, state = case
+        exact = exact_bound(inst, state)
+        value = dual_bound(inst, state)
+        ints = all(type(x) is int for x in itertools.chain(
+            state.beta, *state.phi.values(), *inst.unary.costs,
+            *(e.cells.values() for e in inst.edges)))
+        if ints:
+            assert type(value) is int and value == exact
+        else:
+            assert type(value) is float
+            assert Fraction(value) <= exact
+            assert exact < Fraction(math.nextafter(value, math.inf))
+
+    def test_integral_floats_still_give_a_float(self):
+        inst = edgeless([[DUMMY, 0]], [[3, 1]], 1)
+        state = IqapDualState(inst)
+        state.beta[0] = -2.0
+        assert repr(dual_bound(inst, state)) == "1.0"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(METHODS))
+    def test_edge_terms_vanish_after_a_pass(self, seed, backward, method):
+        """The fact the per-iteration bound rests on, and the bound itself.
+
+        After each full pass every edge's cheapest reparametrized cell is 0
+        up to rounding; each trajectory entry after the start matches the
+        certified bound of the state it was recorded on.
+        """
+        inst = random_iqap(seeded(seed))
+        atol = inst.atol
+        state = IqapDualState(inst)
+        for _ in range(3):
+            mplp_pp_pass(state, backward=backward)
+            for e in inst.edges:
+                assert abs(pairwise_minimum(state, e)) <= atol
+
+        certified = []
+
+        def recorded(step):
+            def wrapper(state, **kwargs):
+                step(state, **kwargs)
+                certified.append(dual_bound(inst, state))
+            return wrapper
+
+        steps = {"bca": "beta_bca_pass", "hung": "beta_exact_update",
+                 "hung-ri": "beta_exact_update"}
+        original = getattr(bounds, steps[method])
+        setattr(bounds, steps[method], recorded(original))
+        try:
+            report = run(inst, SolverConfig(
+                method=method, max_iterations=6, bound_improvement_epsilon=0,
+                backward_mplp_pass=backward))
+        finally:
+            setattr(bounds, steps[method], original)
+        scale = 1 + inst.max_abs_cost
+        assert len(certified) == 6
+        for cheap, exact in zip(report.bound_trajectory[1:], certified):
+            assert abs(cheap - exact) <= 1e-8 * scale
+        assert report.final_bound == certified[-1]
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("iterations", [1, 4, 15])
+    def test_run_evaluates_the_full_bound_twice(self, monkeypatch, method,
+                                                iterations):
+        calls = []
+
+        def counted(inst, state):
+            calls.append(1)
+            return dual_bound(inst, state)
+
+        monkeypatch.setattr(bounds, "dual_bound", counted)
+        inst = random_iqap(seeded(127))
+        report = run(inst, SolverConfig(method=method,
+                                        max_iterations=iterations,
+                                        bound_improvement_epsilon=0))
+        assert report.iterations == iterations
+        assert len(calls) == 2
+
+    def test_final_bound_of_shipped_fixture_is_not_above_optimum(self):
+        inst = load_instance(FIXTURES / "toy2.dd")
+        report = run(inst, SolverConfig(method="hung-ri", max_iterations=20,
+                                        bound_improvement_epsilon=0))
+        assert repr(report.final_bound) == "-5.0"
 
 
 class TestDualBound:

@@ -222,6 +222,19 @@ class TestVerify:
         assert "all checks passed" in out
         assert "FAIL" not in out
 
+    def test_bound_is_compared_with_the_exact_optimum(self, tmp_path,
+                                                       capsys):
+        # Ten dummy labels of cost 0.1 add up to 0.9999999999999999 in
+        # floats; the exact optimum lies just above 1.0 and the certified
+        # bound is 1.0.
+        path = tmp_path / "ten.dd"
+        path.write_text("p 10 0 0 0\n")
+        code, out, _ = run_cli(capsys, "verify", "--input", str(path),
+                               "--dummy-cost", "0.1")
+        assert code == 0
+        assert "bound 1.0, optimum 1.0" in out
+        assert "FAIL" not in out
+
 
 def _no_pool(*args, **kwargs):
     raise AssertionError("a sequential run started a worker pool")
@@ -325,6 +338,20 @@ class TestBatch:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key in err
+
+    @pytest.mark.parametrize("cap", [2.5, 0, -1])
+    def test_non_integer_or_non_positive_iteration_cap_is_input_error(
+            self, tmp_path, monkeypatch, capsys, cap):
+        manifest = {"methods": ["bca"],
+                    "defaults": {"max_iterations": cap, "epsilon": 0},
+                    "instances": [{"path": str(FIXTURES / "toy1.dd")}]}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        monkeypatch.setattr(batch, "ProcessPoolExecutor", _no_pool)
+        code, out, err = run_cli(capsys, "batch", "--manifest", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: instance ") and err.count("\n") == 1
+        assert "max_iterations must be positive" in err
 
     def test_malformed_worker_count_is_input_error(self, monkeypatch, capsys):
         monkeypatch.setenv(batch.WORKERS_ENV, "two")

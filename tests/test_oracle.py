@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from qapbound.model import (
@@ -12,6 +15,7 @@ from qapbound.model import (
 )
 from qapbound.oracle import (
     GuardExceeded,
+    _exact_optimum,
     brute_force_optimum,
     check_dual_relative_interior,
     check_primal_relative_interior,
@@ -25,6 +29,8 @@ from helpers import (
     example1_final_dual,
     example1_initial_dual,
     example1_instance,
+    random_iqap,
+    seeded,
 )
 
 
@@ -48,6 +54,32 @@ class TestBruteForce:
         # best: x = (A, B) with unaries 0 and pairwise -4
         assert value == -4
         assert optima == [[0, 1]]
+
+    def test_exact_optimum_of_float_instances(self):
+        inst = IqapInstance(IlapInstance([[DUMMY]] * 10, [[0.1]] * 10, 0), [])
+        value, optima = brute_force_optimum(inst)
+        assert value == 0.9999999999999999
+        assert _exact_optimum(inst, optima) == 10 * Fraction(0.1)
+        rng = seeded(11)
+        for _ in range(40):
+            ints = random_iqap(rng)
+            unary = ints.unary
+            inst = IqapInstance(
+                IlapInstance(unary.allowed,
+                             [[c / 10 for c in row] for row in unary.costs],
+                             unary.num_labels),
+                [(e.u, e.v, {kl: c / 10 for kl, c in e.cells.items()})
+                 for e in ints.edges])
+            exact = []
+            for x in itertools.product(*unary.allowed):
+                used = [lab for lab in x if lab != DUMMY]
+                if len(used) == len(set(used)):
+                    terms = [inst.unary.cost(v, lab) for v, lab in enumerate(x)]
+                    terms += [e.cells.get((x[e.u], x[e.v]), 0)
+                              for e in inst.edges]
+                    exact.append(sum(map(Fraction, terms)))
+            _, optima = brute_force_optimum(inst)
+            assert _exact_optimum(inst, optima) == min(exact)
 
     def test_infeasible_square_instance(self):
         inst = LapInstance([[0], [0]], [[1], [1]])
