@@ -16,8 +16,9 @@ Instance paths are resolved relative to the manifest file.  Per-instance
 fields override the defaults, so per-group time limits are expressed by
 giving every instance of the group the same limit.  Entries may also set
 ``tag`` (default: the file stem), ``tolerance``, ``dummy_cost`` and
-``epsilon``.  Any other key, or a value of the wrong JSON type, is an error,
-and every job's ``SolverConfig`` is built before any job runs.  Jobs run
+``epsilon``.  Any other key, or a value of the wrong JSON type, is an error.
+Every entry's format, tolerance and dummy cost are checked, and every job's
+``SolverConfig`` is built, before any job runs.  Jobs run
 concurrently up to a worker cap (``QAPBOUND_WORKERS``, an integer, or the
 ``workers`` argument, one worker by default); each worker owns one solver
 state, and rows are assembled deterministically after all jobs finish.
@@ -31,8 +32,9 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .bounds import DEFAULT_EPSILON, METHODS, SolverConfig, run
-from .formats import DEFAULT_DUMMY_COST, load_instance
-from .model import DEFAULT_TOLERANCE, IlapInstance, IqapInstance
+from .formats import DEFAULT_DUMMY_COST, _check_format, load_instance
+from .model import (DEFAULT_TOLERANCE, IlapInstance, IqapInstance, _as_cost,
+                    _check_tolerance)
 from .results import InstanceResult, aggregate, mark_best_bounds
 
 WORKERS_ENV = "QAPBOUND_WORKERS"
@@ -130,6 +132,9 @@ def load_manifest(path):
         if not instance_path.is_file():
             raise ValueError(f"instance file not found: {instance_path}")
         try:
+            _check_format(merged["format"])
+            _check_tolerance(merged["tolerance"])
+            _as_cost(merged["dummy_cost"], "dummy_cost")
             configs = [SolverConfig(
                 method=method, time_limit=merged["time_limit"],
                 max_iterations=merged["max_iterations"],

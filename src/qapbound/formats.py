@@ -44,6 +44,14 @@ AUGMENT_VALUE = 10**7
 
 DEFAULT_DUMMY_COST = 0.0
 
+# The ``fmt`` values ``load_instance`` accepts; "auto" sniffs the text.
+_FORMATS = ("auto", "dd", "lap", "ilap", "qaplib")
+
+
+def _check_format(fmt) -> None:
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+
 
 class ParseError(ValueError):
     """Malformed instance text; carries a line number when one applies."""
@@ -333,9 +341,13 @@ def parse_qaplib(text: str):
     values = []
     for tok in tokens[1:]:
         try:
-            values.append(_as_cost(float(tok), "matrix entry"))
+            value = float(tok)
         except ValueError:
             raise ParseError(f"non-numeric token {tok!r}") from None
+        try:
+            values.append(_as_cost(value, "matrix entry"))
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
     flow = [values[i * n:(i + 1) * n] for i in range(n)]
     dist = [values[n * n + i * n:n * n + (i + 1) * n] for i in range(n)]
     return n, flow, dist
@@ -451,6 +463,7 @@ def sniff_format(text: str) -> str:
 def load_instance(path, *, fmt: str = "auto", dummy_cost=DEFAULT_DUMMY_COST,
                   tolerance: float = DEFAULT_TOLERANCE, augment: bool = False):
     """Read an instance file; returns a LAP, ILAP, or IQAP instance."""
+    _check_format(fmt)
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     if fmt == "auto":
@@ -459,11 +472,9 @@ def load_instance(path, *, fmt: str = "auto", dummy_cost=DEFAULT_DUMMY_COST,
         inst = parse_dd(text, dummy_cost=dummy_cost, tolerance=tolerance)
     elif fmt in ("lap", "ilap"):
         inst = parse_lap_file(text, tolerance=tolerance)
-    elif fmt == "qaplib":
+    else:
         _, flow, dist = parse_qaplib(text)
         inst = convert_qaplib_to_iqap(flow, dist, tolerance=tolerance)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
     if augment:
         if not isinstance(inst, IqapInstance):
             raise ValueError("augmentation applies to quadratic instances only")

@@ -22,12 +22,7 @@ import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .model import (
-    DualInfeasibleError,
-    LapDual,
-    LapInstance,
-    dual_feasible,
-)
+from .model import LapDual, LapInstance, require_dual_feasible
 
 INF = math.inf
 
@@ -65,9 +60,7 @@ def equality_subgraph(inst: LapInstance, dual: LapDual) -> EqualitySubgraph:
     Rejects duals that are infeasible beyond tolerance, since the set of
     tight constraints is not meaningful for them.
     """
-    viol = dual_feasible(inst, dual)
-    if viol is not None:
-        raise DualInfeasibleError(viol.message)
+    require_dual_feasible(inst, dual)
     atol = inst.atol
     adjacency = []
     for v, (labs, cs) in enumerate(zip(inst.allowed, inst.costs)):

@@ -88,6 +88,13 @@ def _as_cost(value, where: str):
     return x
 
 
+def _check_tolerance(tolerance) -> float:
+    """The relative tolerance knob as a float, if finite and non-negative."""
+    if not (tolerance >= 0 and math.isfinite(tolerance)):
+        raise ValueError("tolerance must be finite and non-negative")
+    return float(tolerance)
+
+
 def _sort_rows(allowed, costs, num_labels: int, *, dummy_required: bool):
     """Structure half of construction: sort and validate each label list.
 
@@ -187,9 +194,7 @@ class _BaseInstance:
     def _set_costs(self, costs, tolerance: float):
         self.costs, self.max_abs_cost, self.integral = _normalize_costs(
             costs, self.allowed)
-        if not (tolerance >= 0 and math.isfinite(tolerance)):
-            raise ValueError("tolerance must be finite and non-negative")
-        self.tolerance = float(tolerance)
+        self.tolerance = _check_tolerance(tolerance)
 
     def with_costs(self, costs, *, tolerance: float | None = None):
         """New instance over this structure with ``costs``.
@@ -354,21 +359,18 @@ class IqapInstance:
 
     def __init__(self, unary: IlapInstance, edges: Iterable = ()):
         self.unary = unary
-        built = []
-        seen = set()
+        self._edge_by_pair = {}
         for u, v, cells in edges:
             edge = PairwiseEdge(u, v, cells, unary)
-            if (edge.u, edge.v) in seen:
+            if (edge.u, edge.v) in self._edge_by_pair:
                 raise ValueError(f"duplicate edge ({edge.u}, {edge.v})")
-            seen.add((edge.u, edge.v))
-            built.append(edge)
-        built.sort(key=lambda e: (e.u, e.v))
-        self.edges = tuple(built)
-        self._edge_by_pair = {(e.u, e.v): e for e in built}
-        pair_max = max((e.max_abs_cost for e in built), default=0)
+            self._edge_by_pair[edge.u, edge.v] = edge
+        self.edges = tuple(sorted(self._edge_by_pair.values(),
+                                  key=lambda e: (e.u, e.v)))
+        pair_max = max((e.max_abs_cost for e in self.edges), default=0)
         self.max_abs_cost = max(unary.max_abs_cost, pair_max)
         self.integral = unary.integral and all(
-            isinstance(c, int) for e in built for c in e.cells.values())
+            isinstance(c, int) for e in self.edges for c in e.cells.values())
 
     @property
     def num_vertices(self) -> int:
@@ -431,9 +433,8 @@ def check_feasible(inst, x: Assignment) -> Violation | None:
                 f"vertex {v} takes label {lab}, not in its allowed set",
                 v, lab)
     seen: dict[int, int] = {}
-    skip_dummy = not isinstance(unary, LapInstance)
     for v, lab in enumerate(x):
-        if skip_dummy and lab == DUMMY:
+        if lab == DUMMY:
             continue
         if lab in seen:
             return Violation(
@@ -503,26 +504,18 @@ def dual_feasible(inst, dual, tol: float | None = None) -> Violation | None:
             raise ValueError("expected a LapDual for a LapInstance")
         if len(dual.beta) != unary.num_labels:
             raise ValueError("beta length does not match the label count")
-        for v, (labs, cs) in enumerate(zip(unary.allowed, unary.costs)):
-            av = dual.alpha[v]
-            for lab, c in zip(labs, cs):
-                if c - av - dual.beta[lab] < -tol:
-                    return Violation(
-                        "dual",
-                        f"dual constraint violated at vertex {v}, label {lab}",
-                        v, lab)
-        return None
-    if not isinstance(dual, IlapDual):
-        raise ValueError("expected an IlapDual for this instance")
-    if len(dual.beta) != unary.num_labels:
-        raise ValueError("beta length does not match the non-dummy label count")
-    for lab, b in enumerate(dual.beta):
-        if b > tol:
-            return Violation("dual", f"beta[{lab}] = {b} exceeds zero", None, lab)
+    else:
+        if not isinstance(dual, IlapDual):
+            raise ValueError("expected an IlapDual for this instance")
+        if len(dual.beta) != unary.num_labels:
+            raise ValueError("beta length does not match the non-dummy label count")
+        for lab, b in enumerate(dual.beta):
+            if b > tol:
+                return Violation("dual", f"beta[{lab}] = {b} exceeds zero", None, lab)
     for v, (labs, cs) in enumerate(zip(unary.allowed, unary.costs)):
         av = dual.alpha[v]
         for lab, c in zip(labs, cs):
-            b = dual.beta[lab] if lab != DUMMY else 0
+            b = 0 if lab == DUMMY else dual.beta[lab]
             if c - av - b < -tol:
                 return Violation(
                     "dual",
@@ -576,7 +569,7 @@ def lap_primal_feasible(inst: LapInstance | IlapInstance, mu: PrimalVector,
             if value < -tol:
                 return Violation("negative", f"mu[{v}][{lab}] = {value} < 0", v, lab)
             row_sum += value
-            if square or lab != DUMMY:
+            if lab != DUMMY:
                 col[lab] += value
         if abs(row_sum - 1) > tol:
             return Violation("row", f"mu row {v} sums to {row_sum}, expected 1", v)

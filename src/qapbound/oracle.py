@@ -2,8 +2,9 @@
 
 Everything here enumerates the full assignment space and exists only to
 cross-check the solvers in tests and in the ``verify`` command.  The code
-deliberately shares nothing with the solver modules beyond the data model,
-and it refuses instances whose raw search space exceeds the guard.
+deliberately shares nothing with the solver modules: it uses only the data
+model, including its feasibility checks and ``unary_part``, and it refuses
+instances whose raw search space exceeds the guard.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from fractions import Fraction
 
 from .model import (
     DUMMY,
-    DualInfeasibleError,
     FeasibilityError,
     IlapInstance,
     IqapInstance,
     LapInstance,
-    dual_feasible,
     lap_primal_feasible,
+    require_dual_feasible,
+    unary_part,
 )
 
 SEARCH_SPACE_GUARD = 10**6
@@ -30,9 +31,8 @@ class GuardExceeded(ValueError):
 
 def search_space_size(inst) -> int:
     """Product of the allowed-label counts over all vertices."""
-    unary = inst.unary if isinstance(inst, IqapInstance) else inst
     size = 1
-    for labs in unary.allowed:
+    for labs in unary_part(inst).allowed:
         size *= len(labs)
     return size
 
@@ -48,14 +48,12 @@ def _check_guard(inst) -> None:
 def _enumerate(inst, visit) -> None:
     """Backtracking over feasible assignments, pruning reused labels.
 
-    For square instances every label must be fresh; with a dummy label only
-    the non-dummy ones are constrained.  ``visit(x, value)`` is called for
-    each complete feasible assignment, where ``value`` is accumulated from
-    direct cost lookups (including pairwise terms toward already placed
-    neighbors for quadratic instances).
+    Every non-dummy label must be fresh; the dummy label may repeat.
+    ``visit(x, value)`` is called for each complete feasible assignment,
+    where ``value`` is accumulated from direct cost lookups (including
+    pairwise terms toward already placed neighbors for quadratic instances).
     """
-    square = isinstance(inst, LapInstance)
-    unary = inst.unary if isinstance(inst, IqapInstance) else inst
+    unary = unary_part(inst)
     edges_at: list[list] = [[] for _ in range(unary.num_vertices)]
     if isinstance(inst, IqapInstance):
         for e in inst.edges:
@@ -71,10 +69,7 @@ def _enumerate(inst, visit) -> None:
             visit(list(x), partial)
             return
         for lab, c in zip(unary.allowed[v], unary.costs[v]):
-            if lab == DUMMY:
-                if square:
-                    continue
-            else:
+            if lab != DUMMY:
                 bit = 1 << lab
                 if used & bit:
                     continue
@@ -139,38 +134,28 @@ def _exact_optimum(inst: IqapInstance, optima) -> Fraction:
     return min(map(exact_cost, optima))
 
 
+def _optimal_pairs(optima) -> set[tuple[int, int]]:
+    """Pairs (vertex, label) used by at least one of ``optima``."""
+    return {(v, lab) for x in optima for v, lab in enumerate(x)}
+
+
 def minimally_assignable_pairs(inst) -> set[tuple[int, int]]:
     """Pairs (vertex, label) realized by at least one optimal assignment."""
-    _, optima = brute_force_optimum(inst)
-    pairs = set()
-    for x in optima:
-        for v, lab in enumerate(x):
-            pairs.add((v, lab))
-    return pairs
+    return _optimal_pairs(brute_force_optimum(inst)[1])
 
 
 def _labels_unused_somewhere(optima, num_labels: int) -> set[int]:
     """Non-dummy labels left unassigned by at least one optimal assignment."""
-    out = set()
-    for x in optima:
-        used = set(lab for lab in x if lab != DUMMY)
-        for lab in range(num_labels):
-            if lab not in used:
-                out.add(lab)
-    return out
+    return {lab for x in optima for lab in set(range(num_labels)).difference(x)}
 
 
 def _active_pairs(inst, dual) -> set[tuple[int, int]]:
     atol = inst.atol
-    is_square = isinstance(inst, LapInstance)
     active = set()
     for v, (labs, cs) in enumerate(zip(inst.allowed, inst.costs)):
         av = dual.alpha[v]
         for lab, c in zip(labs, cs):
-            if is_square:
-                b = dual.beta[lab]
-            else:
-                b = 0 if lab == DUMMY else dual.beta[lab]
+            b = 0 if lab == DUMMY else dual.beta[lab]
             if c - av - b <= atol:
                 active.add((v, lab))
     return active
@@ -186,16 +171,9 @@ def check_dual_relative_interior(inst, dual) -> bool:
     """
     if not isinstance(inst, (LapInstance, IlapInstance)):
         raise TypeError("dual checks cover unary instances only")
-    viol = dual_feasible(inst, dual)
-    if viol is not None:
-        raise DualInfeasibleError(viol.message)
-    _check_guard(inst)
+    require_dual_feasible(inst, dual)
     _, optima = brute_force_optimum(inst)
-    pairs = set()
-    for x in optima:
-        for v, lab in enumerate(x):
-            pairs.add((v, lab))
-    if _active_pairs(inst, dual) != pairs:
+    if _active_pairs(inst, dual) != _optimal_pairs(optima):
         return False
     if isinstance(inst, LapInstance):
         return True
@@ -216,19 +194,11 @@ def check_primal_relative_interior(inst, mu) -> bool:
     viol = lap_primal_feasible(inst, mu)
     if viol is not None:
         raise FeasibilityError(viol.message)
-    _check_guard(inst)
     _, optima = brute_force_optimum(inst)
-    pairs = set()
-    for x in optima:
-        for v, lab in enumerate(x):
-            pairs.add((v, lab))
     atol = inst.atol
-    support = set()
-    for v, row in mu.items():
-        for lab, value in row.items():
-            if value > atol:
-                support.add((v, lab))
-    if support != pairs:
+    support = {(v, lab) for v, row in mu.items()
+               for lab, value in row.items() if value > atol}
+    if support != _optimal_pairs(optima):
         return False
     if isinstance(inst, LapInstance):
         return True

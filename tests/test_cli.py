@@ -235,6 +235,22 @@ class TestVerify:
         assert "bound 1.0, optimum 1.0" in out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("name, text, size", [
+        ("big.dd", "p 7 7 49 0\n" + "".join(
+            f"a {7 * v + lab} {v} {lab} 1\n"
+            for v in range(7) for lab in range(7)), 8**7),
+        ("big.lap", "p lap 9\n" + "".join(
+            f"a {v} {lab} 1\n" for v in range(9) for lab in range(9)), 9**9),
+    ])
+    def test_above_the_guard_is_skipped(self, tmp_path, capsys, name, text,
+                                        size):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "--input", str(path))
+        assert (code, out, err) == (
+            0, f"skipped: search space of {size} assignments exceeds the "
+               "enumeration guard of 1000000\n", "")
+
 
 def _no_pool(*args, **kwargs):
     raise AssertionError("a sequential run started a worker pool")
@@ -338,6 +354,29 @@ class TestBatch:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key in err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("format", "qaplbi", "unknown format 'qaplbi'"),
+        ("tolerance", -1, "tolerance must be finite and non-negative"),
+        ("tolerance", float("inf"), "tolerance must be finite and non-negative"),
+        ("dummy_cost", float("nan"), "dummy_cost: cost must be finite, got nan"),
+    ])
+    def test_bad_entry_setting_fails_before_any_job(
+            self, tmp_path, monkeypatch, capsys, key, value, message):
+        second = str(FIXTURES / "toy2.dd")
+        manifest = {"methods": ["bca"], "defaults": {"max_iterations": 2},
+                    "instances": [{"path": str(FIXTURES / "toy1.dd")},
+                                  {"path": second, key: value}]}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        calls = []
+        run_job = batch._run_job
+        monkeypatch.setattr(batch, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr(batch, "_run_job",
+                            lambda job: calls.append(job) or run_job(job))
+        code, out, err = run_cli(capsys, "batch", "--manifest", str(path))
+        assert (code, out, calls) == (1, "", [])
+        assert err == f"error: instance {second}: {message}\n"
 
     @pytest.mark.parametrize("cap", [2.5, 0, -1])
     def test_non_integer_or_non_positive_iteration_cap_is_input_error(

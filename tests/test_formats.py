@@ -205,6 +205,17 @@ class TestQaplib:
         with pytest.raises(ParseError):
             parse_qaplib(text)
 
+    @pytest.mark.parametrize("token, message", [
+        ("inf", "matrix entry: cost must be finite, got inf"),
+        ("-inf", "matrix entry: cost must be finite, got -inf"),
+        ("nan", "matrix entry: cost must be finite, got nan"),
+        ("x", "non-numeric token 'x'"),
+    ])
+    def test_bad_entry_messages(self, token, message):
+        with pytest.raises(ParseError) as info:
+            parse_qaplib(f"1\n{token}\n2\n")
+        assert str(info.value) == message
+
 
 class TestConvertQaplib:
     def test_zero_flow_gives_pure_unary_instance(self):

@@ -160,6 +160,15 @@ class TestFeasibility:
         viol = check_feasible(inst, [0, 0])
         assert viol is not None and viol.kind == "dimension"
 
+    @pytest.mark.parametrize("x", [[DUMMY, 0], [DUMMY, DUMMY], [1, DUMMY]])
+    def test_dummy_in_square_assignment_is_disallowed(self, x):
+        inst = LapInstance([[0, 1], [0, 1]], [[0, 0], [0, 0]])
+        viol = check_feasible(inst, x)
+        v = x.index(DUMMY)
+        assert (viol.kind, viol.message, viol.vertex, viol.label) == (
+            "disallowed", f"vertex {v} takes label -1, not in its allowed set",
+            v, DUMMY)
+
 
 PRIMAL_LAP = LapInstance([[0, 1], [1]], [[1, 2], [3]])
 PRIMAL_ILAP = IlapInstance([[DUMMY, 0, 1], [DUMMY, 1]], [[0, 1, 2], [0, 3]], 2)
@@ -212,6 +221,10 @@ class TestPrimalFeasible:
         assert got == expected
 
 
+DUAL_LAP = LapInstance([[0, 1], [0, 1]], [[1, 2], [1, 0]])
+DUAL_ILAP = IlapInstance([[DUMMY, 0, 1], [DUMMY, 1]], [[3, 1, 2], [3, 1]], 2)
+
+
 class TestDuals:
     def test_example_initial_dual(self):
         inst = example1_instance()
@@ -239,6 +252,54 @@ class TestDuals:
         inst = IlapInstance([[DUMMY, 0]], [[0, 5]], 1)
         viol = dual_feasible(inst, IlapDual([0], [1.0]))
         assert viol is not None and "exceeds zero" in viol.message
+
+    @pytest.mark.parametrize("inst, dual, message", [
+        (DUAL_LAP, IlapDual([0, 0], [0, 0]),
+         "expected a LapDual for a LapInstance"),
+        (DUAL_LAP, IlapDual([0, 0], [0]),
+         "expected a LapDual for a LapInstance"),
+        (DUAL_LAP, LapDual([0], [0, 0]),
+         "alpha length does not match the vertex count"),
+        (DUAL_LAP, IlapDual([0], [0]),
+         "alpha length does not match the vertex count"),
+        (DUAL_LAP, LapDual([0, 0], [0]),
+         "beta length does not match the label count"),
+        (DUAL_ILAP, LapDual([0, 0], [0, 0]),
+         "expected an IlapDual for this instance"),
+        (DUAL_ILAP, IlapDual([0, 0, 0], [0, 0]),
+         "alpha length does not match the vertex count"),
+        (DUAL_ILAP, IlapDual([0, 0], [5, 5, 5]),
+         "beta length does not match the non-dummy label count"),
+    ])
+    def test_malformed_dual_messages(self, inst, dual, message):
+        with pytest.raises(ValueError) as info:
+            dual_feasible(inst, dual)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("inst, dual, expected", [
+        (DUAL_LAP, LapDual([0, 0], [0, 0]), None),
+        (DUAL_LAP, LapDual([0, 2], [0, 0]),
+         (1, 0, "dual constraint violated at vertex 1, label 0")),
+        (DUAL_ILAP, IlapDual([0, 0], [0, 0]), None),
+        (DUAL_ILAP, IlapDual([0, 0], [-1, 0.5]),
+         (None, 1, "beta[1] = 0.5 exceeds zero")),
+        # the sign rule is checked before any constraint
+        (DUAL_ILAP, IlapDual([9, 0], [0, 0.5]),
+         (None, 1, "beta[1] = 0.5 exceeds zero")),
+        (DUAL_ILAP, IlapDual([2, 0], [0, 0]),
+         (0, 0, "dual constraint violated at vertex 0, label 0")),
+        (DUAL_ILAP, IlapDual([0, 4], [0, 0]),
+         (1, DUMMY, "dual constraint violated at vertex 1, label -1")),
+        (DUAL_ILAP, IlapDual([4, 0], [0, 0]),
+         (0, DUMMY, "dual constraint violated at vertex 0, label -1")),
+    ])
+    def test_violation_messages(self, inst, dual, expected):
+        viol = dual_feasible(inst, dual)
+        if expected is None:
+            assert viol is None
+        else:
+            assert viol.kind == "dual"
+            assert (viol.vertex, viol.label, viol.message) == expected
 
     def test_weak_duality(self):
         rng = seeded(23)

@@ -91,6 +91,13 @@ class TestBruteForce:
         with pytest.raises(GuardExceeded):
             brute_force_optimum(inst)
 
+    def test_relative_interior_checks_respect_the_guard(self):
+        inst = LapInstance([list(range(9))] * 9, [[0] * 9] * 9)
+        with pytest.raises(GuardExceeded):
+            check_dual_relative_interior(inst, LapDual([0] * 9, [0] * 9))
+        with pytest.raises(GuardExceeded):
+            check_primal_relative_interior(inst, {v: {v: 1} for v in range(9)})
+
     def test_optimal_indicators_are_primal_feasible(self):
         inst = example1_instance()
         value, optima = brute_force_optimum(inst)
