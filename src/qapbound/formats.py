@@ -30,6 +30,7 @@ whitespace-separated matrices (flow first, then distance).
 from __future__ import annotations
 
 import math
+import sys
 
 from .model import (
     DEFAULT_TOLERANCE,
@@ -79,9 +80,23 @@ def _int_field(token: str, what: str, line: int) -> int:
         raise ParseError(f"{what} must be an integer, got {token!r}", line) from None
 
 
+def _number(token: str):
+    """An int token as an exact int, any other numeric token as a float.
+
+    An int beyond the float range reads as an infinite float, which the
+    callers reject as not finite.  Raises ValueError for a token that is
+    not a number.
+    """
+    try:
+        value = int(token)
+    except ValueError:
+        return float(token)
+    return value if abs(value) <= sys.float_info.max else float(token)
+
+
 def _cost_field(token: str, line: int):
     try:
-        value = float(token)
+        value = _number(token)
     except ValueError:
         raise ParseError(f"cost must be numeric, got {token!r}", line) from None
     if not math.isfinite(value):
@@ -94,8 +109,13 @@ def _cost_field(token: str, line: int):
 
 
 def parse_dd(text: str, *, dummy_cost=DEFAULT_DUMMY_COST,
-             tolerance: float = DEFAULT_TOLERANCE) -> IqapInstance:
-    """Parse the graph-matching text format into a quadratic instance."""
+             tolerance: float = DEFAULT_TOLERANCE,
+             augment: bool = False) -> IqapInstance:
+    """Parse the graph-matching text format into a quadratic instance.
+
+    ``augment`` builds the instance ``augment_instance`` would return, in
+    one construction.
+    """
     header = None
     records: dict[int, tuple[int, int]] = {}
     unary: dict[tuple[int, int], float] = {}
@@ -176,8 +196,10 @@ def parse_dd(text: str, *, dummy_cost=DEFAULT_DUMMY_COST,
         costs[v].append(cost)
     try:
         core = IlapInstance(allowed, costs, n1, tolerance=tolerance)
-        return IqapInstance(core, [(u, v, cells)
-                                   for (u, v), cells in edge_cells.items()])
+        edges = [(u, v, cells) for (u, v), cells in edge_cells.items()]
+        if augment:
+            _augment_cells(core, edges)
+        return IqapInstance(core, edges)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -341,7 +363,7 @@ def parse_qaplib(text: str):
     values = []
     for tok in tokens[1:]:
         try:
-            value = float(tok)
+            value = _number(tok)
         except ValueError:
             raise ParseError(f"non-numeric token {tok!r}") from None
         try:
@@ -376,8 +398,8 @@ def qaplib_shift_constant(flow, dist):
     return 1 + total + max(0, diagonal)
 
 
-def convert_qaplib_to_iqap(flow, dist, *,
-                           tolerance: float = DEFAULT_TOLERANCE) -> IqapInstance:
+def convert_qaplib_to_iqap(flow, dist, *, tolerance: float = DEFAULT_TOLERANCE,
+                           augment: bool = False) -> IqapInstance:
     """Convert flow/distance matrices to a dummy-label quadratic instance.
 
     Vertices are facilities, non-dummy labels are locations, all locations
@@ -385,7 +407,8 @@ def convert_qaplib_to_iqap(flow, dist, *,
     direction is non-zero; its cell costs combine both directions.  Unary
     costs are the diagonal product minus the shift constant, the dummy costs
     zero, so reported bounds carry an offset of minus ``n`` times the shift
-    relative to the flow/distance objective.
+    relative to the flow/distance objective.  ``augment`` builds the
+    instance ``augment_instance`` would return, in one construction.
     """
     n = len(flow)
     if any(len(row) != n for row in flow) or len(dist) != n or any(
@@ -410,6 +433,8 @@ def convert_qaplib_to_iqap(flow, dist, *,
                         cells[(k, l)] = c
             if cells:
                 edges.append((u, v, cells))
+    if augment:
+        _augment_cells(core, edges)
     return IqapInstance(core, edges)
 
 
@@ -431,18 +456,24 @@ def augment_instance(inst: IqapInstance) -> IqapInstance:
     diagonal cell currently costs zero (stored or implicit), the cell is set
     to ``AUGMENT_VALUE``.  Explicitly stored non-zero diagonal cells are
     kept.  No feasible assignment uses such a cell, so optimal values are
-    unchanged.
+    unchanged.  The readers' ``augment`` option builds the same instance
+    without the intermediate one.
     """
-    edges = []
-    for e in inst.edges:
-        shared = (set(inst.unary.allowed[e.u]) & set(inst.unary.allowed[e.v]))
+    edges = [(e.u, e.v, dict(e.cells)) for e in inst.edges]
+    _augment_cells(inst.unary, edges)
+    return IqapInstance(inst.unary, edges)
+
+
+def _augment_cells(unary: IlapInstance, edges: list) -> None:
+    """Set the ``augment_instance`` diagonal cells in ``(u, v, cells)``
+    edge triples, in place, before they are built into an instance."""
+    allowed = unary.allowed
+    for u, v, cells in edges:
+        shared = set(allowed[u]) & set(allowed[v])
         shared.discard(DUMMY)
-        cells = dict(e.cells)
         for lab in shared:
             if cells.get((lab, lab), 0) == 0:
                 cells[(lab, lab)] = AUGMENT_VALUE
-        edges.append((e.u, e.v, cells))
-    return IqapInstance(inst.unary, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -469,14 +500,13 @@ def load_instance(path, *, fmt: str = "auto", dummy_cost=DEFAULT_DUMMY_COST,
     if fmt == "auto":
         fmt = sniff_format(text)
     if fmt == "dd":
-        inst = parse_dd(text, dummy_cost=dummy_cost, tolerance=tolerance)
-    elif fmt in ("lap", "ilap"):
-        inst = parse_lap_file(text, tolerance=tolerance)
-    else:
+        return parse_dd(text, dummy_cost=dummy_cost, tolerance=tolerance,
+                        augment=augment)
+    if fmt == "qaplib":
         _, flow, dist = parse_qaplib(text)
-        inst = convert_qaplib_to_iqap(flow, dist, tolerance=tolerance)
+        return convert_qaplib_to_iqap(flow, dist, tolerance=tolerance,
+                                      augment=augment)
+    inst = parse_lap_file(text, tolerance=tolerance)
     if augment:
-        if not isinstance(inst, IqapInstance):
-            raise ValueError("augmentation applies to quadratic instances only")
-        inst = augment_instance(inst)
+        raise ValueError("augmentation applies to quadratic instances only")
     return inst

@@ -38,11 +38,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 DUMMY = -1
 
 DEFAULT_TOLERANCE = 1e-9
+
+# Sort key of a ``(column, cost)`` row cell.
+_COST = itemgetter(1)
 
 Assignment = Sequence[int]
 
@@ -292,9 +296,18 @@ class PairwiseEdge:
     for.  A sparse row finds it by walking the columns in ascending order
     past the few stored ones; a dense row would walk past most of them, so
     it keeps the short complement and takes the minimum over that instead.
+
+    Every row's ``cells`` are in ascending cost order (ties keep insertion
+    order).  A scan of a row can then stop at the first cell whose cost
+    plus the cheapest column cannot beat the running minimum: every later
+    cell costs at least as much and sits on a column at least as cheap,
+    and rounding is monotone (see ``wcsp._row_minima``).
+
+    ``integral`` is true when every stored cost is an int.
     """
 
-    __slots__ = ("u", "v", "cells", "rows_u", "rows_v", "max_abs_cost")
+    __slots__ = ("u", "v", "cells", "rows_u", "rows_v", "max_abs_cost",
+                 "integral")
 
     def __init__(self, u: int, v: int, cells: Mapping, unary: IlapInstance):
         if u == v:
@@ -312,6 +325,7 @@ class PairwiseEdge:
         rows = [[] for _ in index_u]
         cols = [[] for _ in index_v]
         max_abs = 0
+        integral = True
         for (k, l), c in cells.items():
             ki = index_u.get(k)
             li = index_v.get(l)
@@ -325,6 +339,8 @@ class PairwiseEdge:
                 if (k, l) in norm:
                     raise ValueError(f"{where}: duplicate cell")
                 c = _as_cost(c, where)
+                if type(c) is not int:
+                    integral = False
             norm[(k, l)] = c
             rows[ki].append((li, c))
             cols[li].append((ki, c))
@@ -334,16 +350,19 @@ class PairwiseEdge:
         self.rows_u = _row_table(rows, len(cols))
         self.rows_v = _row_table(cols, len(rows))
         self.max_abs_cost = max_abs
+        self.integral = integral
 
 
 def _row_table(grouped: list, num_cols: int) -> tuple:
     """``PairwiseEdge`` row entries from the ``(column, cost)`` list of
-    each row."""
+    each row, with each row's cells sorted by cost."""
     table = []
     for cells in grouped:
         if not cells:
             table.append(None)
-        elif 2 * len(cells) <= num_cols:
+            continue
+        cells.sort(key=_COST)
+        if 2 * len(cells) <= num_cols:
             table.append((False, tuple([j for j, _ in cells]), tuple(cells)))
         else:
             free = [True] * num_cols
@@ -369,8 +388,7 @@ class IqapInstance:
                                   key=lambda e: (e.u, e.v)))
         pair_max = max((e.max_abs_cost for e in self.edges), default=0)
         self.max_abs_cost = max(unary.max_abs_cost, pair_max)
-        self.integral = unary.integral and all(
-            isinstance(c, int) for e in self.edges for c in e.cells.values())
+        self.integral = unary.integral and all(e.integral for e in self.edges)
 
     @property
     def num_vertices(self) -> int:

@@ -23,6 +23,17 @@ construction, so a sweep builds no per-edge structure: a row without
 stored cells is answered by the cheapest column alone, a sparse row by the
 cheapest column it does not store, and a dense row by the few columns it
 does not store, before its stored cells are compared.
+
+Each row's stored cells are kept in ascending cost order, so the scan of a
+row stops at its first cell whose cost plus the cheapest column is not below
+the running minimum.  The exit is exact: every later cell costs at least as
+much and sits on a column at least as cheap, and rounding is monotone, so
+no later cell can be strictly smaller.  That needs every sum rounded by one
+monotone map; an int above 2**53 is added exactly to an int but rounded
+when added to a float, so the kernel stops early only while the cheapest
+column and every cost lie within ``±_EXIT_LIMIT`` (see ``_row_minima``).
+The int arithmetic of ``bounds.dual_bound`` is exact at any size, and keeps
+the order, since it scales every cell by the same positive power of two.
 """
 
 from __future__ import annotations
@@ -32,6 +43,10 @@ from operator import sub
 from .model import DUMMY, IqapInstance
 
 _INF = float("inf")
+
+# Largest magnitude of the cheapest column and of the costs at which
+# ``_row_minima`` stops a row early in mixed int and float arithmetic.
+_EXIT_LIMIT = 2.0**50
 
 
 class IqapDualState:
@@ -86,7 +101,7 @@ def reparam_pairwise(state: IqapDualState, u: int, v: int, k: int, l: int):
     return base - state.phi[(v, u)][iv] - state.phi[(u, v)][iu]
 
 
-def _row_minima(base: list, rows: tuple) -> list:
+def _row_minima(base: list, rows: tuple, limit: float) -> list:
     """Per row r: min over columns j of ``base[j] + stored(r, j)``.
 
     ``rows`` is a ``PairwiseEdge`` row table (``rows_u`` or ``rows_v``);
@@ -94,11 +109,26 @@ def _row_minima(base: list, rows: tuple) -> list:
     stores no cell, and every sparse row that does not store that column; a
     sparse row that does walks the columns in ascending ``base`` order (ties
     to the smaller index) to its first unstored one.  A dense row takes the
-    minimum over its few unstored columns.  The stored cells come last, each
-    replacing the running minimum only when strictly smaller, so every row
-    yields exactly the value of a strict scan in that order.
+    minimum over its few unstored columns.  The stored cells come last, in
+    ascending cost order, each replacing the running minimum only when
+    strictly smaller, so every row yields exactly the value of a strict
+    scan in that order.
+
+    The scan of the cells stops at the first cell ``(j, c)`` with
+    ``cheapest + c >= best``, if ``abs(cheapest) <= limit``.  Every later
+    cell ``(j', c')`` has ``c' >= c`` and ``base[j'] >= cheapest``, so
+    ``base[j'] + c' >= cheapest + c >= best`` whenever every sum is rounded
+    by one monotone map: it could not replace the minimum.  That holds for
+    any ``limit`` when ``base`` is all floats, or when ``base`` and the
+    cells are all ints (``bounds.dual_bound``).  In mixed arithmetic an int
+    sum is exact but a float sum rounds, so callers pass ``_exit_limit``:
+    with the cheapest column and every cell within ``±2**50`` the stopping
+    sum is rounded alike in either arithmetic and is at most ``2**51``, and
+    a later sum is either rounded alike too (both terms within ``±2**52``)
+    or at least ``2**52 - 2**50``.
     """
     cheapest = min(base)
+    floor = cheapest if abs(cheapest) <= limit else -_INF
     first = base.index(cheapest)
     order = None
     out = []
@@ -120,6 +150,8 @@ def _row_minima(base: list, rows: tuple) -> list:
                     best = base[j]
                     break
         for j, c in cells:
+            if floor + c >= best:
+                break
             val = base[j] + c
             if val < best:
                 best = val
@@ -127,8 +159,14 @@ def _row_minima(base: list, rows: tuple) -> list:
     return out
 
 
+def _exit_limit(inst: IqapInstance) -> float:
+    """``_row_minima``'s ``limit`` for the rows and costs of ``inst``:
+    ``_EXIT_LIMIT`` if every cost lies within it, else no early exit."""
+    return _EXIT_LIMIT if inst.max_abs_cost <= _EXIT_LIMIT else -_INF
+
+
 def _handshake(state: IqapDualState, u: int, v: int,
-               rows_u: tuple, rows_v: tuple) -> None:
+               rows_u: tuple, rows_v: tuple, limit: float) -> None:
     """Edge update with the row tables of ``u`` and of ``v`` given."""
     phi_uv = state.phi[(u, v)]
     phi_vu = state.phi[(v, u)]
@@ -136,8 +174,8 @@ def _handshake(state: IqapDualState, u: int, v: int,
     tv = state.tilde(v)
     base_u = [t - p for t, p in zip(tu, phi_uv)]
     base_v = [t - p for t, p in zip(tv, phi_vu)]
-    min_over_v = _row_minima(base_v, rows_u)
-    min_over_u = _row_minima(base_u, rows_v)
+    min_over_v = _row_minima(base_v, rows_u, limit)
+    min_over_u = _row_minima(base_u, rows_v, limit)
     unary_u = state.theta_phi[u]
     unary_v = state.theta_phi[v]
     for k in range(len(base_u)):
@@ -155,10 +193,11 @@ def mplp_pp_edge_update(state: IqapDualState, u: int, v: int) -> None:
     edge = state.inst.edge_between(u, v)
     if edge is None:
         raise ValueError(f"no edge between vertices {u} and {v}")
+    limit = _exit_limit(state.inst)
     if edge.u == u:
-        _handshake(state, u, v, edge.rows_u, edge.rows_v)
+        _handshake(state, u, v, edge.rows_u, edge.rows_v, limit)
     else:
-        _handshake(state, u, v, edge.rows_v, edge.rows_u)
+        _handshake(state, u, v, edge.rows_v, edge.rows_u, limit)
 
 
 def mplp_pp_pass(state: IqapDualState, *, backward: bool = False) -> None:
@@ -167,24 +206,27 @@ def mplp_pp_pass(state: IqapDualState, *, backward: bool = False) -> None:
     ``backward`` adds a second sweep in reverse order.
     """
     edges = state.inst.edges
+    limit = _exit_limit(state.inst)
     for e in edges:
-        _handshake(state, e.u, e.v, e.rows_u, e.rows_v)
+        _handshake(state, e.u, e.v, e.rows_u, e.rows_v, limit)
     if backward:
         for e in reversed(edges):
-            _handshake(state, e.u, e.v, e.rows_u, e.rows_v)
+            _handshake(state, e.u, e.v, e.rows_u, e.rows_v, limit)
 
 
 def pairwise_minimum(state: IqapDualState, edge) -> float:
     """Minimum reparametrized pairwise cost of ``edge`` over all label pairs."""
     return _edge_minimum(state.phi[(edge.u, edge.v)],
-                         state.phi[(edge.v, edge.u)], edge.rows_u)
+                         state.phi[(edge.v, edge.u)], edge.rows_u,
+                         _exit_limit(state.inst))
 
 
-def _edge_minimum(out_u: list, out_v: list, rows_u: tuple):
+def _edge_minimum(out_u: list, out_v: list, rows_u: tuple, limit: float):
     """Minimum over label pairs of a stored cell minus both messages.
 
     ``out_u`` and ``out_v`` are the edge's outgoing messages from ``u`` and
-    from ``v``, and ``rows_u`` its row table (cells may be any numbers).
+    from ``v``, ``rows_u`` its row table (cells may be any numbers) and
+    ``limit`` that of ``_row_minima``.
     """
-    per_row = _row_minima([-p for p in out_v], rows_u)
+    per_row = _row_minima([-p for p in out_v], rows_u, limit)
     return min(map(sub, per_row, out_u))

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from qapbound.formats import (
     ParseError,
     augment_instance,
     convert_qaplib_to_iqap,
+    load_instance,
     parse_dd,
     parse_lap_file,
     parse_qaplib,
@@ -22,6 +24,8 @@ from qapbound.model import DUMMY, IlapInstance, IqapInstance, LapInstance
 from qapbound.oracle import brute_force_optimum, search_space_size
 
 from helpers import random_iqap, seeded
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def same_iqap(a: IqapInstance, b: IqapInstance) -> bool:
@@ -298,3 +302,64 @@ class TestSniff:
         assert sniff_format("c x\np lap 3\n") == "lap"
         assert sniff_format("p ilap 2 2\n") == "ilap"
         assert sniff_format("3\n0 1 2\n") == "qaplib"
+
+
+class TestExactIntTokens:
+    def test_qaplib_keeps_an_int_above_two_to_the_53(self):
+        _, flow, dist = parse_qaplib("1\n9007199254740993\n0\n")
+        assert flow == [[9007199254740993]]
+        assert type(flow[0][0]) is int and dist == [[0]]
+
+    def test_dd_cell_keeps_an_int_above_two_to_the_53(self):
+        inst = parse_dd("p 1 1 1 0\na 0 0 0 9007199254740993\n")
+        assert inst.unary.cost(0, 0) == 9007199254740993
+        assert inst.integral
+
+    def test_float_token_with_an_integral_value_reads_as_int(self):
+        _, flow, _ = parse_qaplib("1\n1e3\n0\n")
+        assert flow == [[1000]] and type(flow[0][0]) is int
+        inst = parse_dd("p 1 1 1 0\na 0 0 0 1e3\n")
+        assert type(inst.unary.cost(0, 0)) is int
+
+    def test_int_beyond_the_float_range_is_not_finite(self):
+        with pytest.raises(ParseError, match="finite"):
+            parse_qaplib("1\n1" + "0" * 400 + "\n0\n")
+        with pytest.raises(ParseError, match="finite"):
+            parse_dd("p 1 1 1 0\na 0 0 0 1" + "0" * 400 + "\n")
+
+
+def _edge_layout(inst):
+    return [(e.u, e.v, list(e.cells.items()), e.rows_u, e.rows_v, e.integral)
+            for e in inst.edges]
+
+
+class TestAugmentOnLoad:
+    @pytest.mark.parametrize("name", ["toy1.dd", "toy2.dd", "toy3.dd", "qap3.dat"])
+    def test_one_construction_equals_augmenting_the_instance(self, name):
+        path = FIXTURES / name
+        once = load_instance(path, augment=True)
+        twice = augment_instance(load_instance(path))
+        assert _edge_layout(once) == _edge_layout(twice)
+        assert once.integral == twice.integral
+        assert once.max_abs_cost == twice.max_abs_cost
+
+    def test_readers_equal_augment_instance(self):
+        rng = seeded(151)
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            flow = [[rng.choice([0, 0, 1, 3]) for _ in range(n)] for _ in range(n)]
+            dist = [[rng.choice([0, 1, 2.5]) for _ in range(n)] for _ in range(n)]
+            once = convert_qaplib_to_iqap(flow, dist, augment=True)
+            twice = augment_instance(convert_qaplib_to_iqap(flow, dist))
+            assert _edge_layout(once) == _edge_layout(twice)
+            assert once.integral == twice.integral
+            inst = random_iqap(rng, dummy_cells=False)
+            text = serialize_dd(inst)
+            once = parse_dd(text, augment=True)
+            twice = augment_instance(parse_dd(text))
+            assert _edge_layout(once) == _edge_layout(twice)
+            assert once.integral == twice.integral
+
+    def test_augment_rejects_a_linear_instance(self):
+        with pytest.raises(ValueError, match="quadratic instances only"):
+            load_instance(FIXTURES / "tiny.ilap", augment=True)

@@ -418,3 +418,17 @@ class TestWithCosts:
 
     def test_objective_names_share_one_function(self):
         assert ilap_objective is lap_objective
+
+
+class TestEdgeIntegrality:
+    def test_one_float_cell_makes_the_instance_non_integral(self):
+        core = IlapInstance([[DUMMY, 0], [DUMMY, 1]], [[0, 1], [0, 2]], 2)
+        ints = IqapInstance(core, [(0, 1, {(0, 1): 3, (DUMMY, 1): 4.0})])
+        assert ints.edges[0].integral and ints.integral
+        mixed = IqapInstance(core, [(0, 1, {(0, 1): 3, (DUMMY, 1): 0.5})])
+        assert not mixed.edges[0].integral and not mixed.integral
+
+    def test_float_unary_makes_the_instance_non_integral(self):
+        core = IlapInstance([[DUMMY, 0], [DUMMY, 1]], [[0, 1.5], [0, 2]], 2)
+        inst = IqapInstance(core, [(0, 1, {(0, 1): 3})])
+        assert inst.edges[0].integral and not inst.integral

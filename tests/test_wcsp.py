@@ -1,9 +1,17 @@
+import math
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
-from qapbound.bounds import dual_bound
+from qapbound.bounds import _scaled, _scaled_rows, dual_bound
+from qapbound.formats import augment_instance, load_instance, parse_dd
 from qapbound.model import DUMMY, IlapInstance, IqapInstance, iqap_objective
 from qapbound.wcsp import (
+    _EXIT_LIMIT,
     IqapDualState,
+    _exit_limit,
+    _row_minima,
     mplp_pp_edge_update,
     mplp_pp_pass,
     pairwise_minimum,
@@ -11,6 +19,8 @@ from qapbound.wcsp import (
 )
 
 from helpers import random_iqap, seeded
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def two_vertex_instance(costs_u, costs_v, cells, num_labels=2):
@@ -279,3 +289,221 @@ class TestPass:
                 current = dual_bound(inst, state)
                 assert current >= previous - atol
                 previous = current
+
+
+# ---------------------------------------------------------------------------
+# The early exit of ``_row_minima`` over cost-sorted rows
+
+
+def _bits(x):
+    """A value with its type and, for a float, every bit."""
+    return (type(x), x.hex() if isinstance(x, float) else x)
+
+
+def _full_scan(base, stored):
+    """Per row: min over every column of ``base[j]`` plus the stored cell."""
+    return [min(b + row.get(j, 0) for j, b in enumerate(base))
+            for row in stored]
+
+
+def _stored(edge, inst):
+    """The cells of ``edge`` as one ``{column: cost}`` dict per row of
+    ``rows_u``, read from ``edge.cells``, not from the row tables."""
+    cols = {lab: j for j, lab in enumerate(inst.unary.allowed[edge.v])}
+    rows = [{} for _ in inst.unary.allowed[edge.u]]
+    rows_of = {lab: i for i, lab in enumerate(inst.unary.allowed[edge.u])}
+    for (k, l), c in edge.cells.items():
+        rows[rows_of[k]][cols[l]] = c
+    return rows
+
+
+def _random_cost(rng):
+    """Tied small ints, negative and fractional values, floats from 1e-3
+    to 1e17, where ``cheapest + c`` rounds, and floats next to 2**53,
+    where adding a small int rounds half to even."""
+    pick = rng.random()
+    if pick < 0.25:
+        return rng.choice([-2, -1, 0, 0, 1, 2])
+    if pick < 0.4:
+        return rng.choice([-1.5, -0.5, 0.25, 0.5, 0.5, 1.5])
+    if pick < 0.55:
+        return 2.0**53 + rng.choice([-1, 0, 2, 4, 6])
+    magnitude = rng.choice([1e-3, 0.1, 7.0, 1e6, 2.0**53, 1e15, 1e17])
+    return rng.choice([-1, 1]) * magnitude * rng.uniform(0.5, 2)
+
+
+def _near(rng, centre):
+    """An int or a float within a few units of ``centre``."""
+    value = centre + rng.randint(-3, 3)
+    if rng.random() < 0.5:
+        return value
+    return float(value) + rng.choice([0, 0.5, 0.25, -0.5])
+
+
+def _stored_columns(rng, kind, n, first):
+    """Random stored columns of one row of ``kind`` over ``n`` columns;
+    ``first`` is the cheapest column."""
+    others = [j for j in range(n) if j != first]
+    half = n // 2
+    if kind == "sparse":
+        return rng.sample(others, k=rng.randint(1, half))
+    if kind == "sparse, cheapest stored":
+        return [first, *rng.sample(others, k=rng.randint(0, half - 1))]
+    if kind == "dense":
+        return rng.sample(range(n), k=rng.randint(half + 1, n - 1))
+    if kind == "full":
+        return list(range(n))
+    return []
+
+
+def _sorted_rows_edge(rng, base):
+    """A two-vertex instance whose edge rows (over ``len(base)`` columns)
+    are empty, sparse, sparse with the cheapest column of ``base`` stored,
+    dense or full, with the kind of each row."""
+    n = len(base)
+    kinds = ["empty", "full"]
+    if n >= 2:
+        kinds += ["sparse", "sparse, cheapest stored"]
+    if n >= 3:
+        kinds.append("dense")
+    num_rows = rng.randint(1, 6)
+    core = IlapInstance([[DUMMY, *range(num_rows - 1)], [DUMMY, *range(n - 1)]],
+                        [[0] * num_rows, [0] * n], max(num_rows, n) - 1)
+    first = base.index(min(base))
+    cells = {}
+    row_kinds = []
+    for k in core.allowed[0]:
+        kind = rng.choice(kinds)
+        for j in _stored_columns(rng, kind, n, first):
+            cells[(k, core.allowed[1][j])] = _random_cost(rng)
+        row_kinds.append(kind)
+    return IqapInstance(core, [(0, 1, cells)]), row_kinds
+
+
+def _assert_ascending(rows):
+    for row in rows:
+        if row is not None:
+            costs = [c for _, c in row[2]]
+            assert costs == sorted(costs)
+
+
+class TestRowMinimaEarlyExit:
+    def test_equals_full_scan_bitwise(self):
+        rng = seeded(211)
+        kinds = set()
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            base = [float(_random_cost(rng)) for _ in range(n)]
+            inst, row_kinds = _sorted_rows_edge(rng, base)
+            edge = inst.edges[0]
+            _assert_ascending(edge.rows_u)
+            # An all-float base may stop early at any size.
+            got = _row_minima(base, edge.rows_u, math.inf)
+            want = _full_scan(base, _stored(edge, inst))
+            assert list(map(_bits, got)) == list(map(_bits, want))
+            kinds.update(row_kinds)
+        assert kinds == {"empty", "sparse", "sparse, cheapest stored",
+                         "dense", "full"}
+
+    @pytest.mark.parametrize("base, cells", [
+        # 1 + 2**53 rounds half to even, down to 2**53: below the unstored
+        # column, although 2**53 + 2 - 1 also rounds down to 2**53.
+        ([1.0, 2.0**53 + 2], {0: 2**53}),
+        ([1.0, 2.0**53 + 2, 3.0], {0: 2**53, 2: 2.0**53 + 2}),
+        ([0.25, 1e17, 5.0], {0: 1e17 - 16, 1: -1e17, 2: 1e17}),
+        ([-0.5, 1e-3, 2.0], {0: 1e-3, 1: -1e-3, 2: 0.5}),
+        # An int base: 2**53 + 1 + 0 is exact, 2**53 + 1 + 0.5 rounds to
+        # 2**53, below the unstored column.  The cheapest column lies
+        # beyond the exit limit, so the row is scanned in full.
+        ([2**53 + 1] * 3, {0: 0, 1: 0.5}),
+        # A mixed base: 0 + (2**53 + 1) is exact, 0.0 + (2**53 + 1)
+        # rounds to 2**53.  A cell lies beyond the exit limit.
+        ([0, 0.0, 2**53 + 1], {0: 2**53 + 1, 1: 2**53 + 1}),
+    ])
+    def test_rounding_near_the_exit(self, base, cells):
+        core = IlapInstance([[DUMMY], [DUMMY, *range(len(base) - 1)]],
+                            [[0], [0] * len(base)], len(base) - 1)
+        labels = core.allowed[1]
+        inst = IqapInstance(core, [(0, 1, {(DUMMY, labels[j]): c
+                                           for j, c in cells.items()})])
+        want = _full_scan(base, _stored(inst.edges[0], inst))
+        limits = [_exit_limit(inst)]
+        if all(type(b) is float for b in base):
+            limits.append(math.inf)
+        for limit in limits:
+            got = _row_minima(base, inst.edges[0].rows_u, limit)
+            assert list(map(_bits, got)) == list(map(_bits, want))
+
+    def test_mixed_ints_and_floats_stop_only_where_exact(self):
+        # Int and float bases and cells next to the exit limit and to
+        # 2**52, 2**53 and 2**54: the kernel's limit gives exactly the
+        # rows of a scan with no exit.
+        rng = seeded(227)
+        lim = int(_EXIT_LIMIT) - 3  # so that ``_near`` stays within it
+        stops = 0
+        for _ in range(600):
+            n = rng.randint(2, 7)
+            base = [_near(rng, rng.choice([0, -lim, lim, 2**52, 2**53, 2**54]))
+                    for _ in range(n)]
+            num_rows = rng.randint(1, 3)
+            core = IlapInstance(
+                [[DUMMY, *range(num_rows - 1)], [DUMMY, *range(n - 1)]],
+                [[0] * num_rows, [0] * n], max(num_rows, n) - 1)
+            centres = [0, -lim, lim, lim // 2]
+            if rng.random() < 0.2:
+                centres.append(2**53)
+            cells = {(k, l): _near(rng, rng.choice(centres))
+                     for k in core.allowed[0] for l in core.allowed[1]
+                     if rng.random() < 0.7}
+            inst = IqapInstance(core, [(0, 1, cells)])
+            rows = inst.edges[0].rows_u
+            limit = _exit_limit(inst)
+            got = _row_minima(base, rows, limit)
+            want = _row_minima(base, rows, -math.inf)
+            assert list(map(_bits, got)) == list(map(_bits, want))
+            assert got == _full_scan(base, _stored(inst.edges[0], inst))
+            stops += abs(min(base)) <= limit
+        assert stops > 300
+
+    def test_int_unaries_beyond_2_53_from_a_file(self):
+        # Vertex 1's labels cost 2**53 + 1 (exact ints); the row of vertex
+        # 0's label stores 0 and 0.5.  The row minimum is the rounded
+        # 2**53 + 1 + 0.5 = 2**53, so label 0 receives (1 + 2**53) / 2 - 1
+        # with 1 + 2**53 rounded to 2**53.
+        big = 2**53 + 1
+        inst = parse_dd(f"p 2 2 3 2\na 0 0 0 1\na 1 1 0 {big}\n"
+                        f"a 2 1 1 {big}\ne 0 1 0\ne 0 2 0.5\n",
+                        dummy_cost=big)
+        state = IqapDualState(inst)
+        mplp_pp_pass(state)
+        assert _bits(state.phi[(0, 1)][1]) == _bits(2.0**52 - 1)
+
+    def test_equals_full_scan_on_int_scaled_rows(self):
+        rng = seeded(223)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            base = [float(_random_cost(rng)) for _ in range(n)]
+            inst, _ = _sorted_rows_edge(rng, base)
+            edge = inst.edges[0]
+            scale = max(x.as_integer_ratio()[1] for x in
+                        [*base, *map(float, edge.cells.values())])
+            rows = _scaled_rows(edge.rows_u, scale)
+            int_base = _scaled(base, scale)
+            _assert_ascending(rows)
+            stored = [{j: int(Fraction(c) * scale) for j, c in row.items()}
+                      for row in _stored(edge, inst)]
+            got = _row_minima(int_base, rows, math.inf)
+            assert all(type(x) is int for x in got)
+            assert got == _full_scan(int_base, stored)
+
+
+class TestRowOrder:
+    @pytest.mark.parametrize("name", ["toy1.dd", "toy2.dd", "toy3.dd", "qap3.dat"])
+    def test_cells_ascend_after_load_and_augmentation(self, name):
+        path = FIXTURES / name
+        inst = load_instance(path)
+        for built in (inst, augment_instance(inst),
+                      load_instance(path, augment=True)):
+            for e in built.edges:
+                _assert_ascending(e.rows_u)
+                _assert_ascending(e.rows_v)
