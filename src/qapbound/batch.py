@@ -16,7 +16,8 @@ Instance paths are resolved relative to the manifest file.  Per-instance
 fields override the defaults, so per-group time limits are expressed by
 giving every instance of the group the same limit.  Entries may also set
 ``tag`` (default: the file stem), ``tolerance``, ``dummy_cost`` and
-``epsilon``.  Any other key, or a value of the wrong JSON type, is an error.
+``epsilon``.  Any other key, a value of the wrong JSON type, an empty or
+repeating ``methods`` list, or one tag twice in a group is an error.
 Every entry's format, tolerance and dummy cost are checked, and every job's
 ``SolverConfig`` is built, before any job runs.  Jobs run
 concurrently up to a worker cap (``QAPBOUND_WORKERS``, an integer, or the
@@ -117,10 +118,14 @@ def load_manifest(path):
         if not isinstance(value, kind):
             raise ValueError(f"manifest {key!r} must be {expected}")
     methods = manifest.get("methods", list(METHODS))
+    if not methods or any(methods.count(m) > 1 for m in methods):
+        raise ValueError("manifest 'methods' must list one or more methods, "
+                         "each once")
     defaults = manifest.get("defaults", {})
     _check_entry(defaults, "defaults")
     defaults = {**_DEFAULTS, **defaults}
     jobs = []
+    claimed = {}  # (group, tag) -> path: rows are told apart by the pair
     for entry in manifest["instances"]:
         if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)):
             raise ValueError("each entry of 'instances' must be an object "
@@ -145,6 +150,12 @@ def load_manifest(path):
         merged.update(path=str(instance_path),
                       tag=merged.get("tag") or Path(merged["path"]).stem,
                       group=merged.get("group", "default"))
+        key = (merged["group"], merged["tag"])
+        if key in claimed:
+            raise ValueError(f"instances {claimed[key]} and {entry['path']} "
+                             f"share group {key[0]!r} and tag {key[1]!r}; "
+                             f"give one of them a 'tag'")
+        claimed[key] = entry["path"]
         jobs.extend({**merged, "config": config} for config in configs)
     return methods, jobs
 

@@ -116,9 +116,7 @@ def dual_bound(inst: IqapInstance, state: IqapDualState) -> float:
         out_v = _scaled(phi[(e.v, e.u)], scale)
         sums[e.u] = list(map(add, sums[e.u], out_u))
         sums[e.v] = list(map(add, sums[e.v], out_v))
-        # Every value is an int here, so the kernel may stop early at any size.
-        total += _edge_minimum(out_u, out_v, _scaled_rows(e.rows_u, scale),
-                               math.inf)
+        total += _edge_minimum(out_u, out_v, _scaled_rows(e.rows_u, scale))
     beta = _scaled(state.beta, scale)
     total += sum(beta)
     for labs, row in zip(unary.allowed, sums):

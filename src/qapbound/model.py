@@ -301,7 +301,8 @@ class PairwiseEdge:
     order).  A scan of a row can then stop at the first cell whose cost
     plus the cheapest column cannot beat the running minimum: every later
     cell costs at least as much and sits on a column at least as cheap,
-    and rounding is monotone (see ``wcsp._row_minima``).
+    and rounding is monotone in the one arithmetic each scan uses (see
+    ``wcsp.IqapDualState``).
 
     ``integral`` is true when every stored cost is an int.
     """

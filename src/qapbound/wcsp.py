@@ -28,12 +28,10 @@ Each row's stored cells are kept in ascending cost order, so the scan of a
 row stops at its first cell whose cost plus the cheapest column is not below
 the running minimum.  The exit is exact: every later cell costs at least as
 much and sits on a column at least as cheap, and rounding is monotone, so
-no later cell can be strictly smaller.  That needs every sum rounded by one
-monotone map; an int above 2**53 is added exactly to an int but rounded
-when added to a float, so the kernel stops early only while the cheapest
-column and every cost lie within ``±_EXIT_LIMIT`` (see ``_row_minima``).
-The int arithmetic of ``bounds.dual_bound`` is exact at any size, and keeps
-the order, since it scales every cell by the same positive power of two.
+no later cell can be strictly smaller.  That needs every sum of a scan
+rounded by one monotone map, which the number types of ``IqapDualState``
+give: a handshake scans an all-float ``base``, and ``bounds.dual_bound``
+ints only, scaled by one positive power of two, which keeps each row's order.
 """
 
 from __future__ import annotations
@@ -43,10 +41,6 @@ from operator import sub
 from .model import DUMMY, IqapInstance
 
 _INF = float("inf")
-
-# Largest magnitude of the cheapest column and of the costs at which
-# ``_row_minima`` stops a row early in mixed int and float arithmetic.
-_EXIT_LIMIT = 2.0**50
 
 
 class IqapDualState:
@@ -58,6 +52,12 @@ class IqapDualState:
     label.  ``phi[(v, u)]`` is the message from ``v`` toward neighbor ``u``,
     parallel to ``inst.unary.allowed[v]``.
 
+    ``theta_phi`` is float on every vertex with an edge from the start; an
+    edge-free vertex keeps its int costs for the exact label step.  So the
+    kernel adds in one arithmetic: a handshake's ``base`` is all floats,
+    ``pairwise_minimum`` reads int messages only while they are all zero,
+    and ``bounds.dual_bound`` scales everything to ints.
+
     A state belongs to one solver run; copy it for paired experiments.
     """
 
@@ -66,11 +66,13 @@ class IqapDualState:
     def __init__(self, inst: IqapInstance):
         self.inst = inst
         self.beta = [0] * inst.num_labels
-        self.theta_phi = [list(row) for row in inst.unary.costs]
         self.phi = {}
         for e in inst.edges:
             self.phi[(e.u, e.v)] = [0] * len(inst.unary.allowed[e.u])
             self.phi[(e.v, e.u)] = [0] * len(inst.unary.allowed[e.v])
+        has_edge = {v for v, _ in self.phi}
+        self.theta_phi = [list(map(float, row)) if v in has_edge else list(row)
+                          for v, row in enumerate(inst.unary.costs)]
 
     def copy(self) -> "IqapDualState":
         dup = IqapDualState.__new__(IqapDualState)
@@ -101,7 +103,7 @@ def reparam_pairwise(state: IqapDualState, u: int, v: int, k: int, l: int):
     return base - state.phi[(v, u)][iv] - state.phi[(u, v)][iu]
 
 
-def _row_minima(base: list, rows: tuple, limit: float) -> list:
+def _row_minima(base: list, rows: tuple) -> list:
     """Per row r: min over columns j of ``base[j] + stored(r, j)``.
 
     ``rows`` is a ``PairwiseEdge`` row table (``rows_u`` or ``rows_v``);
@@ -115,20 +117,12 @@ def _row_minima(base: list, rows: tuple, limit: float) -> list:
     scan in that order.
 
     The scan of the cells stops at the first cell ``(j, c)`` with
-    ``cheapest + c >= best``, if ``abs(cheapest) <= limit``.  Every later
-    cell ``(j', c')`` has ``c' >= c`` and ``base[j'] >= cheapest``, so
-    ``base[j'] + c' >= cheapest + c >= best`` whenever every sum is rounded
-    by one monotone map: it could not replace the minimum.  That holds for
-    any ``limit`` when ``base`` is all floats, or when ``base`` and the
-    cells are all ints (``bounds.dual_bound``).  In mixed arithmetic an int
-    sum is exact but a float sum rounds, so callers pass ``_exit_limit``:
-    with the cheapest column and every cell within ``±2**50`` the stopping
-    sum is rounded alike in either arithmetic and is at most ``2**51``, and
-    a later sum is either rounded alike too (both terms within ``±2**52``)
-    or at least ``2**52 - 2**50``.
+    ``cheapest + c >= best``.  Every later cell ``(j', c')`` has
+    ``c' >= c`` and ``base[j'] >= cheapest``, so ``base[j'] + c' >= best``
+    whenever every sum is rounded by one monotone map: when ``base`` is all
+    floats, or ``base`` and the cells are all ints (see ``IqapDualState``).
     """
     cheapest = min(base)
-    floor = cheapest if abs(cheapest) <= limit else -_INF
     first = base.index(cheapest)
     order = None
     out = []
@@ -150,7 +144,7 @@ def _row_minima(base: list, rows: tuple, limit: float) -> list:
                     best = base[j]
                     break
         for j, c in cells:
-            if floor + c >= best:
+            if cheapest + c >= best:
                 break
             val = base[j] + c
             if val < best:
@@ -159,14 +153,8 @@ def _row_minima(base: list, rows: tuple, limit: float) -> list:
     return out
 
 
-def _exit_limit(inst: IqapInstance) -> float:
-    """``_row_minima``'s ``limit`` for the rows and costs of ``inst``:
-    ``_EXIT_LIMIT`` if every cost lies within it, else no early exit."""
-    return _EXIT_LIMIT if inst.max_abs_cost <= _EXIT_LIMIT else -_INF
-
-
 def _handshake(state: IqapDualState, u: int, v: int,
-               rows_u: tuple, rows_v: tuple, limit: float) -> None:
+               rows_u: tuple, rows_v: tuple) -> None:
     """Edge update with the row tables of ``u`` and of ``v`` given."""
     phi_uv = state.phi[(u, v)]
     phi_vu = state.phi[(v, u)]
@@ -174,8 +162,8 @@ def _handshake(state: IqapDualState, u: int, v: int,
     tv = state.tilde(v)
     base_u = [t - p for t, p in zip(tu, phi_uv)]
     base_v = [t - p for t, p in zip(tv, phi_vu)]
-    min_over_v = _row_minima(base_v, rows_u, limit)
-    min_over_u = _row_minima(base_u, rows_v, limit)
+    min_over_v = _row_minima(base_v, rows_u)
+    min_over_u = _row_minima(base_u, rows_v)
     unary_u = state.theta_phi[u]
     unary_v = state.theta_phi[v]
     for k in range(len(base_u)):
@@ -193,11 +181,10 @@ def mplp_pp_edge_update(state: IqapDualState, u: int, v: int) -> None:
     edge = state.inst.edge_between(u, v)
     if edge is None:
         raise ValueError(f"no edge between vertices {u} and {v}")
-    limit = _exit_limit(state.inst)
     if edge.u == u:
-        _handshake(state, u, v, edge.rows_u, edge.rows_v, limit)
+        _handshake(state, u, v, edge.rows_u, edge.rows_v)
     else:
-        _handshake(state, u, v, edge.rows_v, edge.rows_u, limit)
+        _handshake(state, u, v, edge.rows_v, edge.rows_u)
 
 
 def mplp_pp_pass(state: IqapDualState, *, backward: bool = False) -> None:
@@ -206,27 +193,24 @@ def mplp_pp_pass(state: IqapDualState, *, backward: bool = False) -> None:
     ``backward`` adds a second sweep in reverse order.
     """
     edges = state.inst.edges
-    limit = _exit_limit(state.inst)
     for e in edges:
-        _handshake(state, e.u, e.v, e.rows_u, e.rows_v, limit)
+        _handshake(state, e.u, e.v, e.rows_u, e.rows_v)
     if backward:
         for e in reversed(edges):
-            _handshake(state, e.u, e.v, e.rows_u, e.rows_v, limit)
+            _handshake(state, e.u, e.v, e.rows_u, e.rows_v)
 
 
 def pairwise_minimum(state: IqapDualState, edge) -> float:
     """Minimum reparametrized pairwise cost of ``edge`` over all label pairs."""
     return _edge_minimum(state.phi[(edge.u, edge.v)],
-                         state.phi[(edge.v, edge.u)], edge.rows_u,
-                         _exit_limit(state.inst))
+                         state.phi[(edge.v, edge.u)], edge.rows_u)
 
 
-def _edge_minimum(out_u: list, out_v: list, rows_u: tuple, limit: float):
+def _edge_minimum(out_u: list, out_v: list, rows_u: tuple):
     """Minimum over label pairs of a stored cell minus both messages.
 
     ``out_u`` and ``out_v`` are the edge's outgoing messages from ``u`` and
-    from ``v``, ``rows_u`` its row table (cells may be any numbers) and
-    ``limit`` that of ``_row_minima``.
+    from ``v``, ``rows_u`` its row table (cells may be any numbers).
     """
-    per_row = _row_minima([-p for p in out_v], rows_u, limit)
+    per_row = _row_minima([-p for p in out_v], rows_u)
     return min(map(sub, per_row, out_u))

@@ -1,7 +1,9 @@
-"""Shared builders for the test suite: the worked 5x5 example and seeded
-random instance generators."""
+"""Shared builders for the test suite: the worked 5x5 example, seeded
+random instance generators, and an LP reference for bounds."""
 
 import random
+
+import pytest
 
 from qapbound.model import DUMMY, IlapInstance, IqapInstance, LapDual, LapInstance
 
@@ -147,3 +149,58 @@ def random_reduced_matching(rng, inst, reduced, max_restarts=200):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def lp_relaxation_optimum(inst):
+    """Optimum of the LP relaxation whose dual the solver ascends.
+
+    The local polytope of ``inst`` plus one row per non-dummy label: one
+    variable per vertex and allowed label, and one per edge and label pair
+    (an unstored pair costs 0).  Each vertex's labels sum to 1, each edge's
+    pairs sum to each endpoint's label, and each non-dummy label is used at
+    most once in total.  Every certified bound lies at or below this
+    optimum.  Solved with scipy's HiGHS; a test without scipy is skipped.
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    unary = inst.unary
+    cost = []
+    column = {}
+    for v, (labs, costs) in enumerate(zip(unary.allowed, unary.costs)):
+        for lab, c in zip(labs, costs):
+            column[(v, lab)] = len(cost)
+            cost.append(float(c))
+    rows, cols, vals, rhs = [], [], [], []
+
+    def equal(entries, value):
+        for j, a in entries:
+            rows.append(len(rhs))
+            cols.append(j)
+            vals.append(a)
+        rhs.append(value)
+
+    for v, labs in enumerate(unary.allowed):
+        equal([(column[(v, lab)], 1) for lab in labs], 1)
+    for e in inst.edges:
+        labs_u, labs_v = unary.allowed[e.u], unary.allowed[e.v]
+        pair = {}
+        for k in labs_u:
+            for l in labs_v:
+                pair[(k, l)] = len(cost)
+                cost.append(float(e.cells.get((k, l), 0)))
+        for k in labs_u:
+            equal([(pair[(k, l)], 1) for l in labs_v]
+                  + [(column[(e.u, k)], -1)], 0)
+        for l in labs_v:
+            equal([(pair[(k, l)], 1) for k in labs_u]
+                  + [(column[(e.v, l)], -1)], 0)
+    labels = [lab for _, lab in column if lab != DUMMY]
+    used = [j for (_, lab), j in column.items() if lab != DUMMY]
+    a_eq = sparse.csr_matrix((vals, (rows, cols)), shape=(len(rhs), len(cost)))
+    a_ub = sparse.csr_matrix(([1] * len(used), (labels, used)),
+                             shape=(inst.num_labels, len(cost)))
+    result = optimize.linprog(cost, A_ub=a_ub, b_ub=[1] * inst.num_labels,
+                              A_eq=a_eq, b_eq=rhs, bounds=(0, None),
+                              method="highs")
+    assert result.status == 0, result.message
+    return result.fun

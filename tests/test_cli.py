@@ -256,6 +256,22 @@ def _no_pool(*args, **kwargs):
     raise AssertionError("a sequential run started a worker pool")
 
 
+def _rejected_before_any_job(tmp_path, monkeypatch, capsys, manifest):
+    """Run ``batch`` on ``manifest``; assert an input error before any job
+    ran, and return the error output."""
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    calls = []
+    run_job = batch._run_job
+    monkeypatch.setattr(batch, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(batch, "_run_job",
+                        lambda job: calls.append(job) or run_job(job))
+    code, out, err = run_cli(capsys, "batch", "--manifest", str(path))
+    assert (code, out, calls) == (1, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
 class TestBatch:
     def test_manifest_grid(self, capsys):
         code, out, _ = run_cli(
@@ -391,6 +407,28 @@ class TestBatch:
         assert (code, out) == (1, "")
         assert err.startswith("error: instance ") and err.count("\n") == 1
         assert "max_iterations must be positive" in err
+
+    @pytest.mark.parametrize("methods", [[], ["hung", "hung", "bca"]],
+                             ids=["empty", "repeated"])
+    def test_empty_or_repeating_methods_are_input_errors(
+            self, tmp_path, monkeypatch, capsys, methods):
+        manifest = {"methods": methods, "defaults": {"max_iterations": 2},
+                    "instances": [{"path": str(FIXTURES / "toy1.dd")}]}
+        err = _rejected_before_any_job(tmp_path, monkeypatch, capsys, manifest)
+        assert err == ("error: manifest 'methods' must list one or more "
+                       "methods, each once\n")
+
+    def test_one_tag_twice_in_a_group_is_input_error(self, tmp_path,
+                                                     monkeypatch, capsys):
+        for sub, name in (("a", "toy1.dd"), ("b", "toy2.dd")):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "x.dd").write_bytes(
+                (FIXTURES / name).read_bytes())
+        manifest = {"methods": ["bca"], "defaults": {"max_iterations": 2},
+                    "instances": [{"path": "a/x.dd"}, {"path": "b/x.dd"}]}
+        err = _rejected_before_any_job(tmp_path, monkeypatch, capsys, manifest)
+        assert "a/x.dd" in err and "b/x.dd" in err
+        assert "'tag'" in err
 
     def test_malformed_worker_count_is_input_error(self, monkeypatch, capsys):
         monkeypatch.setenv(batch.WORKERS_ENV, "two")

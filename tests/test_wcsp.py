@@ -1,16 +1,14 @@
-import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from qapbound import wcsp
 from qapbound.bounds import _scaled, _scaled_rows, dual_bound
 from qapbound.formats import augment_instance, load_instance, parse_dd
 from qapbound.model import DUMMY, IlapInstance, IqapInstance, iqap_objective
 from qapbound.wcsp import (
-    _EXIT_LIMIT,
     IqapDualState,
-    _exit_limit,
     _row_minima,
     mplp_pp_edge_update,
     mplp_pp_pass,
@@ -306,6 +304,11 @@ def _full_scan(base, stored):
             for row in stored]
 
 
+def _full_scan_of_rows(base, rows):
+    """``_full_scan`` over the cells of a ``PairwiseEdge`` row table."""
+    return _full_scan(base, [dict(row[2]) if row else {} for row in rows])
+
+
 def _stored(edge, inst):
     """The cells of ``edge`` as one ``{column: cost}`` dict per row of
     ``rows_u``, read from ``edge.cells``, not from the row tables."""
@@ -338,6 +341,38 @@ def _near(rng, centre):
     if rng.random() < 0.5:
         return value
     return float(value) + rng.choice([0, 0.5, 0.25, -0.5])
+
+
+def _large_costs_iqap(rng):
+    """Three to five vertices with int unaries, and int or float cells,
+    within a few units of 0, ±2**50, 2**52, 2**53 or 2**54; half of the
+    vertices have one unary cost on every label.  Vertex 0 has no edge; the
+    others are joined at random."""
+    centres = [0, -2**50, 2**50, 2**52, 2**53, 2**54]
+    nv = rng.randint(3, 5)
+    nl = rng.randint(1, 4)
+    allowed = [[DUMMY, *rng.sample(range(nl), k=rng.randint(0, nl))]
+               for _ in range(nv)]
+
+    def near_a_centre():
+        return rng.choice(centres) + rng.randint(-3, 3)
+
+    costs = []
+    for labs in allowed:
+        # Equal unaries leave ties that a rounded sum can break.
+        same = near_a_centre()
+        tied = rng.random() < 0.5
+        costs.append([same if tied else near_a_centre() for _ in labs])
+    core = IlapInstance(allowed, costs, nl)
+    edges = []
+    for u in range(1, nv):
+        for v in range(u + 1, nv):
+            if rng.random() < 0.6:
+                cells = {(k, l): _near(rng, rng.choice(centres))
+                         for k in allowed[u] for l in allowed[v]
+                         if rng.random() < 0.6}
+                edges.append((u, v, cells))
+    return IqapInstance(core, edges)
 
 
 def _stored_columns(rng, kind, n, first):
@@ -397,8 +432,7 @@ class TestRowMinimaEarlyExit:
             inst, row_kinds = _sorted_rows_edge(rng, base)
             edge = inst.edges[0]
             _assert_ascending(edge.rows_u)
-            # An all-float base may stop early at any size.
-            got = _row_minima(base, edge.rows_u, math.inf)
+            got = _row_minima(base, edge.rows_u)
             want = _full_scan(base, _stored(edge, inst))
             assert list(map(_bits, got)) == list(map(_bits, want))
             kinds.update(row_kinds)
@@ -412,13 +446,6 @@ class TestRowMinimaEarlyExit:
         ([1.0, 2.0**53 + 2, 3.0], {0: 2**53, 2: 2.0**53 + 2}),
         ([0.25, 1e17, 5.0], {0: 1e17 - 16, 1: -1e17, 2: 1e17}),
         ([-0.5, 1e-3, 2.0], {0: 1e-3, 1: -1e-3, 2: 0.5}),
-        # An int base: 2**53 + 1 + 0 is exact, 2**53 + 1 + 0.5 rounds to
-        # 2**53, below the unstored column.  The cheapest column lies
-        # beyond the exit limit, so the row is scanned in full.
-        ([2**53 + 1] * 3, {0: 0, 1: 0.5}),
-        # A mixed base: 0 + (2**53 + 1) is exact, 0.0 + (2**53 + 1)
-        # rounds to 2**53.  A cell lies beyond the exit limit.
-        ([0, 0.0, 2**53 + 1], {0: 2**53 + 1, 1: 2**53 + 1}),
     ])
     def test_rounding_near_the_exit(self, base, cells):
         core = IlapInstance([[DUMMY], [DUMMY, *range(len(base) - 1)]],
@@ -427,43 +454,37 @@ class TestRowMinimaEarlyExit:
         inst = IqapInstance(core, [(0, 1, {(DUMMY, labels[j]): c
                                            for j, c in cells.items()})])
         want = _full_scan(base, _stored(inst.edges[0], inst))
-        limits = [_exit_limit(inst)]
-        if all(type(b) is float for b in base):
-            limits.append(math.inf)
-        for limit in limits:
-            got = _row_minima(base, inst.edges[0].rows_u, limit)
-            assert list(map(_bits, got)) == list(map(_bits, want))
+        got = _row_minima(base, inst.edges[0].rows_u)
+        assert list(map(_bits, got)) == list(map(_bits, want))
 
-    def test_mixed_ints_and_floats_stop_only_where_exact(self):
-        # Int and float bases and cells next to the exit limit and to
-        # 2**52, 2**53 and 2**54: the kernel's limit gives exactly the
-        # rows of a scan with no exit.
+    def test_float_unaries_on_edge_vertices_and_pass_matches_full_scan(
+            self, monkeypatch):
+        # Int unaries and int or float cells next to 0, ±2**50, 2**52,
+        # 2**53 and 2**54, where an int sum is exact and a float sum
+        # rounds.  The state holds floats on every vertex with an edge, so
+        # the early exit gives, bit for bit, the messages of full scans.
+        # First the case that mixed an int base with an int 0 and a 0.5 in
+        # one row: 2**53 + 1 + 0 is exact, 2**53 + 1 + 0.5 rounds.
+        big = 2**53 + 1
+        cases = [two_vertex_instance([1, 1, 1], [big] * 3,
+                                     {(DUMMY, DUMMY): 0, (DUMMY, 0): 0.5})]
         rng = seeded(227)
-        lim = int(_EXIT_LIMIT) - 3  # so that ``_near`` stays within it
-        stops = 0
-        for _ in range(600):
-            n = rng.randint(2, 7)
-            base = [_near(rng, rng.choice([0, -lim, lim, 2**52, 2**53, 2**54]))
-                    for _ in range(n)]
-            num_rows = rng.randint(1, 3)
-            core = IlapInstance(
-                [[DUMMY, *range(num_rows - 1)], [DUMMY, *range(n - 1)]],
-                [[0] * num_rows, [0] * n], max(num_rows, n) - 1)
-            centres = [0, -lim, lim, lim // 2]
-            if rng.random() < 0.2:
-                centres.append(2**53)
-            cells = {(k, l): _near(rng, rng.choice(centres))
-                     for k in core.allowed[0] for l in core.allowed[1]
-                     if rng.random() < 0.7}
-            inst = IqapInstance(core, [(0, 1, cells)])
-            rows = inst.edges[0].rows_u
-            limit = _exit_limit(inst)
-            got = _row_minima(base, rows, limit)
-            want = _row_minima(base, rows, -math.inf)
-            assert list(map(_bits, got)) == list(map(_bits, want))
-            assert got == _full_scan(base, _stored(inst.edges[0], inst))
-            stops += abs(min(base)) <= limit
-        assert stops > 300
+        cases += [_large_costs_iqap(rng) for _ in range(300)]
+        for inst in cases:
+            state = IqapDualState(inst)
+            has_edge = {v for e in inst.edges for v in (e.u, e.v)}
+            for v, (row, costs) in enumerate(zip(state.theta_phi,
+                                                 inst.unary.costs)):
+                want = list(map(float, costs)) if v in has_edge else costs
+                assert list(map(_bits, row)) == list(map(_bits, want))
+            mplp_pp_pass(state)
+            with monkeypatch.context() as patch:
+                patch.setattr(wcsp, "_row_minima", _full_scan_of_rows)
+                reference = IqapDualState(inst)
+                mplp_pp_pass(reference)
+            for key, messages in state.phi.items():
+                assert (list(map(_bits, messages))
+                        == list(map(_bits, reference.phi[key])))
 
     def test_int_unaries_beyond_2_53_from_a_file(self):
         # Vertex 1's labels cost 2**53 + 1 (exact ints); the row of vertex
@@ -492,7 +513,7 @@ class TestRowMinimaEarlyExit:
             _assert_ascending(rows)
             stored = [{j: int(Fraction(c) * scale) for j, c in row.items()}
                       for row in _stored(edge, inst)]
-            got = _row_minima(int_base, rows, math.inf)
+            got = _row_minima(int_base, rows)
             assert all(type(x) is int for x in got)
             assert got == _full_scan(int_base, stored)
 
