@@ -33,9 +33,9 @@ from .relative_interior import (
     shift_to_relative_interior,
 )
 from .reduction import (
-    ReducedLap,
     decompose_assignment,
     lift_assignment,
+    lift_dual,
     map_dual,
     map_primal,
     reduce_ilap_to_lap,

@@ -17,7 +17,8 @@ fields override the defaults, so per-group time limits are expressed by
 giving every instance of the group the same limit.  Entries may also set
 ``tag`` (default: the file stem), ``tolerance``, ``dummy_cost`` and
 ``epsilon``.  Any other key, a value of the wrong JSON type, an empty or
-repeating ``methods`` list, or one tag twice in a group is an error.
+repeating ``methods`` list, an unknown method, an empty ``instances`` list,
+or one tag twice in a group is an error.
 Every entry's format, tolerance and dummy cost are checked, and every job's
 ``SolverConfig`` is built, before any job runs.  Jobs run
 concurrently up to a worker cap (``QAPBOUND_WORKERS``, an integer, or the
@@ -121,6 +122,12 @@ def load_manifest(path):
     if not methods or any(methods.count(m) > 1 for m in methods):
         raise ValueError("manifest 'methods' must list one or more methods, "
                          "each once")
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"manifest 'methods': unknown method {method!r}, "
+                             f"expected one of {METHODS}")
+    if not manifest["instances"]:
+        raise ValueError("manifest 'instances' must list one or more instances")
     defaults = manifest.get("defaults", {})
     _check_entry(defaults, "defaults")
     defaults = {**_DEFAULTS, **defaults}

@@ -74,7 +74,6 @@ def beta_exact_update(state: IqapDualState, *,
     arithmetic.  With ``relative_interior`` the installed optimum lies in
     the relative interior of the subproblem's dual optimal set.
     """
-    mode = "relative_interior" if relative_interior else "optimal"
     _, dual = solve_ilap(state.inst.unary.with_costs(state.theta_phi),
-                         mode=mode)
+                         relative_interior=relative_interior)
     state.beta = [min(b, 0) for b in dual.beta]

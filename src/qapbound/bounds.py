@@ -204,10 +204,9 @@ def run(inst: IqapInstance, config: SolverConfig,
         mplp_pp_pass(state, backward=config.backward_mplp_pass)
         if config.method == "bca":
             beta_bca_pass(state)
-        elif config.method == "hung":
-            beta_exact_update(state, relative_interior=False)
         else:
-            beta_exact_update(state, relative_interior=True)
+            beta_exact_update(state,
+                              relative_interior=config.method == "hung-ri")
         trajectory.append(_bound_after_pass(state))
         iterations += 1
         if (config.bound_improvement_epsilon > 0

@@ -33,9 +33,7 @@ from .model import (
     DUMMY,
     IlapInstance,
     IqapInstance,
-    LapDual,
     LapInstance,
-    _half,
     dual_objective,
     lap_objective,
 )
@@ -46,7 +44,8 @@ from .oracle import (
     search_space_size,
     SEARCH_SPACE_GUARD,
 )
-from .reduction import lift_assignment, reduce_ilap_to_lap, solve_ilap
+from .reduction import (lift_assignment, lift_dual, reduce_ilap_to_lap,
+                        solve_ilap)
 from .relative_interior import (
     perfectly_matchable_edges,
     shift_to_relative_interior,
@@ -113,16 +112,14 @@ def _relative_interior_flag(inst, dual, x) -> bool:
     """Whether exactly the tight edges of ``dual`` lie on optimal assignments.
 
     ``dual`` and ``x`` must be optimal for ``inst``.  A dummy-label instance
-    is checked on its reduced instance: that instance is symmetric, so
-    giving each node half its folded potential on both sides lifts ``dual``
-    to a reduced optimum, which is in the relative interior exactly when
-    ``dual`` is.
+    is checked on its reduced instance, with ``dual`` and ``x`` lifted
+    there: the lifted dual is in the relative interior exactly when ``dual``
+    is.
     """
     if isinstance(inst, IlapInstance):
-        halves = [_half(p) for p in (*dual.alpha, *dual.beta)]
-        dual = LapDual(halves, list(halves))
+        dual = lift_dual(inst, dual)
         x = lift_assignment(inst, x)
-        inst = reduce_ilap_to_lap(inst).lap
+        inst = reduce_ilap_to_lap(inst)
     subgraph = equality_subgraph(inst, dual)
     return set(subgraph.edges()) == perfectly_matchable_edges(subgraph, x)
 
@@ -131,7 +128,7 @@ def _solve_interior(inst: LapInstance | IlapInstance):
     """An optimal assignment and a dual in the relative interior of the dual
     optimal set, or None for a square instance without a perfect matching."""
     if isinstance(inst, IlapInstance):
-        return solve_ilap(inst, mode="relative_interior")
+        return solve_ilap(inst, relative_interior=True)
     solved = solve_lap(inst)
     if solved is None:
         return None
@@ -193,7 +190,7 @@ def _verify_unary(inst: LapInstance | IlapInstance) -> bool:
     ok &= _check("dual is in the relative interior",
                  check_dual_relative_interior(inst, dual))
     if isinstance(inst, IlapInstance):
-        lifted = lap_objective(reduce_ilap_to_lap(inst).lap,
+        lifted = lap_objective(reduce_ilap_to_lap(inst),
                                lift_assignment(inst, x))
         ok &= _check("lifted assignment keeps the objective",
                      abs(lifted - objective) <= inst.atol)

@@ -120,7 +120,6 @@ def parse_dd(text: str, *, dummy_cost=DEFAULT_DUMMY_COST,
     records: dict[int, tuple[int, int]] = {}
     unary: dict[tuple[int, int], float] = {}
     edge_cells: dict[tuple[int, int], dict] = {}
-    edge_pairs_seen: set[tuple[int, int]] = set()
     for line, tokens in _tokenize(text):
         kind = tokens[0]
         if kind == "p":
@@ -171,13 +170,13 @@ def parse_dd(text: str, *, dummy_cost=DEFAULT_DUMMY_COST,
                     f"edge connects two assignments of vertex {u}", line)
             if u > v:
                 u, v, k, l = v, u, l, k
-            pair_key = (min(id1, id2), max(id1, id2))
-            if pair_key in edge_pairs_seen:
+            # ids map one to one onto (vertex, label) pairs
+            cells = edge_cells.setdefault((u, v), {})
+            if (k, l) in cells:
                 raise ParseError(
-                    f"duplicate edge between assignment ids {pair_key[0]} and {pair_key[1]}",
-                    line)
-            edge_pairs_seen.add(pair_key)
-            edge_cells.setdefault((u, v), {})[(k, l)] = cost
+                    f"duplicate edge between assignment ids {min(id1, id2)} "
+                    f"and {max(id1, id2)}", line)
+            cells[(k, l)] = cost
         else:
             raise ParseError(f"unknown record type {kind!r}", line)
     if header is None:
@@ -186,9 +185,10 @@ def parse_dd(text: str, *, dummy_cost=DEFAULT_DUMMY_COST,
     if len(records) != a_count:
         raise ParseError(
             f"header announces {a_count} assignments, file has {len(records)}")
-    if len(edge_pairs_seen) != e_count:
+    num_edges = sum(map(len, edge_cells.values()))
+    if num_edges != e_count:
         raise ParseError(
-            f"header announces {e_count} edges, file has {len(edge_pairs_seen)}")
+            f"header announces {e_count} edges, file has {num_edges}")
     allowed = [[DUMMY] for _ in range(n0)]
     costs = [[dummy_cost] for _ in range(n0)]
     for (v, lab), cost in unary.items():

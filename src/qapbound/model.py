@@ -507,15 +507,14 @@ class IlapDual:
     beta: list
 
 
-def dual_feasible(inst, dual, tol: float | None = None) -> Violation | None:
-    """Diagnose the first dual constraint violated beyond ``tol``.
+def dual_feasible(inst, dual) -> Violation | None:
+    """Diagnose the first dual constraint violated beyond ``inst.atol``.
 
-    ``tol`` defaults to the instance ``atol``.  Dimension mismatches raise
-    ValueError; constraint violations are returned as a diagnosis.
+    Dimension mismatches raise ValueError; constraint violations are
+    returned as a diagnosis.
     """
     unary = unary_part(inst)
-    if tol is None:
-        tol = inst.atol
+    tol = inst.atol
     if len(dual.alpha) != unary.num_vertices:
         raise ValueError("alpha length does not match the vertex count")
     if isinstance(unary, LapInstance):
@@ -543,8 +542,8 @@ def dual_feasible(inst, dual, tol: float | None = None) -> Violation | None:
     return None
 
 
-def require_dual_feasible(inst, dual, tol: float | None = None) -> None:
-    viol = dual_feasible(inst, dual, tol)
+def require_dual_feasible(inst, dual) -> None:
+    viol = dual_feasible(inst, dual)
     if viol is not None:
         raise DualInfeasibleError(viol.message)
 
@@ -563,16 +562,15 @@ def dual_objective(inst, dual):
 PrimalVector = Mapping[int, Mapping[int, float]]
 
 
-def lap_primal_feasible(inst: LapInstance | IlapInstance, mu: PrimalVector,
-                        tol: float | None = None) -> Violation | None:
-    """Diagnose the first primal constraint ``mu`` violates beyond ``tol``.
+def lap_primal_feasible(inst: LapInstance | IlapInstance,
+                        mu: PrimalVector) -> Violation | None:
+    """Diagnose the first primal constraint ``mu`` violates beyond ``atol``.
 
     Rows are keyed by vertices and sum to one.  Columns of a
     ``LapInstance`` sum to one; those of an ``IlapInstance`` sum to at most
     one, and its dummy column is free.
     """
-    if tol is None:
-        tol = inst.atol
+    tol = inst.atol
     for v in mu:
         if v not in range(inst.num_vertices):
             return Violation("dimension", f"mu has a row for {v!r}, "

@@ -58,7 +58,7 @@ def _enumerate(inst, visit) -> None:
     if isinstance(inst, IqapInstance):
         for e in inst.edges:
             # visit order is 0..n-1, so charge the edge at its later endpoint
-            edges_at[e.v].append((e.u, e.cells, False))
+            edges_at[e.v].append((e.u, e.cells))
     n = unary.num_vertices
     x = [DUMMY] * n
     used = 0  # bitmask over non-dummy labels
@@ -76,7 +76,7 @@ def _enumerate(inst, visit) -> None:
                 used |= bit
             x[v] = lab
             value = partial + c
-            for other, cells, _ in edges_at[v]:
+            for other, cells in edges_at[v]:
                 value += cells.get((x[other], lab), 0)
             place(v + 1, value)
             if lab != DUMMY:

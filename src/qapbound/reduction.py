@@ -14,6 +14,10 @@ optimum, and its dual solutions map back by summing the two potentials each
 original vertex or label received, preserving feasibility, optimality and
 membership in the relative interior of the dual optimal set.
 
+Maps between the two: ``lift_assignment`` and ``decompose_assignment`` for
+assignments, ``lift_dual`` and ``map_dual`` for duals, ``map_primal`` for
+primal vectors.
+
 Node layout: nodes 0 .. |V|-1 are the vertices, nodes |V| .. |V|+|L|-1 are
 the non-dummy labels, identically on both sides of the square instance.
 
@@ -46,21 +50,6 @@ from .model import (
     require_feasible,
 )
 from .relative_interior import shift_to_relative_interior
-
-SOLVE_MODES = ("optimal", "relative_interior")
-
-
-@dataclass(frozen=True)
-class ReducedLap:
-    """Square instance produced by the reduction plus the index layout."""
-
-    lap: LapInstance
-    num_vertices: int  # vertex count of the original instance
-    num_labels: int    # non-dummy label count of the original instance
-
-    def label_node(self, lab: int) -> int:
-        return self.num_vertices + lab
-
 
 @dataclass(frozen=True)
 class _Layout:
@@ -100,7 +89,7 @@ def _layout(inst: IlapInstance) -> _Layout:
     return layout
 
 
-def reduce_ilap_to_lap(inst: IlapInstance) -> ReducedLap:
+def reduce_ilap_to_lap(inst: IlapInstance) -> LapInstance:
     """Build the mirrored square instance for ``inst``.
 
     The result is always feasible (every node may take itself) and its size
@@ -119,9 +108,8 @@ def reduce_ilap_to_lap(inst: IlapInstance) -> ReducedLap:
         row = [_half(costs[u][i]) for u, i in cells]
         row.append(0)
         rows.append(row)
-    lap = layout.template.with_costs(rows, tolerance=inst.tolerance)
-    reduced = inst._reduced = ReducedLap(lap, inst.num_vertices,
-                                         inst.num_labels)
+    reduced = inst._reduced = layout.template.with_costs(
+        rows, tolerance=inst.tolerance)
     return reduced
 
 
@@ -149,8 +137,7 @@ def decompose_assignment(inst: IlapInstance, xp: Assignment):
     label rows the second; twice the reduced cost of ``xp`` equals the sum
     of their two original costs.
     """
-    reduced = reduce_ilap_to_lap(inst)
-    require_feasible(reduced.lap, xp)
+    require_feasible(reduce_ilap_to_lap(inst), xp)
     nv = inst.num_vertices
     x1 = [xp[v] - nv if xp[v] >= nv else DUMMY for v in range(nv)]
     inv = [0] * len(xp)
@@ -160,6 +147,21 @@ def decompose_assignment(inst: IlapInstance, xp: Assignment):
     return x1, x2
 
 
+def lift_dual(inst: IlapInstance, dual: IlapDual) -> LapDual:
+    """Mirror a dual of ``inst`` into the reduced instance.
+
+    Each node gets half of its vertex's or label's potential on both sides,
+    so ``map_dual`` folds the result back to ``dual``.  Feasibility,
+    optimality and relative-interior membership carry over, and the
+    objectives agree.  Only the dimensions are checked here; the reduced
+    instance's own checks judge feasibility.
+    """
+    if len(dual.alpha) != inst.num_vertices or len(dual.beta) != inst.num_labels:
+        raise ValueError("dual dimensions do not match the instance")
+    halves = [_half(p) for p in (*dual.alpha, *dual.beta)]
+    return LapDual(halves, list(halves))
+
+
 def map_dual(inst: IlapInstance, dual_p: LapDual) -> IlapDual:
     """Fold a reduced-instance dual back onto the original instance.
 
@@ -167,8 +169,7 @@ def map_dual(inst: IlapInstance, dual_p: LapDual) -> IlapDual:
     node carries.  Feasibility, optimality and relative-interior membership
     carry over, and the objectives agree.
     """
-    reduced = reduce_ilap_to_lap(inst)
-    require_dual_feasible(reduced.lap, dual_p)
+    require_dual_feasible(reduce_ilap_to_lap(inst), dual_p)
     return _map_dual_unchecked(inst.num_vertices, inst.num_labels, dual_p)
 
 
@@ -185,8 +186,7 @@ def map_primal(inst: IlapInstance, mu_p: PrimalVector) -> dict[int, dict[int, fl
     vertex self-loop mass.  Preserves feasibility, optimality and
     relative-interior membership.
     """
-    reduced = reduce_ilap_to_lap(inst)
-    viol = lap_primal_feasible(reduced.lap, mu_p)
+    viol = lap_primal_feasible(reduce_ilap_to_lap(inst), mu_p)
     if viol is not None:
         raise FeasibilityError(viol.message)
     nv = inst.num_vertices
@@ -205,13 +205,13 @@ def map_primal(inst: IlapInstance, mu_p: PrimalVector) -> dict[int, dict[int, fl
     return mu
 
 
-def solve_ilap(inst: IlapInstance, mode: str = "optimal"):
+def solve_ilap(inst: IlapInstance, *, relative_interior: bool = False):
     """Exact solve via the reduction; returns ``(assignment, dual)``.
 
     Always feasible (the all-dummy assignment exists).  The assignment is
     the first decomposition of the reduced optimum: the two decompositions
     cost twice the reduced optimum together and neither costs less than it,
-    so both are optimal.  In ``relative_interior`` mode the reduced dual is
+    so both are optimal.  With ``relative_interior`` the reduced dual is
     first shifted into the relative interior, so the mapped dual lies in the
     relative interior of the original dual optimal set.
 
@@ -219,22 +219,15 @@ def solve_ilap(inst: IlapInstance, mode: str = "optimal"):
     reduction, so the halved cross costs stay integers, and the dual is
     halved on the way back.
     """
-    if mode not in SOLVE_MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {SOLVE_MODES}")
-    if inst.integral:
-        base = inst.scale_costs(2)
-        unscale = True
-    else:
-        base = inst
-        unscale = False
+    base = inst.scale_costs(2) if inst.integral else inst
     reduced = reduce_ilap_to_lap(base)
-    solved = solve_lap(reduced.lap)
+    solved = solve_lap(reduced)
     assert solved is not None, "reduced instance must admit the self-loop matching"
     xp, dual_p = solved
-    if mode == "relative_interior":
-        dual_p = shift_to_relative_interior(reduced.lap, dual_p, xp)
+    if relative_interior:
+        dual_p = shift_to_relative_interior(reduced, dual_p, xp)
     dual = _map_dual_unchecked(inst.num_vertices, inst.num_labels, dual_p)
-    if unscale:
+    if inst.integral:
         dual = IlapDual([_half(a) for a in dual.alpha],
                         [_half(b) for b in dual.beta])
     # ``base`` has ``inst``'s structure, so it decomposes ``xp`` the same

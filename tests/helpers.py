@@ -124,7 +124,7 @@ def random_reduced_matching(rng, inst, reduced, max_restarts=200):
     Greedy over a shuffled node order with restarts; falls back to lifting a
     random feasible assignment (always possible) when unlucky.
     """
-    size = reduced.lap.num_vertices
+    size = reduced.num_vertices
     for _ in range(max_restarts):
         order = list(range(size))
         rng.shuffle(order)
@@ -132,7 +132,7 @@ def random_reduced_matching(rng, inst, reduced, max_restarts=200):
         xp = [None] * size
         ok = True
         for node in order:
-            options = [lab for lab in reduced.lap.allowed[node]
+            options = [lab for lab in reduced.allowed[node]
                        if lab not in taken]
             if not options:
                 ok = False

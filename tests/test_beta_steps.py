@@ -210,9 +210,8 @@ class TestExactUpdateMatchesFreshInstance:
             unary = inst.unary
             sub = IlapInstance(unary.allowed, state.theta_phi,
                                unary.num_labels, tolerance=unary.tolerance)
-            for relative_interior, mode in ((False, "optimal"),
-                                            (True, "relative_interior")):
-                _, dual = solve_ilap(sub, mode=mode)
+            for relative_interior in (False, True):
+                _, dual = solve_ilap(sub, relative_interior=relative_interior)
                 updated = state.copy()
                 beta_exact_update(updated, relative_interior=relative_interior)
                 assert repr(updated.beta) == repr([min(b, 0) for b in dual.beta])

@@ -12,7 +12,7 @@ from qapbound.cli import _lap_payload, _relative_interior_flag, main
 from qapbound.lap import solve_lap
 from qapbound.model import IlapInstance, dual_objective
 from qapbound.oracle import brute_force_optimum, check_dual_relative_interior
-from qapbound.reduction import SOLVE_MODES, solve_ilap
+from qapbound.reduction import solve_ilap
 from qapbound.relative_interior import shift_to_relative_interior
 from qapbound.results import BEST_BOUND_FACTOR
 
@@ -192,7 +192,8 @@ class TestLapPayload:
         outside = 0
         for inst in _random_unary_instances(9, 240):
             if isinstance(inst, IlapInstance):
-                solved = [solve_ilap(inst, mode=mode) for mode in SOLVE_MODES]
+                solved = [solve_ilap(inst, relative_interior=ri)
+                          for ri in (False, True)]
             else:
                 x, dual = solve_lap(inst)
                 solved = [(x, dual),
@@ -206,7 +207,7 @@ class TestLapPayload:
     def test_dual_fields_match_the_returned_dual(self):
         inst = next(i for i in _random_unary_instances(10, 40)
                     if isinstance(i, IlapInstance) and i.integral)
-        x, dual = solve_ilap(inst, mode="relative_interior")
+        x, dual = solve_ilap(inst, relative_interior=True)
         payload = _lap_payload(inst)
         assert payload["alpha"] == dual.alpha and payload["beta"] == dual.beta
         assert payload["dual_objective"] == dual_objective(inst, dual)
@@ -417,6 +418,20 @@ class TestBatch:
         err = _rejected_before_any_job(tmp_path, monkeypatch, capsys, manifest)
         assert err == ("error: manifest 'methods' must list one or more "
                        "methods, each once\n")
+
+    def test_unknown_method_is_input_error_without_instances(
+            self, tmp_path, monkeypatch, capsys):
+        manifest = {"methods": ["nope"], "instances": []}
+        err = _rejected_before_any_job(tmp_path, monkeypatch, capsys, manifest)
+        assert err == ("error: manifest 'methods': unknown method 'nope', "
+                       "expected one of ('bca', 'hung', 'hung-ri')\n")
+
+    def test_empty_instances_is_input_error(self, tmp_path, monkeypatch,
+                                            capsys):
+        err = _rejected_before_any_job(tmp_path, monkeypatch, capsys,
+                                       {"instances": []})
+        assert err == ("error: manifest 'instances' must list one or more "
+                       "instances\n")
 
     def test_one_tag_twice_in_a_group_is_input_error(self, tmp_path,
                                                      monkeypatch, capsys):

@@ -75,6 +75,10 @@ e 0 1 7
         ("p 1 1 1 0\na 0 0 0 1\na 0 0 0 1\n", "duplicate assignment id"),
         ("p 1 2 1 1\na 0 0 0 1\ne 0 3 1\n", "unknown assignment id"),
         ("p 1 2 2 1\na 0 0 0 1\na 1 0 1 1\ne 0 1 5\n", "vertex 0"),
+        ("p 2 2 2 2\na 0 0 0 1\na 1 1 1 2\ne 0 1 5\ne 1 0 6\n",
+         "line 5: duplicate edge between assignment ids 0 and 1"),
+        ("p 2 2 2 2\na 0 0 0 1\na 1 1 1 2\ne 0 1 5\n",
+         "announces 2 edges, file has 1"),
         ("p 2 2 2 0\na 0 0 0 1\n", "announces 2 assignments"),
         ("p 1 1 1 1\na 0 0 0 1\n", "announces 1 edges"),
         ("p 1 1 1 0\na 0 5 0 1\n", "vertex 5"),

@@ -220,7 +220,7 @@ SOLVE_ILAP_GOLDEN = {
 def test_solve_ilap_output_is_pinned(factor, mode):
     """Float costs, and the same costs x1000 (integral, doubled path)."""
     inst = row_kinds_instance().unary.scale_costs(factor)
-    x, dual = solve_ilap(inst, mode=mode)
+    x, dual = solve_ilap(inst, relative_interior=mode == "relative_interior")
     assert repr((x, dual.alpha, dual.beta)) == SOLVE_ILAP_GOLDEN[(factor, mode)]
 
 

@@ -7,6 +7,7 @@ from qapbound.model import (
     DUMMY,
     DualInfeasibleError,
     FeasibilityError,
+    IlapDual,
     IlapInstance,
     LapDual,
     LapInstance,
@@ -24,6 +25,7 @@ from qapbound.oracle import (
 from qapbound.reduction import (
     decompose_assignment,
     lift_assignment,
+    lift_dual,
     map_dual,
     map_primal,
     reduce_ilap_to_lap,
@@ -54,8 +56,7 @@ def indicator(x, reduced):
 class TestReduce:
     def test_example2_structure(self):
         inst = example2_instance()
-        reduced = reduce_ilap_to_lap(inst)
-        lap = reduced.lap
+        lap = reduce_ilap_to_lap(inst)
         assert lap.num_vertices == 4 + 5
         # vertex a (node 0) may take itself or labels A, B (nodes 4, 5)
         assert lap.allowed[0] == (0, 4, 5)
@@ -66,14 +67,14 @@ class TestReduce:
 
     def test_costs_single_vertex(self):
         inst = IlapInstance([[DUMMY, 0]], [[1, 4]], 1)
-        lap = reduce_ilap_to_lap(inst).lap
+        lap = reduce_ilap_to_lap(inst)
         assert lap.allowed == ((0, 1), (0, 1))
         # self-cost is the dummy cost, cross costs are halved, label self 0
         assert lap.costs == ((1, 2), (2, 0))
 
     def test_all_dummy_instance_reduces_to_self_loops(self):
         inst = IlapInstance([[DUMMY]] * 3, [[2]] * 3, 2)
-        lap = reduce_ilap_to_lap(inst).lap
+        lap = reduce_ilap_to_lap(inst)
         assert lap.allowed == ((0,), (1,), (2,), (3,), (4,))
         assert solve_lap(lap)[0] == [0, 1, 2, 3, 4]
 
@@ -81,7 +82,7 @@ class TestReduce:
         rng = seeded(5)
         for _ in range(20):
             inst = random_ilap(rng)
-            lap = reduce_ilap_to_lap(inst).lap
+            lap = reduce_ilap_to_lap(inst)
             pairs = sum(len(row) for row in inst.allowed)
             reduced_pairs = sum(len(row) for row in lap.allowed)
             # each non-dummy pair appears twice, each node adds one self edge
@@ -90,7 +91,7 @@ class TestReduce:
 
     def test_odd_costs_halved_exactly(self):
         inst = IlapInstance([[DUMMY, 0]], [[0, 3]], 1)
-        lap = reduce_ilap_to_lap(inst).lap
+        lap = reduce_ilap_to_lap(inst)
         assert lap.costs[0] == (0, 1.5)
 
 
@@ -101,7 +102,7 @@ class TestLiftAndDecompose:
         xp = lift_assignment(inst, x)
         assert xp == [5, 4, 2, 3, 1, 0, 6, 7, 8]
         reduced = reduce_ilap_to_lap(inst)
-        assert lap_objective(reduced.lap, xp) == ilap_objective(inst, x)
+        assert lap_objective(reduced, xp) == ilap_objective(inst, x)
         # involution
         assert all(xp[xp[node]] == node for node in range(len(xp)))
 
@@ -132,7 +133,7 @@ class TestLiftAndDecompose:
             reduced = reduce_ilap_to_lap(inst)
             xp = random_reduced_matching(rng, inst, reduced)
             x1, x2 = decompose_assignment(inst, xp)
-            theta_p = lap_objective(reduced.lap, xp)
+            theta_p = lap_objective(reduced, xp)
             theta_1 = ilap_objective(inst, x1)
             theta_2 = ilap_objective(inst, x2)
             assert 2 * Fraction(theta_p) == theta_1 + theta_2
@@ -168,12 +169,12 @@ class TestMapDual:
             inst = random_ilap(rng, max_vertices=5, max_labels=5)
             value, _ = brute_force_optimum(inst)
             reduced = reduce_ilap_to_lap(inst)
-            xp, dual_p = solve_lap(reduced.lap)
+            xp, dual_p = solve_lap(reduced)
             dual = map_dual(inst, dual_p)
             assert dual_feasible(inst, dual) is None
             assert max(dual.beta, default=0) <= inst.atol
             assert abs(dual_objective(inst, dual)
-                       - dual_objective(reduced.lap, dual_p)) <= inst.atol
+                       - dual_objective(reduced, dual_p)) <= inst.atol
             assert abs(dual_objective(inst, dual) - value) <= inst.atol
 
     def test_relative_interior_preserved(self):
@@ -181,10 +182,64 @@ class TestMapDual:
         for _ in range(40):
             inst = random_ilap(rng, max_vertices=4, max_labels=4)
             reduced = reduce_ilap_to_lap(inst)
-            xp, dual_p = solve_lap(reduced.lap)
-            shifted = shift_to_relative_interior(reduced.lap, dual_p, xp)
+            xp, dual_p = solve_lap(reduced)
+            shifted = shift_to_relative_interior(reduced, dual_p, xp)
             dual = map_dual(inst, shifted)
             assert check_dual_relative_interior(inst, dual)
+
+
+def _costs_of_kind(rng, inst, kind):
+    """``inst`` with int, half-integer or dyadic (multiples of 2**-10) costs."""
+    if kind == "int":
+        return inst
+    if kind == "half":
+        return inst.with_costs([[c / 2 for c in row] for row in inst.costs])
+    return inst.with_costs([[c + rng.randint(-512, 512) / 1024 for c in row]
+                            for row in inst.costs])
+
+
+class TestLiftDual:
+    @pytest.mark.parametrize("kind", ["int", "half", "dyadic"])
+    def test_inverse_of_map_dual_on_solved_duals(self, kind):
+        rng = seeded({"int": 51, "half": 52, "dyadic": 53}[kind])
+        for _ in range(60):
+            inst = _costs_of_kind(rng, random_ilap(rng), kind)
+            nv = inst.num_vertices
+            reduced = reduce_ilap_to_lap(inst)
+            # halving is exact on these costs, so feasibility holds exactly
+            exact = reduced.with_costs(reduced.costs, tolerance=0)
+            for relative_interior in (False, True):
+                _, dual = solve_ilap(inst, relative_interior=relative_interior)
+                lifted = lift_dual(inst, dual)
+                assert dual_feasible(exact, lifted) is None
+                folded = map_dual(inst, lifted)
+                assert (folded.alpha, folded.beta) == (dual.alpha, dual.beta)
+                assert (sum(map(Fraction, (*lifted.alpha, *lifted.beta)))
+                        == sum(map(Fraction, (*dual.alpha, *dual.beta))))
+                for v, a in enumerate(dual.alpha):
+                    assert 2 * lifted.alpha[v] == 2 * lifted.beta[v] == a
+                for lab, b in enumerate(dual.beta):
+                    node = nv + lab
+                    assert 2 * lifted.alpha[node] == 2 * lifted.beta[node] == b
+
+    def test_relative_interior_membership_carries_over(self):
+        rng = seeded(54)
+        outside = 0
+        for _ in range(40):
+            inst = random_ilap(rng, max_vertices=4, max_labels=4)
+            reduced = reduce_ilap_to_lap(inst)
+            for relative_interior in (False, True):
+                _, dual = solve_ilap(inst, relative_interior=relative_interior)
+                expected = check_dual_relative_interior(inst, dual)
+                assert check_dual_relative_interior(
+                    reduced, lift_dual(inst, dual)) == expected
+                outside += not expected
+        assert outside > 0  # unshifted optima are sometimes not interior
+
+    def test_rejects_wrong_dimensions(self):
+        inst = example2_instance()
+        with pytest.raises(ValueError, match="dimensions"):
+            lift_dual(inst, IlapDual([0] * 4, [0] * 4))
 
 
 class TestMapPrimal:
@@ -232,12 +287,12 @@ class TestMapPrimal:
         while done < 25:
             inst = random_ilap(rng, max_vertices=4, max_labels=4, allow=0.45)
             reduced = reduce_ilap_to_lap(inst)
-            value, optima = brute_force_optimum(reduced.lap)
+            value, optima = brute_force_optimum(reduced)
             if not 1 <= len(optima) <= 400:
                 continue
             done += 1
             mu_p = _uniform_mixture(optima)
-            assert lap_primal_feasible(reduced.lap, mu_p) is None
+            assert lap_primal_feasible(reduced, mu_p) is None
             # mirrored supports agree on the mixture
             nv = inst.num_vertices
             for v in range(nv):
@@ -271,8 +326,8 @@ class TestSolveIlap:
         for _ in range(80):
             inst = random_ilap(rng)
             value, optima = brute_force_optimum(inst)
-            for mode in ("optimal", "relative_interior"):
-                x, dual = solve_ilap(inst, mode)
+            for relative_interior in (False, True):
+                x, dual = solve_ilap(inst, relative_interior=relative_interior)
                 assert ilap_objective(inst, x) == value
                 assert dual_feasible(inst, dual) is None
                 assert abs(dual_objective(inst, dual) - value) <= inst.atol
@@ -284,7 +339,7 @@ class TestSolveIlap:
             inst = random_ilap(rng, max_vertices=3, max_labels=3)
             reduced = reduce_ilap_to_lap(inst)
             value, _ = brute_force_optimum(inst)
-            red_value, red_optima = brute_force_optimum(reduced.lap)
+            red_value, red_optima = brute_force_optimum(reduced)
             if red_value is None:
                 continue
             done += 1
@@ -365,7 +420,7 @@ class TestReducedLayout:
             elif trial % 3 == 2:
                 inst = inst.with_costs(inst.costs, tolerance=1e-6)
             for _ in range(3):
-                lap = reduce_ilap_to_lap(inst).lap
+                lap = reduce_ilap_to_lap(inst)
                 ref = _constructed_reduction(inst)
                 for name in ("allowed", "_index", "vertices_for_label",
                              "num_vertices"):
@@ -383,12 +438,12 @@ class TestReducedLayout:
         assert reduce_ilap_to_lap(inst) is reduce_ilap_to_lap(inst)
         again = inst.with_costs(inst.costs)
         assert reduce_ilap_to_lap(again) is not reduce_ilap_to_lap(inst)
-        assert reduce_ilap_to_lap(again).lap.allowed is \
-            reduce_ilap_to_lap(inst).lap.allowed
+        assert reduce_ilap_to_lap(again).allowed is \
+            reduce_ilap_to_lap(inst).allowed
 
     def test_layout_follows_the_tolerance_of_each_instance(self):
         inst = random_ilap(seeded(347))
         reduce_ilap_to_lap(inst)
         relaxed = inst.with_costs(inst.costs, tolerance=1e-3)
-        assert reduce_ilap_to_lap(relaxed).lap.tolerance == 1e-3
-        assert reduce_ilap_to_lap(inst).lap.tolerance == inst.tolerance
+        assert reduce_ilap_to_lap(relaxed).tolerance == 1e-3
+        assert reduce_ilap_to_lap(inst).tolerance == inst.tolerance
