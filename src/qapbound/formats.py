@@ -382,20 +382,40 @@ def qaplib_shift_constant(flow, dist):
     cost the pair can produce, plus the worst diagonal product a single
     placement can incur, so assigning one more vertex always pays off.
     """
+    return _shift_constant(flow, dist, _edge_cells(flow, dist))
+
+
+def _shift_constant(flow, dist, edges):
+    """``qaplib_shift_constant`` read from the ``_edge_cells`` triples."""
     n = len(flow)
     total = 0
+    for _, _, cells in edges:
+        # Left to right, as written: ``sum`` compensates float rounding
+        # on Python 3.12 and later.
+        total += max(map(abs, cells.values()))
+    diagonal = max((flow[v][v] * dist[lab][lab]
+                    for v in range(n) for lab in range(n)), default=0)
+    return 1 + total + max(0, diagonal)
+
+
+def _edge_cells(flow, dist):
+    """Yield ``(u, v, cells)`` for each vertex pair ``u < v`` with a
+    non-zero cell; ``cells`` maps ``(k, l)`` to the non-zero costs of
+    placing ``u`` at ``k`` and ``v`` at ``l``, both flow directions
+    combined.  Every edge shares the same key tuples."""
+    n = len(flow)
+    keys = [(k, l) for k in range(n) for l in range(n)]
+    forward = [dist[k][l] for k, l in keys]
+    backward = [dist[l][k] for k, l in keys]
     for u in range(n):
         for v in range(u + 1, n):
             fu, fv = flow[u][v], flow[v][u]
             if fu == 0 and fv == 0:
                 continue
-            worst = max(
-                abs(fu * dist[k][l] + fv * dist[l][k])
-                for k in range(n) for l in range(n))
-            total += worst
-    diagonal = max((flow[v][v] * dist[lab][lab]
-                    for v in range(n) for lab in range(n)), default=0)
-    return 1 + total + max(0, diagonal)
+            cells = {key: c for key, a, b in zip(keys, forward, backward)
+                     if (c := fu * a + fv * b) != 0}
+            if cells:
+                yield u, v, cells
 
 
 def convert_qaplib_to_iqap(flow, dist, *, tolerance: float = DEFAULT_TOLERANCE,
@@ -414,25 +434,12 @@ def convert_qaplib_to_iqap(flow, dist, *, tolerance: float = DEFAULT_TOLERANCE,
     if any(len(row) != n for row in flow) or len(dist) != n or any(
             len(row) != n for row in dist):
         raise ValueError("flow and distance must be square matrices of equal size")
-    shift = qaplib_shift_constant(flow, dist)
+    edges = list(_edge_cells(flow, dist))
+    shift = _shift_constant(flow, dist, edges)
     allowed = [[DUMMY] + list(range(n)) for _ in range(n)]
     costs = [[0] + [flow[v][v] * dist[lab][lab] - shift for lab in range(n)]
              for v in range(n)]
     core = IlapInstance(allowed, costs, n, tolerance=tolerance)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            fu, fv = flow[u][v], flow[v][u]
-            if fu == 0 and fv == 0:
-                continue
-            cells = {}
-            for k in range(n):
-                for l in range(n):
-                    c = fu * dist[k][l] + fv * dist[l][k]
-                    if c != 0:
-                        cells[(k, l)] = c
-            if cells:
-                edges.append((u, v, cells))
     if augment:
         _augment_cells(core, edges)
     return IqapInstance(core, edges)

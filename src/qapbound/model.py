@@ -279,11 +279,14 @@ class PairwiseEdge:
     """Pairwise costs of one unordered vertex pair, stored with ``u < v``.
 
     ``cells`` maps ``(label of u, label of v)`` to a cost; absent cells are
-    zero.  ``rows_u`` and ``rows_v`` hold the same cells as row tables in
-    local label indices (positions in ``allowed[u]``/``allowed[v]``), the
-    layout that the per-edge minima of ``wcsp`` read.  ``rows_u`` has one
-    entry per label of ``u`` with the labels of ``v`` as columns, and
-    ``rows_v`` is its transpose.  An entry is
+    zero.  It is the dict the caller passed, not a copy, unless it was not
+    a dict, the pair came as ``(v, u)`` or a cost needed normalizing;
+    callers must not mutate it afterwards.  ``rows_u`` and ``rows_v`` hold
+    the same cells as row tables in local label indices (positions in
+    ``allowed[u]``/``allowed[v]``), the layout that the per-edge minima of
+    ``wcsp`` read.  ``rows_u`` has one entry per label of ``u`` with the
+    labels of ``v`` as columns, and ``rows_v`` is its transpose.  An entry
+    is
 
     * ``None`` for a row with no stored cell;
     * ``(False, stored, cells)`` for a sparse row (at most half of the
@@ -322,35 +325,34 @@ class PairwiseEdge:
         self.v = v
         index_u = unary._index[u]
         index_v = unary._index[v]
-        norm = {}
+        # The given dict is kept as ``cells`` unless a cost needs normalizing.
+        norm = cells if type(cells) is dict else dict(cells)
         rows = [[] for _ in index_u]
         cols = [[] for _ in index_v]
-        max_abs = 0
         integral = True
         for (k, l), c in cells.items():
             ki = index_u.get(k)
             li = index_v.get(l)
             # The message is formatted only for a cell that needs checking.
-            if ki is None or li is None or (k, l) in norm or type(c) is not int:
+            if ki is None or li is None or type(c) is not int:
                 where = f"edge ({u}, {v}) cell ({k}, {l})"
                 if ki is None:
                     raise ValueError(f"{where}: label {k} not allowed for vertex {u}")
                 if li is None:
                     raise ValueError(f"{where}: label {l} not allowed for vertex {v}")
-                if (k, l) in norm:
-                    raise ValueError(f"{where}: duplicate cell")
-                c = _as_cost(c, where)
-                if type(c) is not int:
+                x = _as_cost(c, where)
+                if type(x) is not int:
                     integral = False
-            norm[(k, l)] = c
+                if x is not c:
+                    if norm is cells:
+                        norm = dict(cells)
+                    norm[k, l] = c = x
             rows[ki].append((li, c))
             cols[li].append((ki, c))
-            if abs(c) > max_abs:
-                max_abs = abs(c)
         self.cells = norm
         self.rows_u = _row_table(rows, len(cols))
         self.rows_v = _row_table(cols, len(rows))
-        self.max_abs_cost = max_abs
+        self.max_abs_cost = max(map(abs, norm.values()), default=0)
         self.integral = integral
 
 

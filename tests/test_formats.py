@@ -263,6 +263,39 @@ class TestConvertQaplib:
             assert value + n * shift == direct
             assert all(DUMMY not in x for x in optima)
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_applied_shift_is_the_shift_constant(self, n):
+        rng = seeded(157 + n)
+        entries = [0, 0, 1, 4, -3, 2.5, -0.75]
+        for trial in range(12):
+            flow = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+            dist = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+            if trial % 3 == 0:
+                flow = [[0] * n for _ in range(n)]
+            elif trial % 3 == 1:
+                flow = [[c if u < v else 0 for v, c in enumerate(row)]
+                        for u, row in enumerate(flow)]
+            shift = qaplib_shift_constant(flow, dist)
+            assert shift == _documented_shift(flow, dist)
+            inst = convert_qaplib_to_iqap(flow, dist)
+            assert inst.unary.costs == tuple(
+                (0, *(flow[v][v] * dist[lab][lab] - shift for lab in range(n)))
+                for v in range(n))
+
+
+def _documented_shift(flow, dist):
+    """``qaplib_shift_constant`` as its docstring states it, over every
+    cell of every vertex pair."""
+    n = len(flow)
+    total = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            total += max(abs(flow[u][v] * dist[k][l] + flow[v][u] * dist[l][k])
+                         for k in range(n) for l in range(n))
+    diagonal = max((flow[v][v] * dist[lab][lab]
+                    for v in range(n) for lab in range(n)), default=0)
+    return 1 + total + max(0, diagonal)
+
 
 class TestAugment:
     def test_disjoint_label_sets_unchanged(self):

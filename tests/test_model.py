@@ -10,6 +10,7 @@ from qapbound.model import (
     IqapInstance,
     LapDual,
     LapInstance,
+    PairwiseEdge,
     check_feasible,
     dual_feasible,
     dual_objective,
@@ -432,3 +433,70 @@ class TestEdgeIntegrality:
         core = IlapInstance([[DUMMY, 0], [DUMMY, 1]], [[0, 1.5], [0, 2]], 2)
         inst = IqapInstance(core, [(0, 1, {(0, 1): 3})])
         assert inst.edges[0].integral and not inst.integral
+
+
+class TestPairwiseEdge:
+    """``PairwiseEdge``'s checks and the cell map it keeps."""
+
+    core = IlapInstance([[DUMMY, 0, 1], [DUMMY, 1, 2], [DUMMY, 0]],
+                        [[0, 1, 2], [0, 3, 4], [0, 5]], 3)
+
+    def test_loop(self):
+        with pytest.raises(ValueError) as info:
+            PairwiseEdge(1, 1, {}, self.core)
+        assert str(info.value) == "pairwise edge (1, 1) is a loop"
+
+    @pytest.mark.parametrize("u, v, where", [(0, 3, "(0, 3)"), (-1, 0, "(-1, 0)"),
+                                             (3, 0, "(0, 3)")])
+    def test_unknown_vertex(self, u, v, where):
+        with pytest.raises(ValueError) as info:
+            PairwiseEdge(u, v, {}, self.core)
+        assert str(info.value) == f"edge {where} references unknown vertex"
+
+    @pytest.mark.parametrize("cell, message", [
+        ((2, 1), "edge (0, 1) cell (2, 1): label 2 not allowed for vertex 0"),
+        ((0, 0), "edge (0, 1) cell (0, 0): label 0 not allowed for vertex 1"),
+    ])
+    def test_label_not_allowed(self, cell, message):
+        with pytest.raises(ValueError) as info:
+            PairwiseEdge(0, 1, {(DUMMY, 1): 1, cell: 1}, self.core)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("cost, error, message", [
+        (True, TypeError, "edge (0, 1) cell (0, 1): boolean is not a valid cost"),
+        (float("nan"), ValueError,
+         "edge (0, 1) cell (0, 1): cost must be finite, got nan"),
+    ])
+    def test_bad_cost(self, cost, error, message):
+        with pytest.raises(error) as info:
+            PairwiseEdge(0, 1, {(0, 1): cost}, self.core)
+        assert str(info.value) == message
+
+    def test_integral_float_is_stored_as_an_int(self):
+        edge = PairwiseEdge(0, 1, {(0, 1): 3.0, (1, 2): -2}, self.core)
+        assert type(edge.cells[0, 1]) is int and edge.cells == {(0, 1): 3, (1, 2): -2}
+        assert edge.rows_u[1] == (False, (1,), ((1, 3),))
+        assert edge.integral and edge.max_abs_cost == 3
+
+    def test_fractional_cost_makes_the_edge_non_integral(self):
+        edge = PairwiseEdge(0, 1, {(0, 1): 2.5, (1, 2): -3}, self.core)
+        assert edge.cells == {(0, 1): 2.5, (1, 2): -3}
+        assert not edge.integral and edge.max_abs_cost == 3
+
+    def test_given_dict_is_kept_unless_a_cost_is_normalized(self):
+        given = {(0, 1): 3, (1, 2): 2.5}
+        assert PairwiseEdge(0, 1, given, self.core).cells is given
+        given = {(0, 1): 3.0, (1, 2): -1}
+        edge = PairwiseEdge(0, 1, given, self.core)
+        assert edge.cells is not given and edge.cells == {(0, 1): 3, (1, 2): -1}
+        assert type(given[0, 1]) is float
+
+    def test_swapped_endpoints_give_the_same_edge(self):
+        cells = {(0, 1): 3, (1, 2): 2.5, (DUMMY, 1): -4}
+        edge = PairwiseEdge(0, 1, cells, self.core)
+        swapped = PairwiseEdge(1, 0, {(l, k): c for (k, l), c in cells.items()},
+                               self.core)
+        assert (swapped.u, swapped.v) == (0, 1)
+        for name in PairwiseEdge.__slots__[2:]:
+            assert getattr(swapped, name) == getattr(edge, name), name
+        assert list(swapped.cells.items()) == list(edge.cells.items())
