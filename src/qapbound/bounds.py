@@ -19,7 +19,11 @@ A run evaluates that sum in full twice, with ``dual_bound``: on the
 all-zero start, and on the final state for the reported ``final_bound``.
 ``dual_bound`` is exact (integer arithmetic after scaling every dyadic
 float by one power of two) and rounds down to a float, so the reported
-bound is certified.  After a full message pass every edge term is 0 in
+bound is certified.  It copies no int pairwise cell: the message-passing
+kernel multiplies each cell it reads by the power of two, and its early
+exit leaves most cells unread.  A potential in ``(0, atol]`` is accepted
+as rounding but evaluated as 0, since the bound holds for non-positive
+potentials only.  After a full message pass every edge term is 0 in
 exact arithmetic, and the label step leaves the messages alone, so each
 iteration records only ``sum(beta)`` plus each vertex's cheapest
 reparametrized unary, in floats.  Those per-iteration values drive early
@@ -31,7 +35,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from operator import add
+from itertools import chain
+from operator import add, itemgetter
 
 from .beta_steps import beta_bca_pass, beta_exact_update
 from .model import DUMMY, IqapInstance
@@ -94,8 +99,13 @@ def dual_bound(inst: IqapInstance, state: IqapDualState) -> float:
     messages, not read from ``theta_phi``, whose float updates drift.
     Every float is dyadic, so one common power of two turns every cost,
     message and potential into an int, and the bound is summed in ints,
-    edge by edge.  A state that holds no float gives that int sum;
-    otherwise the result is the largest float not above the exact value.
+    edge by edge.  An edge whose cells are all ints hands its own row table
+    and the power of two to the kernel, which scales only the cells it
+    reads; an edge holding a float cell is scaled in full by
+    ``_scaled_rows``.  Each potential is evaluated as ``min(b, 0)``; one
+    positive beyond tolerance is an error.  A state that holds no float
+    gives the int sum; otherwise the result is the largest float not above
+    the exact value.
     """
     atol = inst.atol
     for lab, b in enumerate(state.beta):
@@ -106,9 +116,11 @@ def dual_bound(inst: IqapInstance, state: IqapDualState) -> float:
     groups = [state.beta, *phi.values()]
     if not inst.integral:
         groups += [*unary.costs, *(e.cells.values() for e in inst.edges)]
+    # ``float.__instancecheck__(x)`` is ``isinstance(x, float)``, in C.
+    floats = filter(float.__instancecheck__, chain.from_iterable(groups))
     # The largest denominator is a power of two, or 0 if there is no float.
-    scale = max((x.as_integer_ratio()[1] for group in groups for x in group
-                 if type(x) is float), default=0)
+    scale = max(map(itemgetter(1), map(float.as_integer_ratio, floats)),
+                default=0)
     sums = [_scaled(row, scale) for row in unary.costs]
     total = 0
     for e in inst.edges:
@@ -116,8 +128,11 @@ def dual_bound(inst: IqapInstance, state: IqapDualState) -> float:
         out_v = _scaled(phi[(e.v, e.u)], scale)
         sums[e.u] = list(map(add, sums[e.u], out_u))
         sums[e.v] = list(map(add, sums[e.v], out_v))
-        total += _edge_minimum(out_u, out_v, _scaled_rows(e.rows_u, scale))
-    beta = _scaled(state.beta, scale)
+        if e.integral:
+            total += _edge_minimum(out_u, out_v, e.rows_u, scale or 1)
+        else:
+            total += _edge_minimum(out_u, out_v, _scaled_rows(e.rows_u, scale))
+    beta = _scaled([min(b, 0) for b in state.beta], scale)
     total += sum(beta)
     for labs, row in zip(unary.allowed, sums):
         total += min([c if lab == DUMMY else c - beta[lab]

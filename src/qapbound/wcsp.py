@@ -31,7 +31,11 @@ much and sits on a column at least as cheap, and rounding is monotone, so
 no later cell can be strictly smaller.  That needs every sum of a scan
 rounded by one monotone map, which the number types of ``IqapDualState``
 give: a handshake scans an all-float ``base``, and ``bounds.dual_bound``
-ints only, scaled by one positive power of two, which keeps each row's order.
+ints only.  ``dual_bound`` passes its power of two ``scale`` into the scan,
+which multiplies each int cell it reads by it; int cells times one positive
+power of two keep each row's order, so the scan stops at the same cell, and
+a cell it never reads is never scaled.  An edge with a float cell is
+scaled to ints by ``dual_bound`` before the scan.
 """
 
 from __future__ import annotations
@@ -103,24 +107,26 @@ def reparam_pairwise(state: IqapDualState, u: int, v: int, k: int, l: int):
     return base - state.phi[(v, u)][iv] - state.phi[(u, v)][iu]
 
 
-def _row_minima(base: list, rows: tuple) -> list:
-    """Per row r: min over columns j of ``base[j] + stored(r, j)``.
+def _row_minima(base: list, rows: tuple, scale: int = 1) -> list:
+    """Per row r: min over columns j of ``base[j] + scale * stored(r, j)``.
 
     ``rows`` is a ``PairwiseEdge`` row table (``rows_u`` or ``rows_v``);
-    absent cells count as zero.  The cheapest column answers every row that
-    stores no cell, and every sparse row that does not store that column; a
-    sparse row that does walks the columns in ascending ``base`` order (ties
-    to the smaller index) to its first unstored one.  A dense row takes the
-    minimum over its few unstored columns.  The stored cells come last, in
-    ascending cost order, each replacing the running minimum only when
-    strictly smaller, so every row yields exactly the value of a strict
-    scan in that order.
+    absent cells count as zero.  Each stored cell is multiplied by ``scale``
+    when the scan reads it, so no caller copies the table to scale it.  The
+    cheapest column answers every row that stores no cell, and every sparse
+    row that does not store that column; a sparse row that does walks the
+    columns in ascending ``base`` order (ties to the smaller index) to its
+    first unstored one.  A dense row takes the minimum over its few
+    unstored columns.  The stored cells come last, in ascending cost order,
+    each replacing the running minimum only when strictly smaller, so every
+    row yields exactly the value of a strict scan in that order.
 
-    The scan of the cells stops at the first cell ``(j, c)`` with
-    ``cheapest + c >= best``.  Every later cell ``(j', c')`` has
+    The scan of the cells stops at the first cell ``(j, c)``, ``c`` scaled,
+    with ``cheapest + c >= best``.  Every later cell ``(j', c')`` has
     ``c' >= c`` and ``base[j'] >= cheapest``, so ``base[j'] + c' >= best``
     whenever every sum is rounded by one monotone map: when ``base`` is all
-    floats, or ``base`` and the cells are all ints (see ``IqapDualState``).
+    floats and ``scale`` is 1, or ``base`` and the cells are all ints and
+    ``scale`` is positive (see ``IqapDualState``).
     """
     cheapest = min(base)
     first = base.index(cheapest)
@@ -144,6 +150,7 @@ def _row_minima(base: list, rows: tuple) -> list:
                     best = base[j]
                     break
         for j, c in cells:
+            c *= scale
             if cheapest + c >= best:
                 break
             val = base[j] + c
@@ -206,11 +213,12 @@ def pairwise_minimum(state: IqapDualState, edge) -> float:
                          state.phi[(edge.v, edge.u)], edge.rows_u)
 
 
-def _edge_minimum(out_u: list, out_v: list, rows_u: tuple):
-    """Minimum over label pairs of a stored cell minus both messages.
+def _edge_minimum(out_u: list, out_v: list, rows_u: tuple, scale: int = 1):
+    """Minimum over label pairs of ``scale`` times a stored cell minus both
+    messages.
 
     ``out_u`` and ``out_v`` are the edge's outgoing messages from ``u`` and
     from ``v``, ``rows_u`` its row table (cells may be any numbers).
     """
-    per_row = _row_minima([-p for p in out_v], rows_u)
+    per_row = _row_minima([-p for p in out_v], rows_u, scale)
     return min(map(sub, per_row, out_u))

@@ -1,7 +1,10 @@
 """Shared builders for the test suite: the worked 5x5 example, seeded
-random instance generators, and an LP reference for bounds."""
+random instance generators, the benchmark's instance writers, and an LP
+reference for bounds."""
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +152,18 @@ def random_reduced_matching(rng, inst, reduced, max_restarts=200):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "instances.py"
+
+
+def benchmark_generators():
+    """The benchmark's seeded instance writers, loaded by file path."""
+    spec = importlib.util.spec_from_file_location("perfbench_instances",
+                                                  GENERATORS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def lp_relaxation_optimum(inst):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qapbound import bounds
+from qapbound.beta_steps import beta_bca_pass, beta_exact_update
 from qapbound.bounds import METHODS, BoundReport, SolverConfig, dual_bound, run
 from qapbound.formats import load_instance
 from qapbound.model import DUMMY, IlapInstance, IqapInstance
@@ -75,6 +76,22 @@ def exact_bound(inst, state):
     return total
 
 
+def assert_is_exact(inst, state):
+    """``dual_bound`` is the exact int when the state holds no float, else
+    the largest float at or below the exact value."""
+    exact = exact_bound(inst, state)
+    value = dual_bound(inst, state)
+    ints = all(type(x) is int for x in itertools.chain(
+        state.beta, *state.phi.values(), *inst.unary.costs,
+        *(e.cells.values() for e in inst.edges)))
+    if ints:
+        assert type(value) is int and value == exact
+    else:
+        assert type(value) is float
+        assert Fraction(value) <= exact
+        assert exact < Fraction(math.nextafter(value, math.inf))
+
+
 def dyadic(max_exponent):
     """Floats ``n * 2**e`` at many scales.  Subnormal ones make the common
     scale too large for a float."""
@@ -120,18 +137,7 @@ class TestCertifiedBound:
     @settings(max_examples=300, deadline=None)
     @given(dual_states())
     def test_is_the_exact_value_rounded_down(self, case):
-        inst, state = case
-        exact = exact_bound(inst, state)
-        value = dual_bound(inst, state)
-        ints = all(type(x) is int for x in itertools.chain(
-            state.beta, *state.phi.values(), *inst.unary.costs,
-            *(e.cells.values() for e in inst.edges)))
-        if ints:
-            assert type(value) is int and value == exact
-        else:
-            assert type(value) is float
-            assert Fraction(value) <= exact
-            assert exact < Fraction(math.nextafter(value, math.inf))
+        assert_is_exact(*case)
 
     def test_integral_floats_still_give_a_float(self):
         inst = edgeless([[DUMMY, 0]], [[3, 1]], 1)
@@ -237,11 +243,18 @@ class TestDualBound:
         with pytest.raises(ValueError, match="positive"):
             dual_bound(inst, state)
 
+    def test_positive_beta_within_tolerance_counts_as_zero(self):
+        # Summing the two potentials as they are certified 6e-09 above the
+        # optimum 0 (assign the dummy label).
+        inst = edgeless([[DUMMY, 0, 1]], [[0, 5, 5]], 2)
+        state = IqapDualState(inst)
+        state.beta = [inst.atol / 2] * 2
+        value, _ = brute_force_optimum(inst)
+        assert value == 0
+        assert repr(dual_bound(inst, state)) == "0.0"
+
     def test_sound_on_reachable_states(self):
         rng = seeded(83)
-        from qapbound.beta_steps import beta_bca_pass
-        from qapbound.wcsp import mplp_pp_pass
-
         for _ in range(30):
             inst = random_iqap(rng)
             value, _ = brute_force_optimum(inst)
@@ -251,6 +264,94 @@ class TestDualBound:
                 mplp_pp_pass(state)
                 beta_bca_pass(state)
                 assert dual_bound(inst, state) <= value + atol
+
+
+def with_float_cells(inst, chosen):
+    """``inst`` with the cells of the edges at the ``chosen`` positions
+    divided by 3: floats with full mantissas, ints where 3 divides."""
+    edges = [(e.u, e.v, {key: c / 3 if i in chosen else c
+                         for key, c in e.cells.items()})
+             for i, e in enumerate(inst.edges)]
+    return IqapInstance(inst.unary, edges)
+
+
+class TestExactOnReachableStates:
+    """``assert_is_exact`` on states a run reaches."""
+
+    @staticmethod
+    def states(inst, rng):
+        """The zero state, then the state after each message pass and
+        label step of a few random iterations."""
+        state = IqapDualState(inst)
+        yield state
+        for _ in range(rng.randint(1, 3)):
+            mplp_pp_pass(state, backward=rng.random() < 0.5)
+            yield state
+            step = rng.choice(["bca", "exact", "interior"])
+            if step == "bca":
+                beta_bca_pass(state)
+            else:
+                beta_exact_update(state,
+                                  relative_interior=step == "interior")
+            yield state
+
+    def scaled_rows_calls(self, monkeypatch):
+        calls = []
+        original = bounds._scaled_rows
+
+        def counted(rows, scale):
+            calls.append(scale)
+            return original(rows, scale)
+
+        monkeypatch.setattr(bounds, "_scaled_rows", counted)
+        return calls
+
+    @pytest.mark.parametrize("cells", ["int", "float", "both"])
+    def test_equals_the_exact_value(self, monkeypatch, cells):
+        rng = seeded({"int": 131, "float": 137, "both": 139}[cells])
+        calls = self.scaled_rows_calls(monkeypatch)
+        float_edges = 0
+        for _ in range(40):
+            inst = random_iqap(rng)
+            if cells != "int":
+                count = len(inst.edges)
+                chosen = (range(count) if cells == "float"
+                          else rng.sample(range(count), k=count // 2))
+                inst = with_float_cells(inst, set(chosen))
+            float_edges += sum(not e.integral for e in inst.edges)
+            for state in self.states(inst, rng):
+                assert_is_exact(inst, state)
+        # Int cells are scaled by the kernel as it reads them; only edges
+        # holding a float cell are copied and scaled in full.
+        assert (float_edges > 0) == (cells != "int")
+        assert bool(calls) == (cells != "int")
+
+    def test_subnormal_message_takes_the_exact_fallback(self, monkeypatch):
+        # 5e-324 has denominator 2**1074, which no float can hold, so
+        # ``_scaled`` multiplies numerators instead of floats.
+        overflowed = []
+        original = bounds._scaled
+
+        def watched(row, scale):
+            try:
+                float(scale)
+            except OverflowError:
+                overflowed.append(scale)
+            return original(row, scale)
+
+        monkeypatch.setattr(bounds, "_scaled", watched)
+        rng = seeded(149)
+        for _ in range(30):
+            inst = random_iqap(rng)
+            if rng.random() < 0.5:
+                inst = with_float_cells(inst, {0})
+            if not inst.edges:
+                continue
+            for state in self.states(inst, rng):
+                out = state.phi[(inst.edges[0].u, inst.edges[0].v)]
+                out[rng.randrange(len(out))] = 5e-324
+                assert_is_exact(inst, state)
+        assert overflowed and all(s == 2**1074 for s in overflowed)
 
 
 class TestRun:

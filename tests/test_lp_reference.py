@@ -6,27 +6,14 @@ the LP optimum, so only ``bound <= LP`` is asserted, with a tolerance for
 the LP solver; where every method does reach it (grid QAP), that is pinned.
 """
 
-import importlib.util
 import random
-from pathlib import Path
 
 import pytest
 
 from qapbound.bounds import METHODS, SolverConfig, run
 from qapbound.formats import load_instance
 
-from helpers import lp_relaxation_optimum
-
-GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "instances.py"
-
-
-def _generators():
-    """The benchmark's seeded instance writers, loaded by file path."""
-    spec = importlib.util.spec_from_file_location("perfbench_instances",
-                                                  GENERATORS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import benchmark_generators, lp_relaxation_optimum
 
 
 def _scattered_qap_text(seed, n=10, density=0.3):
@@ -60,7 +47,7 @@ def _assert_at_most(bounds, lp, inst):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_graph_matching(tmp_path, seed):
     path = tmp_path / "gm.dd"
-    _generators().write_gm(path, seed, vertices=40, candidates=6)
+    benchmark_generators().write_gm(path, seed, vertices=40, candidates=6)
     inst = load_instance(path, dummy_cost=150)
     _assert_at_most(_final_bounds(inst), lp_relaxation_optimum(inst), inst)
 
@@ -76,7 +63,7 @@ def test_scattered_point_qap(tmp_path, seed):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_grid_qap_reaches_the_lp_optimum(tmp_path, seed):
     path = tmp_path / "grid.dat"
-    _generators().write_qaplib(path, seed, size=8)
+    benchmark_generators().write_qaplib(path, seed, size=8)
     inst = load_instance(path, fmt="qaplib", augment=True)
     lp = lp_relaxation_optimum(inst)
     assert lp == pytest.approx(-4038, abs=1e-6 * (1 + inst.max_abs_cost))

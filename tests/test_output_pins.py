@@ -11,6 +11,11 @@ its fields are pinned too.
 The ``verify`` pins were recorded after square and dummy-label instances
 started sharing one check list: both print ``dual is in the relative
 interior`` and ``solver finds an optimum``.
+
+The solver pins on generated instances were recorded before ``dual_bound``
+let the kernel scale int cells as it reads them.  Their final states hold
+float messages, so the certified bound takes the scaled path; the fixture
+pins above may not.
 """
 
 import json
@@ -19,7 +24,11 @@ from pathlib import Path
 
 import pytest
 
+from qapbound.bounds import SolverConfig, run
 from qapbound.cli import main
+from qapbound.formats import load_instance
+
+from helpers import benchmark_generators
 
 FIXTURES = Path(__file__).parent / "fixtures"
 METHODS = ("bca", "hung", "hung-ri")
@@ -256,3 +265,56 @@ class TestVerify:
         assert run_cli(capsys, "verify", "--input", path) == (
             "solver agrees instance is infeasible: ok\n"
             "all checks passed\n")
+
+
+# (final bound, trajectory) per method after 6 iterations with epsilon 0
+GENERATED_PINS = {
+    "gm": {
+        "bca": ("1935.263840867014",
+                "[715, 1191.0663146972656, 1549.580467775464, "
+                "1743.0750831275273, 1839.666447875529, 1891.73118006445, "
+                "1935.2638408670143]"),
+        "hung": ("1935.1253344504505",
+                 "[715, 1191.0663146972656, 1551.4241473972797, "
+                 "1744.088169091454, 1841.0371353181613, 1893.62924996922, "
+                 "1935.1253344504505]"),
+        "hung-ri": ("1937.537700802519",
+                    "[715, 1191.0663146972656, 1550.9276350731961, "
+                    "1743.855072402265, 1842.0747567313256, "
+                    "1895.6285308837143, 1937.5377008025187]"),
+    },
+    "qaplib": {
+        "bca": ("-20190.0",
+                "[-20532, -20190.0, -20190.0, -20190.0, "
+                "-20189.999999999996, -20190.0, -20190.0]"),
+        "hung": ("-20190.0",
+                 "[-20532, -20190.0, -20190.0, -20190.0, "
+                 "-20189.999999999996, -20190.0, -20190.000000000004]"),
+        "hung-ri": ("-20190.0",
+                    "[-20532, -20190.0, -20190.0, -20190.0, "
+                    "-20189.999999999996, -20189.999999999996, "
+                    "-20190.000000000004]"),
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """A 40-vertex graph-matching instance and an augmented n = 12 QAPLIB
+    instance from the benchmark's writers, seed 1."""
+    directory = tmp_path_factory.mktemp("generated")
+    writers = benchmark_generators()
+    gm, qaplib = directory / "gm.dd", directory / "qaplib.dat"
+    writers.write_gm(gm, 1, vertices=40)
+    writers.write_qaplib(qaplib, 1, size=12)
+    return {"gm": load_instance(gm, dummy_cost=150),
+            "qaplib": load_instance(qaplib, fmt="qaplib", augment=True)}
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("family", ["gm", "qaplib"])
+def test_generated_instance_bound_is_pinned(generated, family, method):
+    report = run(generated[family], SolverConfig(
+        method=method, max_iterations=6, bound_improvement_epsilon=0))
+    assert (repr(report.final_bound), repr(report.bound_trajectory)) \
+        == GENERATED_PINS[family][method]

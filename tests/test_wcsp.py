@@ -1,10 +1,9 @@
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from qapbound import wcsp
-from qapbound.bounds import _scaled, _scaled_rows, dual_bound
+from qapbound.bounds import _scaled, dual_bound
 from qapbound.formats import augment_instance, load_instance, parse_dd
 from qapbound.model import DUMMY, IlapInstance, IqapInstance, iqap_objective
 from qapbound.wcsp import (
@@ -335,6 +334,16 @@ def _random_cost(rng):
     return rng.choice([-1, 1]) * magnitude * rng.uniform(0.5, 2)
 
 
+def _random_int_cost(rng):
+    """Tied small ints, and ints next to 2**53 and 10**17, where converting
+    to a float rounds."""
+    pick = rng.random()
+    if pick < 0.5:
+        return rng.choice([-2, -1, 0, 0, 1, 2])
+    centre = rng.choice([2**53, -2**53, 10**17])
+    return centre + rng.randint(-3, 3)
+
+
 def _near(rng, centre):
     """An int or a float within a few units of ``centre``."""
     value = centre + rng.randint(-3, 3)
@@ -391,10 +400,10 @@ def _stored_columns(rng, kind, n, first):
     return []
 
 
-def _sorted_rows_edge(rng, base):
+def _sorted_rows_edge(rng, base, cost=_random_cost):
     """A two-vertex instance whose edge rows (over ``len(base)`` columns)
     are empty, sparse, sparse with the cheapest column of ``base`` stored,
-    dense or full, with the kind of each row."""
+    dense or full, with the kind of each row; each cell is ``cost(rng)``."""
     n = len(base)
     kinds = ["empty", "full"]
     if n >= 2:
@@ -410,7 +419,7 @@ def _sorted_rows_edge(rng, base):
     for k in core.allowed[0]:
         kind = rng.choice(kinds)
         for j in _stored_columns(rng, kind, n, first):
-            cells[(k, core.allowed[1][j])] = _random_cost(rng)
+            cells[(k, core.allowed[1][j])] = cost(rng)
         row_kinds.append(kind)
     return IqapInstance(core, [(0, 1, cells)]), row_kinds
 
@@ -500,22 +509,31 @@ class TestRowMinimaEarlyExit:
         assert _bits(state.phi[(0, 1)][1]) == _bits(2.0**52 - 1)
 
     def test_equals_full_scan_on_int_scaled_rows(self):
+        # ``dual_bound``'s call on an edge of int cells: the base scaled to
+        # ints by a power of two, the edge's own row table and that power
+        # of two, by which the scan multiplies each cell it reads.  Then a
+        # handshake's call: a float base and ``scale`` 1.
         rng = seeded(223)
+        kinds = set()
         for _ in range(300):
             n = rng.randint(1, 12)
             base = [float(_random_cost(rng)) for _ in range(n)]
-            inst, _ = _sorted_rows_edge(rng, base)
+            inst, row_kinds = _sorted_rows_edge(rng, base, _random_int_cost)
             edge = inst.edges[0]
-            scale = max(x.as_integer_ratio()[1] for x in
-                        [*base, *map(float, edge.cells.values())])
-            rows = _scaled_rows(edge.rows_u, scale)
+            assert edge.integral
+            scale = max(x.as_integer_ratio()[1] for x in base)
             int_base = _scaled(base, scale)
-            _assert_ascending(rows)
-            stored = [{j: int(Fraction(c) * scale) for j, c in row.items()}
-                      for row in _stored(edge, inst)]
-            got = _row_minima(int_base, rows)
+            stored = _stored(edge, inst)
+            scaled = [{j: c * scale for j, c in row.items()} for row in stored]
+            got = _row_minima(int_base, edge.rows_u, scale)
             assert all(type(x) is int for x in got)
-            assert got == _full_scan(int_base, stored)
+            assert got == _full_scan(int_base, scaled)
+            got = _row_minima(base, edge.rows_u, 1)
+            assert list(map(_bits, got)) == list(map(_bits,
+                                                     _full_scan(base, stored)))
+            kinds.update(row_kinds)
+        assert kinds == {"empty", "sparse", "sparse, cheapest stored",
+                         "dense", "full"}
 
 
 class TestRowOrder:
