@@ -16,6 +16,10 @@ The solver pins on generated instances were recorded before ``dual_bound``
 let the kernel scale int cells as it reads them.  Their final states hold
 float messages, so the certified bound takes the scaled path; the fixture
 pins above may not.
+
+The pins on the 220-vertex graph-matching instance, the size the
+benchmark's ``gm-*`` workloads solve, were recorded before the message
+pass scanned only the rows that store the cheapest column.
 """
 
 import json
@@ -318,3 +322,44 @@ def test_generated_instance_bound_is_pinned(generated, family, method):
         method=method, max_iterations=6, bound_improvement_epsilon=0))
     assert (repr(report.final_bound), repr(report.bound_trajectory)) \
         == GENERATED_PINS[family][method]
+
+
+# repr((final_bound, bound_trajectory)) on ``write_gm(vertices=220)``, seed 1,
+# dummy cost 150, epsilon 0, at the benchmark's iteration counts per method
+WORKLOAD_PINS = {
+    "bca": (
+        30,
+        "(6858.4907806602505, [3511, 4616.680114746094, "
+        "5480.086892950103, 5907.202093660728, 6135.876193612425, "
+        "6278.157466819146, 6382.3696989544305, 6461.586489372519, "
+        "6524.482540984909, 6574.224961231378, 6613.752505689694, "
+        "6647.247645185884, 6675.938667834074, 6700.726173219943, "
+        "6721.963588921248, 6740.423678293295, 6756.348842338826, "
+        "6770.310432107064, 6782.558752847803, 6793.34804918135, "
+        "6802.856019838298, 6811.424362283966, 6819.03646788688, "
+        "6825.945933523509, 6832.139492500711, 6837.768311598703, "
+        "6842.826885489554, 6847.17898581997, 6851.232367791973, "
+        "6854.99211499134, 6858.49078066025])"),
+    "hung-ri": (
+        10,
+        "(6666.997344793354, [3511, 4624.603717803955, 5504.826418061273,"
+        " 5946.838982395332, 6184.155425520016, 6333.001511981674, "
+        "6440.700074467358, 6519.8144928412175, 6580.784875478647, "
+        "6628.1445656326105, 6666.997344793358])"),
+}
+
+
+@pytest.fixture(scope="module")
+def workload_gm(tmp_path_factory):
+    path = tmp_path_factory.mktemp("workload") / "gm.dd"
+    benchmark_generators().write_gm(path, 1, vertices=220)
+    return load_instance(path, dummy_cost=150)
+
+
+@pytest.mark.parametrize("method", WORKLOAD_PINS)
+def test_workload_sized_bound_is_pinned(workload_gm, method):
+    iterations, expected = WORKLOAD_PINS[method]
+    report = run(workload_gm, SolverConfig(
+        method=method, max_iterations=iterations,
+        bound_improvement_epsilon=0))
+    assert repr((report.final_bound, report.bound_trajectory)) == expected
