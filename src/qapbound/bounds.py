@@ -36,7 +36,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from itertools import chain
-from operator import add, itemgetter
+from operator import add
 
 from .beta_steps import beta_bca_pass, beta_exact_update
 from .model import DUMMY, IqapInstance
@@ -117,10 +117,8 @@ def dual_bound(inst: IqapInstance, state: IqapDualState) -> float:
     if not inst.integral:
         groups += [*unary.costs, *(e.cells.values() for e in inst.edges)]
     # ``float.__instancecheck__(x)`` is ``isinstance(x, float)``, in C.
-    floats = filter(float.__instancecheck__, chain.from_iterable(groups))
-    # The largest denominator is a power of two, or 0 if there is no float.
-    scale = max(map(itemgetter(1), map(float.as_integer_ratio, floats)),
-                default=0)
+    scale = _common_scale(
+        list(filter(float.__instancecheck__, chain.from_iterable(groups))))
     sums = [_scaled(row, scale) for row in unary.costs]
     total = 0
     for e in inst.edges:
@@ -129,15 +127,30 @@ def dual_bound(inst: IqapInstance, state: IqapDualState) -> float:
         sums[e.u] = list(map(add, sums[e.u], out_u))
         sums[e.v] = list(map(add, sums[e.v], out_v))
         if e.integral:
-            total += _edge_minimum(out_u, out_v, e.rows_u, scale or 1)
+            total += _edge_minimum(out_u, out_v, e, e.rows_u, scale or 1)
         else:
-            total += _edge_minimum(out_u, out_v, _scaled_rows(e.rows_u, scale))
+            total += _edge_minimum(out_u, out_v, e,
+                                   _scaled_rows(e.rows_u, scale))
     beta = _scaled([min(b, 0) for b in state.beta], scale)
     total += sum(beta)
     for labs, row in zip(unary.allowed, sums):
         total += min([c if lab == DUMMY else c - beta[lab]
                       for lab, c in zip(labs, row)])
     return _round_down(total, scale) if scale else total
+
+
+def _common_scale(floats: list) -> int:
+    """A power of two whose product with every float in ``floats`` is an
+    int, or 0 when there is no float.
+
+    A float is a multiple of its unit in the last place, and a larger
+    magnitude has a unit no smaller, so the reciprocal of the unit of the
+    smallest non-zero magnitude serves every float (1 if all are zeros).
+    """
+    if not floats:
+        return 0
+    tiny = min(map(abs, filter(None, floats)), default=0.0)
+    return math.ulp(tiny).as_integer_ratio()[1] if tiny else 1
 
 
 def _scaled(row, scale: int) -> list:

@@ -307,11 +307,14 @@ class PairwiseEdge:
     and rounding is monotone in the one arithmetic each scan uses (see
     ``wcsp.IqapDualState``).
 
-    ``integral`` is true when every stored cost is an int.
+    ``integral`` is true when every stored cost is an int, and
+    ``nonnegative`` when no stored cost is below zero; then a row that does
+    not store the cheapest column has that column as its minimum, which
+    ``wcsp`` uses to skip it.
     """
 
     __slots__ = ("u", "v", "cells", "rows_u", "rows_v", "max_abs_cost",
-                 "integral")
+                 "integral", "nonnegative")
 
     def __init__(self, u: int, v: int, cells: Mapping, unary: IlapInstance):
         if u == v:
@@ -354,6 +357,9 @@ class PairwiseEdge:
         self.rows_v = _row_table(cols, len(rows))
         self.max_abs_cost = max(map(abs, norm.values()), default=0)
         self.integral = integral
+        # Each row's first cell is its cheapest.
+        self.nonnegative = all([row[2][0][1] >= 0 for row in self.rows_u
+                                if row is not None])
 
 
 def _row_table(grouped: list, num_cols: int) -> tuple:

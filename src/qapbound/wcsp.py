@@ -22,7 +22,13 @@ They read the row tables that every ``PairwiseEdge`` builds once at
 construction, so a sweep builds no per-edge structure: a row without
 stored cells is answered by the cheapest column alone, a sparse row by the
 cheapest column it does not store, and a dense row by the few columns it
-does not store, before its stored cells are compared.
+does not store, before its stored cells are compared.  On an edge whose
+cells are all non-negative, a row that does not store the cheapest column
+is answered by that column: no stored cell can undercut it.  So the scan
+reads the transposed table's entry for that column, the rows that store
+it, and visits only those (about three in ten on graph-matching edges).
+A pass builds the label potential of each label once, as one row per
+vertex, and a handshake subtracts that row from the cached unaries.
 
 Each row's stored cells are kept in ascending cost order, so the scan of a
 row stops at its first cell whose cost plus the cheapest column is not below
@@ -86,17 +92,20 @@ class IqapDualState:
         dup.phi = {key: list(vals) for key, vals in self.phi.items()}
         return dup
 
-    def tilde(self, v: int) -> list:
-        """Reparametrized unary of ``v`` with ``beta`` subtracted.
-
-        Entry order matches ``inst.unary.allowed[v]``; the dummy label keeps
-        its plain reparametrized cost.
-        """
+    def potentials(self, v: int) -> list:
+        """The label potential of each label of ``v``: 0 for the dummy,
+        ``beta[lab]`` otherwise, in ``inst.unary.allowed[v]`` order."""
         beta = self.beta
-        return [
-            cost if lab == DUMMY else cost - beta[lab]
-            for lab, cost in zip(self.inst.unary.allowed[v], self.theta_phi[v])
-        ]
+        return [0 if lab == DUMMY else beta[lab]
+                for lab in self.inst.unary.allowed[v]]
+
+    def tilde(self, v: int) -> list:
+        """Reparametrized unary of ``v`` minus its ``potentials``.
+
+        The dummy label's entry is its reparametrized cost minus int 0,
+        which is that cost itself.
+        """
+        return list(map(sub, self.theta_phi[v], self.potentials(v)))
 
 
 def reparam_pairwise(state: IqapDualState, u: int, v: int, k: int, l: int):
@@ -107,19 +116,39 @@ def reparam_pairwise(state: IqapDualState, u: int, v: int, k: int, l: int):
     return base - state.phi[(v, u)][iv] - state.phi[(u, v)][iu]
 
 
-def _row_minima(base: list, rows: tuple, scale: int = 1) -> list:
+def _row_minima(base: list, rows: tuple, trans: tuple | None,
+                scale: int = 1) -> list:
     """Per row r: min over columns j of ``base[j] + scale * stored(r, j)``.
 
     ``rows`` is a ``PairwiseEdge`` row table (``rows_u`` or ``rows_v``);
-    absent cells count as zero.  Each stored cell is multiplied by ``scale``
-    when the scan reads it, so no caller copies the table to scale it.  The
-    cheapest column answers every row that stores no cell, and every sparse
-    row that does not store that column; a sparse row that does walks the
-    columns in ascending ``base`` order (ties to the smaller index) to its
-    first unstored one.  A dense row takes the minimum over its few
-    unstored columns.  The stored cells come last, in ascending cost order,
-    each replacing the running minimum only when strictly smaller, so every
-    row yields exactly the value of a strict scan in that order.
+    absent cells count as zero.  ``trans`` is its transpose, the other
+    table of the same edge, or ``None`` when the edge has a negative cell
+    (see ``_transposes``).  Only the structure of ``trans`` is read, so it
+    may hold unscaled costs.
+
+    ``cheapest`` is the smallest entry of ``base`` and ``first`` its first
+    column.  Every row starts at ``cheapest``, and only the rows that store
+    column ``first``, which ``trans[first]`` lists, are scanned.  On an
+    edge without negative cells that is exact.  A row that does not store
+    ``first`` has the value ``cheapest`` there, and every other column
+    ``j`` gives ``base[j] + c`` with ``base[j] >= cheapest`` and ``c >= 0``,
+    which rounds to at least ``cheapest`` since rounding is monotone.  A
+    scan of such a row starts at ``cheapest`` itself (a dense row's unstored
+    columns ascend, so their ``min`` is ``base[first]``) and keeps it, since
+    a value replaces the running minimum only when strictly smaller.  Every
+    row is scanned when ``trans`` is ``None``, and when ``trans[first]`` is
+    a dense entry: then most rows store the column, and walking the table
+    costs less than indexing it row by row.
+
+    Each stored cell is multiplied by ``scale`` when the scan reads it, so
+    no caller copies the table to scale it.  The cheapest column answers
+    every scanned row that stores no cell, and every sparse row that does
+    not store that column; a sparse row that does walks the columns in
+    ascending ``base`` order (ties to the smaller index) to its first
+    unstored one.  A dense row takes the minimum over its few unstored
+    columns.  The stored cells come last, in ascending cost order, each
+    replacing the running minimum only when strictly smaller, so every row
+    yields exactly the value of a strict scan in that order.
 
     The scan of the cells stops at the first cell ``(j, c)``, ``c`` scaled,
     with ``cheapest + c >= best``.  Every later cell ``(j', c')`` has
@@ -130,12 +159,18 @@ def _row_minima(base: list, rows: tuple, scale: int = 1) -> list:
     """
     cheapest = min(base)
     first = base.index(cheapest)
+    out = [cheapest] * len(rows)
+    scan = range(len(rows))
+    if trans is not None:
+        column = trans[first]
+        if column is None:
+            return out
+        if not column[0]:
+            scan = column[1]
     order = None
-    out = []
-    append = out.append
-    for row in rows:
+    for r in scan:
+        row = rows[r]
         if row is None:
-            append(cheapest)
             continue
         dense, cols, cells = row
         if dense:
@@ -156,23 +191,34 @@ def _row_minima(base: list, rows: tuple, scale: int = 1) -> list:
             val = base[j] + c
             if val < best:
                 best = val
-        append(best)
+        out[r] = best
     return out
 
 
-def _handshake(state: IqapDualState, u: int, v: int,
-               rows_u: tuple, rows_v: tuple) -> None:
-    """Edge update with the row tables of ``u`` and of ``v`` given."""
+def _transposes(edge) -> tuple:
+    """``_row_minima``'s ``trans`` for ``edge.rows_u`` and for
+    ``edge.rows_v``: the other table, or ``None`` for both when the edge
+    has a negative cell."""
+    if edge.nonnegative:
+        return edge.rows_v, edge.rows_u
+    return None, None
+
+
+def _handshake(state: IqapDualState, e, pot_u: list, pot_v: list) -> None:
+    """Edge update on ``e``, with the label potentials of ``e.u`` and of
+    ``e.v`` given as ``IqapDualState.potentials`` rows."""
+    u, v = e.u, e.v
     phi_uv = state.phi[(u, v)]
     phi_vu = state.phi[(v, u)]
-    tu = state.tilde(u)
-    tv = state.tilde(v)
-    base_u = [t - p for t, p in zip(tu, phi_uv)]
-    base_v = [t - p for t, p in zip(tv, phi_vu)]
-    min_over_v = _row_minima(base_v, rows_u)
-    min_over_u = _row_minima(base_u, rows_v)
     unary_u = state.theta_phi[u]
     unary_v = state.theta_phi[v]
+    tu = list(map(sub, unary_u, pot_u))
+    tv = list(map(sub, unary_v, pot_v))
+    base_u = list(map(sub, tu, phi_uv))
+    base_v = list(map(sub, tv, phi_vu))
+    trans_u, trans_v = _transposes(e)
+    min_over_v = _row_minima(base_v, e.rows_u, trans_u)
+    min_over_u = _row_minima(base_u, e.rows_v, trans_v)
     for k in range(len(base_u)):
         delta = (base_u[k] + min_over_v[k]) / 2 - tu[k]
         phi_uv[k] += delta
@@ -184,41 +230,48 @@ def _handshake(state: IqapDualState, u: int, v: int,
 
 
 def mplp_pp_edge_update(state: IqapDualState, u: int, v: int) -> None:
-    """One handshake on edge (u, v): split min-marginals between endpoints."""
+    """One handshake on edge (u, v): split min-marginals between endpoints.
+
+    Each side's update reads only the state before the handshake, so the
+    order of ``u`` and ``v`` does not matter.
+    """
     edge = state.inst.edge_between(u, v)
     if edge is None:
         raise ValueError(f"no edge between vertices {u} and {v}")
-    if edge.u == u:
-        _handshake(state, u, v, edge.rows_u, edge.rows_v)
-    else:
-        _handshake(state, u, v, edge.rows_v, edge.rows_u)
+    _handshake(state, edge, state.potentials(edge.u),
+               state.potentials(edge.v))
 
 
 def mplp_pp_pass(state: IqapDualState, *, backward: bool = False) -> None:
     """Apply the edge update once per edge, in ascending endpoint order.
 
-    ``backward`` adds a second sweep in reverse order.
+    ``backward`` adds a second sweep in reverse order.  A handshake leaves
+    ``beta`` alone, so the potential rows are built once per pass.
     """
     edges = state.inst.edges
+    pots = [state.potentials(v) for v in range(len(state.theta_phi))]
     for e in edges:
-        _handshake(state, e.u, e.v, e.rows_u, e.rows_v)
+        _handshake(state, e, pots[e.u], pots[e.v])
     if backward:
         for e in reversed(edges):
-            _handshake(state, e.u, e.v, e.rows_u, e.rows_v)
+            _handshake(state, e, pots[e.u], pots[e.v])
 
 
 def pairwise_minimum(state: IqapDualState, edge) -> float:
     """Minimum reparametrized pairwise cost of ``edge`` over all label pairs."""
     return _edge_minimum(state.phi[(edge.u, edge.v)],
-                         state.phi[(edge.v, edge.u)], edge.rows_u)
+                         state.phi[(edge.v, edge.u)], edge, edge.rows_u)
 
 
-def _edge_minimum(out_u: list, out_v: list, rows_u: tuple, scale: int = 1):
+def _edge_minimum(out_u: list, out_v: list, edge, rows_u: tuple,
+                  scale: int = 1):
     """Minimum over label pairs of ``scale`` times a stored cell minus both
     messages.
 
-    ``out_u`` and ``out_v`` are the edge's outgoing messages from ``u`` and
-    from ``v``, ``rows_u`` its row table (cells may be any numbers).
+    ``out_u`` and ``out_v`` are ``edge``'s outgoing messages from ``u`` and
+    from ``v``; ``rows_u`` is ``edge.rows_u`` or a copy of it with its
+    cells scaled (cells may be any numbers).
     """
-    per_row = _row_minima([-p for p in out_v], rows_u, scale)
+    per_row = _row_minima([-p for p in out_v], rows_u, _transposes(edge)[0],
+                          scale)
     return min(map(sub, per_row, out_u))

@@ -326,6 +326,51 @@ class TestExactOnReachableStates:
         assert (float_edges > 0) == (cells != "int")
         assert bool(calls) == (cells != "int")
 
+    def test_common_scale_gives_the_bound_of_the_largest_denominator(
+            self, monkeypatch):
+        # ``_common_scale`` may exceed the largest denominator of the
+        # state's floats, but the bound is exact either way: ``repr`` and
+        # type match the largest denominator's result.  The cases: states
+        # a run reaches, one whose only float is a zero potential (the
+        # bound is still a float), and one with a subnormal message.
+        def largest_denominator(floats):
+            return max((x.as_integer_ratio()[1] for x in floats), default=0)
+
+        def bound(inst, state, scale):
+            with monkeypatch.context() as patch:
+                patch.setattr(bounds, "_common_scale", scale)
+                return dual_bound(inst, state)
+
+        rng = seeded(151)
+        cases = []
+        for _ in range(30):
+            inst = random_iqap(rng)
+            if rng.random() < 0.5:
+                inst = with_float_cells(inst, set(range(len(inst.edges))))
+            cases += [(inst, state.copy())
+                      for state in self.states(inst, rng)]
+        inst = random_iqap(seeded(157))
+        zero = IqapDualState(inst)
+        zero.beta[0] = 0.0
+        cases.append((inst, zero))
+        subnormal = IqapDualState(inst)
+        mplp_pp_pass(subnormal)
+        out = subnormal.phi[(inst.edges[0].u, inst.edges[0].v)]
+        out[0] = 5e-324
+        cases.append((inst, subnormal))
+        for inst, state in cases:
+            want = bound(inst, state, largest_denominator)
+            assert repr(bound(inst, state, bounds._common_scale)) == repr(want)
+        assert type(bound(*cases[-2], bounds._common_scale)) is float
+
+    @pytest.mark.parametrize("floats, scale", [
+        ([], 0), ([0.0], 1), ([-0.0, 2.0**60], 1), ([0.0, -0.0, 3.0], 2**51),
+        ([2.0**60, 0.5], 2**53), ([0.75, 1e-3], 2**62),
+        ([5e-324, 1.5], 2**1074),
+    ])
+    def test_common_scale(self, floats, scale):
+        assert bounds._common_scale(floats) == scale
+
     def test_subnormal_message_takes_the_exact_fallback(self, monkeypatch):
         # 5e-324 has denominator 2**1074, which no float can hold, so
         # ``_scaled`` multiplies numerators instead of floats.

@@ -483,6 +483,15 @@ class TestPairwiseEdge:
         assert edge.cells == {(0, 1): 2.5, (1, 2): -3}
         assert not edge.integral and edge.max_abs_cost == 3
 
+    @pytest.mark.parametrize("cells, nonnegative", [
+        ({}, True),
+        ({(0, 1): 0, (1, 2): 2.5, (DUMMY, 1): 0.0}, True),
+        ({(0, 1): 3, (1, 2): -0.5}, False),
+        ({(DUMMY, 2): -1}, False),
+    ])
+    def test_nonnegative_flags_a_negative_cell(self, cells, nonnegative):
+        assert PairwiseEdge(0, 1, cells, self.core).nonnegative is nonnegative
+
     def test_given_dict_is_kept_unless_a_cost_is_normalized(self):
         given = {(0, 1): 3, (1, 2): 2.5}
         assert PairwiseEdge(0, 1, given, self.core).cells is given

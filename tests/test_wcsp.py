@@ -3,12 +3,14 @@ from pathlib import Path
 import pytest
 
 from qapbound import wcsp
+from qapbound.beta_steps import beta_bca_pass
 from qapbound.bounds import _scaled, dual_bound
 from qapbound.formats import augment_instance, load_instance, parse_dd
 from qapbound.model import DUMMY, IlapInstance, IqapInstance, iqap_objective
 from qapbound.wcsp import (
     IqapDualState,
     _row_minima,
+    _transposes,
     mplp_pp_edge_update,
     mplp_pp_pass,
     pairwise_minimum,
@@ -221,6 +223,31 @@ class TestEdgeUpdate:
             with pytest.raises(ValueError, match="no edge"):
                 mplp_pp_edge_update(state, u, v)
 
+    def test_edge_updates_in_pass_order_give_the_pass_bitwise(self):
+        # Label steps between passes make ``beta`` non-zero, so the pass's
+        # potential rows and the update's own ones are both exercised.
+        rng = seeded(47)
+        for _ in range(40):
+            inst = row_kinds_iqap(rng)
+            state = IqapDualState(inst)
+            for _ in range(rng.randint(0, 2)):
+                mplp_pp_pass(state)
+                beta_bca_pass(state)
+            backward = rng.random() < 0.5
+            passed = state.copy()
+            mplp_pp_pass(passed, backward=backward)
+            order = list(inst.edges)
+            if backward:
+                order += reversed(inst.edges)
+            for e in order:
+                u, v = (e.u, e.v) if rng.random() < 0.5 else (e.v, e.u)
+                mplp_pp_edge_update(state, u, v)
+            for key, messages in passed.phi.items():
+                assert (list(map(_bits, state.phi[key]))
+                        == list(map(_bits, messages)))
+            for got, want in zip(state.theta_phi, passed.theta_phi):
+                assert list(map(_bits, got)) == list(map(_bits, want))
+
     def test_orientation_does_not_matter(self):
         rng = seeded(41)
         for _ in range(30):
@@ -303,8 +330,10 @@ def _full_scan(base, stored):
             for row in stored]
 
 
-def _full_scan_of_rows(base, rows):
-    """``_full_scan`` over the cells of a ``PairwiseEdge`` row table."""
+def _full_scan_of_rows(base, rows, trans, scale=1):
+    """``_full_scan`` over the cells of a ``PairwiseEdge`` row table, as
+    the handshake calls ``_row_minima``."""
+    assert scale == 1
     return _full_scan(base, [dict(row[2]) if row else {} for row in rows])
 
 
@@ -431,22 +460,98 @@ def _assert_ascending(rows):
             assert costs == sorted(costs)
 
 
+def _column_kind(edge, base):
+    """The kind of the ``rows_v`` entry for the cheapest column of ``base``,
+    the entry the transposed scan reads, or why it is not read."""
+    if not edge.nonnegative:
+        return "negative cell"
+    column = edge.rows_v[base.index(min(base))]
+    if column is None:
+        return "stored by no row"
+    return "dense" if column[0] else "sparse"
+
+
+def _nonnegative(cost):
+    return lambda rng: abs(cost(rng))
+
+
+def _negative_off_the_cheapest_column(rng, base, cost):
+    """A ``_sorted_rows_edge`` instance with ``cost`` made non-negative in
+    the rows that store the cheapest column of ``base`` and negative in
+    every other row.  The edge holds at least one negative cell."""
+    while True:
+        inst, _ = _sorted_rows_edge(rng, base, _nonnegative(cost))
+        labels = inst.unary.allowed[1]
+        cheapest = labels[base.index(min(base))]
+        rows = {k for k, l in inst.edges[0].cells if l == cheapest}
+        cells = {(k, l): c if k in rows else -c - 1
+                 for (k, l), c in inst.edges[0].cells.items()}
+        if any(c < 0 for c in cells.values()):
+            return IqapInstance(inst.unary, [(0, 1, cells)])
+
+
 class TestRowMinimaEarlyExit:
-    def test_equals_full_scan_bitwise(self):
+    @staticmethod
+    def check_float_base(cost):
+        """The handshake's call against full scans, bit for bit, on edges
+        of ``cost`` cells over every row kind; returns the column kinds."""
         rng = seeded(211)
         kinds = set()
+        columns = set()
         for _ in range(400):
             n = rng.randint(1, 12)
             base = [float(_random_cost(rng)) for _ in range(n)]
-            inst, row_kinds = _sorted_rows_edge(rng, base)
+            inst, row_kinds = _sorted_rows_edge(rng, base, cost)
             edge = inst.edges[0]
             _assert_ascending(edge.rows_u)
-            got = _row_minima(base, edge.rows_u)
+            got = _row_minima(base, edge.rows_u, _transposes(edge)[0])
             want = _full_scan(base, _stored(edge, inst))
             assert list(map(_bits, got)) == list(map(_bits, want))
             kinds.update(row_kinds)
+            columns.add(_column_kind(edge, base))
         assert kinds == {"empty", "sparse", "sparse, cheapest stored",
                          "dense", "full"}
+        return columns
+
+    def test_equals_full_scan_bitwise(self):
+        assert "negative cell" in self.check_float_base(_random_cost)
+
+    def test_transposed_scan_equals_full_scan_bitwise(self):
+        columns = self.check_float_base(_nonnegative(_random_cost))
+        assert columns == {"stored by no row", "sparse", "dense"}
+
+    @pytest.mark.parametrize("cells", ["float", "int"])
+    def test_negative_cells_off_the_cheapest_column(self, cells):
+        # Rows that do not store the cheapest column hold negative cells,
+        # so they can undercut it and must be scanned: ``_transposes``
+        # gives ``None``.  First the handshake's call (a float base,
+        # ``scale`` 1), then ``dual_bound``'s (an int base and cells, a
+        # power of two).
+        rng = seeded({"float": 229, "int": 233}[cells])
+        undercut = 0
+        for _ in range(300):
+            # With one column, every stored cell is on the cheapest one.
+            n = rng.randint(2, 12)
+            base = [float(_random_cost(rng)) for _ in range(n)]
+            cost = _random_cost if cells == "float" else _random_int_cost
+            inst = _negative_off_the_cheapest_column(rng, base, cost)
+            edge = inst.edges[0]
+            assert not edge.nonnegative
+            assert _transposes(edge) == (None, None)
+            stored = _stored(edge, inst)
+            scale = 1
+            if cells == "int":
+                scale = max(x.as_integer_ratio()[1] for x in base)
+                base = _scaled(base, scale)
+                stored = [{j: c * scale for j, c in row.items()}
+                          for row in stored]
+            want = _full_scan(base, stored)
+            got = _row_minima(base, edge.rows_u, None, scale)
+            assert list(map(_bits, got)) == list(map(_bits, want))
+            # The transposed scan would keep a row at the cheapest column.
+            skipped = _row_minima(base, edge.rows_u, edge.rows_v, scale)
+            undercut += skipped != want
+        assert undercut > 0
 
     @pytest.mark.parametrize("base, cells", [
         # 1 + 2**53 rounds half to even, down to 2**53: below the unstored
@@ -462,8 +567,9 @@ class TestRowMinimaEarlyExit:
         labels = core.allowed[1]
         inst = IqapInstance(core, [(0, 1, {(DUMMY, labels[j]): c
                                            for j, c in cells.items()})])
-        want = _full_scan(base, _stored(inst.edges[0], inst))
-        got = _row_minima(base, inst.edges[0].rows_u)
+        edge = inst.edges[0]
+        want = _full_scan(base, _stored(edge, inst))
+        got = _row_minima(base, edge.rows_u, _transposes(edge)[0])
         assert list(map(_bits, got)) == list(map(_bits, want))
 
     def test_float_unaries_on_edge_vertices_and_pass_matches_full_scan(
@@ -513,22 +619,30 @@ class TestRowMinimaEarlyExit:
         # ints by a power of two, the edge's own row table and that power
         # of two, by which the scan multiplies each cell it reads.  Then a
         # handshake's call: a float base and ``scale`` 1.
+        self.check_int_scaled_rows(_random_int_cost)
+
+    def test_transposed_scan_on_int_scaled_rows(self):
+        self.check_int_scaled_rows(_nonnegative(_random_int_cost))
+
+    @staticmethod
+    def check_int_scaled_rows(cost):
         rng = seeded(223)
         kinds = set()
         for _ in range(300):
             n = rng.randint(1, 12)
             base = [float(_random_cost(rng)) for _ in range(n)]
-            inst, row_kinds = _sorted_rows_edge(rng, base, _random_int_cost)
+            inst, row_kinds = _sorted_rows_edge(rng, base, cost)
             edge = inst.edges[0]
             assert edge.integral
             scale = max(x.as_integer_ratio()[1] for x in base)
             int_base = _scaled(base, scale)
             stored = _stored(edge, inst)
             scaled = [{j: c * scale for j, c in row.items()} for row in stored]
-            got = _row_minima(int_base, edge.rows_u, scale)
+            trans = _transposes(edge)[0]
+            got = _row_minima(int_base, edge.rows_u, trans, scale)
             assert all(type(x) is int for x in got)
             assert got == _full_scan(int_base, scaled)
-            got = _row_minima(base, edge.rows_u, 1)
+            got = _row_minima(base, edge.rows_u, trans, 1)
             assert list(map(_bits, got)) == list(map(_bits,
                                                      _full_scan(base, stored)))
             kinds.update(row_kinds)
