@@ -97,12 +97,12 @@ def dual_bound(inst: IqapInstance, state: IqapDualState) -> float:
 
     The unaries are rebuilt from ``inst.unary.costs`` plus the outgoing
     messages, not read from ``theta_phi``, whose float updates drift.
-    Every float is dyadic, so one common power of two turns every cost,
-    message and potential into an int, and the bound is summed in ints,
-    edge by edge.  An edge whose cells are all ints hands its own row table
-    and the power of two to the kernel, which scales only the cells it
-    reads; an edge holding a float cell is scaled in full by
-    ``_scaled_rows``.  Each potential is evaluated as ``min(b, 0)``; one
+    Every float is dyadic, so one common power of two (``_common_scale``)
+    turns every cost, message and potential into an int, and the bound is
+    summed in ints, edge by edge.  An edge whose cells are all ints hands
+    its own row table and the power of two to the kernel, which scales
+    only the cells it reads; an edge holding a float cell is scaled in
+    full by ``_scaled_rows``.  Each potential is evaluated as ``min(b, 0)``; one
     positive beyond tolerance is an error.  A state that holds no float
     gives the int sum; otherwise the result is the largest float not above
     the exact value.

@@ -137,8 +137,8 @@ def _row_minima(base: list, rows: tuple, trans: tuple | None,
     columns ascend, so their ``min`` is ``base[first]``) and keeps it, since
     a value replaces the running minimum only when strictly smaller.  Every
     row is scanned when ``trans`` is ``None``, and when ``trans[first]`` is
-    a dense entry: then most rows store the column, and walking the table
-    costs less than indexing it row by row.
+    a dense entry, which lists the rows that do not store the column: most
+    rows need the scan then, and the few others get their unchanged value.
 
     Each stored cell is multiplied by ``scale`` when the scan reads it, so
     no caller copies the table to scale it.  The cheapest column answers
@@ -249,7 +249,7 @@ def mplp_pp_pass(state: IqapDualState, *, backward: bool = False) -> None:
     ``beta`` alone, so the potential rows are built once per pass.
     """
     edges = state.inst.edges
-    pots = [state.potentials(v) for v in range(len(state.theta_phi))]
+    pots = [state.potentials(v) for v in range(state.inst.num_vertices)]
     for e in edges:
         _handshake(state, e, pots[e.u], pots[e.v])
     if backward:

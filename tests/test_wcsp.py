@@ -524,9 +524,9 @@ class TestRowMinimaEarlyExit:
     def test_negative_cells_off_the_cheapest_column(self, cells):
         # Rows that do not store the cheapest column hold negative cells,
         # so they can undercut it and must be scanned: ``_transposes``
-        # gives ``None``.  First the handshake's call (a float base,
-        # ``scale`` 1), then ``dual_bound``'s (an int base and cells, a
-        # power of two).
+        # gives ``None``.  ``float`` is the handshake's call (a float base,
+        # ``scale`` 1), ``int`` is ``dual_bound``'s (an int base and int
+        # cells, a power of two).
         rng = seeded({"float": 229, "int": 233}[cells])
         undercut = 0
         for _ in range(300):
