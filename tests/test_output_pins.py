@@ -19,7 +19,10 @@ pins above may not.
 
 The pins on the 220-vertex graph-matching instance, the size the
 benchmark's ``gm-*`` workloads solve, were recorded before the message
-pass scanned only the rows that store the cheapest column.
+pass scanned only the rows that store the cheapest column.  The ``hung``
+pins on that instance and on the benchmark's n = 28 QAPLIB instance were
+recorded before the kernel read a dense row's one unstored column
+directly and before the exact step stopped re-normalizing its costs.
 """
 
 import json
@@ -346,6 +349,12 @@ WORKLOAD_PINS = {
         " 5946.838982395332, 6184.155425520016, 6333.001511981674, "
         "6440.700074467358, 6519.8144928412175, 6580.784875478647, "
         "6628.1445656326105, 6666.997344793358])"),
+    "hung": (
+        10,
+        "(6647.243022020273, [3511, 4624.603717803955, 5504.619477874053, "
+        "5940.841692629833, 6176.557447804945, 6325.116563771328, "
+        "6431.422162120753, 6507.589933981348, 6565.466671563738, "
+        "6610.5785400083205, 6647.243022020277])"),
 }
 
 
@@ -363,3 +372,23 @@ def test_workload_sized_bound_is_pinned(workload_gm, method):
         method=method, max_iterations=iterations,
         bound_improvement_epsilon=0))
     assert repr((report.final_bound, report.bound_trajectory)) == expected
+
+
+# repr((final_bound, bound_trajectory)) of ``hung`` on augmented
+# ``write_qaplib(size=28)``, seed 1, epsilon 0, 10 iterations: the
+# benchmark's ``qaplib-hung`` instance and iteration count
+QAPLIB_WORKLOAD_PIN = (
+    "(-519598.0, [-521668, -520437.0883176867, -519910.4119050927, "
+    "-519671.2767618812, -519602.0925622436, -519598.00000000006, "
+    "-519598.0, -519597.99999999994, -519598.0000000001, "
+    "-519597.9999999999, -519598.0])")
+
+
+def test_qaplib_workload_sized_bound_is_pinned(tmp_path):
+    path = tmp_path / "qaplib.dat"
+    benchmark_generators().write_qaplib(path, 1, size=28)
+    inst = load_instance(path, fmt="qaplib", augment=True)
+    report = run(inst, SolverConfig(method="hung", max_iterations=10,
+                                    bound_improvement_epsilon=0))
+    assert repr((report.final_bound, report.bound_trajectory)) \
+        == QAPLIB_WORKLOAD_PIN
