@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import repeat
+from operator import lt
 
 from .model import LapDual, LapInstance, require_dual_feasible
 
@@ -58,15 +60,26 @@ def equality_subgraph(inst: LapInstance, dual: LapDual) -> EqualitySubgraph:
     """Edges whose dual constraint is tight within the instance tolerance.
 
     Rejects duals that are infeasible beyond tolerance, since the set of
-    tight constraints is not meaningful for them.
+    tight constraints is not meaningful for them.  One list of slacks per
+    row serves both the feasibility check and the tight labels; a dual of
+    the wrong kind or length, or a row with a violated constraint, is
+    handed to ``require_dual_feasible``, which raises its own error.
     """
-    require_dual_feasible(inst, dual)
+    if not (isinstance(inst, LapInstance) and isinstance(dual, LapDual)
+            and len(dual.alpha) == inst.num_vertices
+            and len(dual.beta) == inst.num_labels):
+        require_dual_feasible(inst, dual)
+        raise ValueError("expected a LapInstance and a LapDual")
     atol = inst.atol
+    floor = repeat(-atol)
+    beta = dual.beta
     adjacency = []
-    for v, (labs, cs) in enumerate(zip(inst.allowed, inst.costs)):
-        av = dual.alpha[v]
-        adjacency.append(tuple(
-            lab for lab, c in zip(labs, cs) if c - av - dual.beta[lab] <= atol))
+    for labs, cs, av in zip(inst.allowed, inst.costs, dual.alpha):
+        slack = [c - av - beta[lab] for lab, c in zip(labs, cs)]
+        if any(map(lt, slack, floor)):
+            require_dual_feasible(inst, dual)
+        adjacency.append(tuple([lab for lab, s in zip(labs, slack)
+                                if s <= atol]))
     return EqualitySubgraph(tuple(adjacency))
 
 
@@ -81,10 +94,21 @@ def solve_lap(inst: LapInstance):
     Each augmentation is a Dijkstra sweep from one unmatched vertex.  Labels
     are taken in heap order of ``(distance, label)``: smallest tentative
     distance first, ties to the smallest label index, so the assignment and
-    dual returned for an instance do not depend on heap internals.  A label
-    is pushed whenever its distance strictly drops; stale entries are
-    skipped when popped.  The sweep costs O(arcs scanned * log n), and the
-    potential update after it touches only the labels it scanned.
+    dual returned for an instance do not depend on heap internals.  The
+    sweep ends at the first free label it takes.  The sweep costs
+    O(arcs scanned * log n), and the potential update after it touches only
+    the labels it scanned.
+
+    A label's distance is recorded and pushed when it strictly drops, and
+    only while ``(distance, label)`` stays below that of the best free label
+    pushed so far in the sweep.  An entry at or above it cannot be taken
+    before that free label, which ends the sweep, so leaving it out changes
+    neither the labels taken nor their distances and predecessors: every
+    later distance that does get pushed is below the free label's, hence
+    below every distance left out, and replaces the same recorded one.
+    Stale entries are skipped when popped.  The distance, predecessor and
+    scanned flags are allocated once per solve; after each sweep only the
+    entries it set are reset.
     """
     n = inst.num_vertices
     if n == 0:
@@ -94,13 +118,16 @@ def solve_lap(inst: LapInstance):
     beta = [zero] * n
     match_label = [-1] * n   # vertex -> label
     match_vertex = [-1] * n  # label -> vertex
+    dist = [INF] * n
+    pred = [-1] * n
+    done = [False] * n
 
     for start in range(n):
-        dist = [INF] * n
-        pred = [-1] * n
-        done = [False] * n
         scanned = []
         heap = []
+        # (distance, label) of the best free label pushed in this sweep
+        stop_dist = INF
+        stop_lab = n
         u = start
         path_len = zero
         while True:
@@ -111,10 +138,14 @@ def solve_lap(inst: LapInstance):
                 if done[lab]:
                     continue
                 nd = path_len + c - au - beta[lab]
-                if nd < dist[lab]:
+                if nd < dist[lab] and (nd < stop_dist or (
+                        nd == stop_dist and lab < stop_lab)):
                     dist[lab] = nd
                     pred[lab] = u
                     heappush(heap, (nd, lab))
+                    if match_vertex[lab] < 0:
+                        stop_dist = nd
+                        stop_lab = lab
             # Lazy deletion: skip entries for scanned labels and entries
             # superseded by a later, strictly smaller distance.
             while heap:
@@ -131,13 +162,17 @@ def solve_lap(inst: LapInstance):
             path_len = best_dist
 
         # Shift potentials so the augmenting path becomes tight while every
-        # reduced cost stays non-negative.
+        # reduced cost stays non-negative; reset the sweep's entries.
         for lab in scanned:
             diff = dist[lab] - best_dist
             beta[lab] += diff
             owner = match_vertex[lab]
             if owner >= 0:
                 alpha[owner] -= diff
+            dist[lab] = INF
+            done[lab] = False
+        for _, lab in heap:
+            dist[lab] = INF
         alpha[start] += best_dist
 
         # Flip the matching along the augmenting path.

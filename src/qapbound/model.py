@@ -133,33 +133,54 @@ def _sort_rows(allowed, costs, num_labels: int, *, dummy_required: bool):
     return tuple(rows), cost_rows
 
 
+# The type sets of the rows that ``_normalize_costs`` keeps as they are.
+_INT_ONLY = {int}
+_FLOAT_ONLY = {float}
+
+
 def _normalize_costs(costs, allowed):
     """Cost half of construction, for cost rows parallel to ``allowed``.
 
     Checks the row lengths and normalizes every cost with ``_as_cost``.
     Returns (cost rows as nested tuples, max abs cost, all-int flag).
+
+    Each row is screened in C first.  A row of ints only is normal as it
+    is, and so is a row of floats only whose sum is finite (so every cell
+    is) and none of whose cells ``is_integer()``.  Any other row takes the
+    per-cell rule, which raises the errors of ``_as_cost``.
     """
     if len(costs) != len(allowed):
         raise ValueError("allowed and costs must have one entry per vertex")
     rows = []
-    max_abs = 0
-    integral = True
     for v, (cs, labs) in enumerate(zip(costs, allowed)):
         if len(cs) != len(labs):
             raise ValueError(f"vertex {v}: label list and cost list differ in length")
+        kinds = set(map(type, cs))
+        if kinds == _INT_ONLY or (
+                kinds == _FLOAT_ONLY and math.isfinite(sum(cs))
+                and not any(map(float.is_integer, cs))):
+            rows.append(tuple(cs))
+            continue
         where = f"vertex {v}"
         # Ints and finite non-integer floats are already normal; this skips
         # the call for nearly every cell.
-        row = tuple([c if type(c) is int or (type(c) is float and c - c == 0
-                                             and not c.is_integer())
-                     else _as_cost(c, where) for c in cs])
-        rows.append(row)
+        rows.append(tuple([c if type(c) is int or (type(c) is float and c - c == 0
+                                                   and not c.is_integer())
+                           else _as_cost(c, where) for c in cs]))
+    return (tuple(rows), *_cost_summary(rows))
+
+
+def _cost_summary(rows) -> tuple:
+    """(max abs cost, all-int flag) of normalized cost rows."""
+    max_abs = 0
+    integral = True
+    for row in rows:
         row_max = max(map(abs, row))
         if row_max > max_abs:
             max_abs = row_max
         if integral:
-            integral = all(isinstance(c, int) for c in row)
-    return tuple(rows), max_abs, integral
+            integral = all(map(int.__instancecheck__, row))
+    return max_abs, integral
 
 
 class _BaseInstance:
@@ -207,10 +228,24 @@ class _BaseInstance:
         checked and normalized exactly as by the constructor.  The structure
         is shared, not rebuilt.  ``tolerance`` defaults to this instance's.
         """
+        new = self._sharing_structure()
+        new._set_costs(costs, self.tolerance if tolerance is None else tolerance)
+        return new
+
+    def _with_normal_costs(self, rows: tuple, tolerance: float):
+        """``with_costs`` for cost rows that are already normal: a tuple of
+        tuples, parallel to ``allowed``, each cell an int or a float that
+        ``_as_cost`` returns unchanged.  Nothing is checked."""
+        new = self._sharing_structure()
+        new.costs = rows
+        new.max_abs_cost, new.integral = _cost_summary(rows)
+        new.tolerance = _check_tolerance(tolerance)
+        return new
+
+    def _sharing_structure(self):
         new = object.__new__(type(self))
         for name in self._STRUCTURE:
             setattr(new, name, getattr(self, name))
-        new._set_costs(costs, self.tolerance if tolerance is None else tolerance)
         return new
 
     @property

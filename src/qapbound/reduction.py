@@ -27,7 +27,10 @@ sets.  It is built once per instance structure, on the first
 reduction, and shared by every instance made from that structure with
 ``with_costs`` or ``scale_costs``.  Each reduction then only prices the
 layout with the instance's costs, and its result is memoized on the
-instance.
+instance.  Pricing does not normalize the costs a second time: the
+instance's costs are normalized already, and so is the half of each (up to
+the two edge cases that ``_halves_are_normal`` rules out), so the priced
+rows go into the template as they are.
 """
 
 from __future__ import annotations
@@ -57,9 +60,9 @@ class _Layout:
 
     ``template`` carries the allowed rows and index tables of the square
     instance (its costs and tolerance are placeholders); ``label_cells``
-    lists, for each non-dummy label, the ``(vertex, position in
-    allowed[vertex])`` of the original cell behind each cross cell of the
-    label node's row.
+    lists, for each non-dummy label, the ``(vertex, position among the
+    non-dummy labels of allowed[vertex])`` of the original cell behind each
+    cross cell of the label node's row.
     """
 
     template: LapInstance
@@ -80,13 +83,33 @@ def _layout(inst: IlapInstance) -> _Layout:
     label_cells = []
     for lab in range(nl):
         vertices = inst.vertices_for_label[lab]
-        label_cells.append(tuple((u, inst.label_index(u, lab))
+        label_cells.append(tuple((u, inst.label_index(u, lab) - 1)
                                  for u in vertices))
         allowed.append(list(vertices) + [nv + lab])
     template = LapInstance(allowed, [[0] * len(row) for row in allowed])
     layout = _Layout(template, tuple(label_cells))
     inst._structure_cache["reduction"] = layout
     return layout
+
+
+# The float that halves to zero: the smallest positive subnormal.
+_TINIEST = 5e-324
+
+
+def _halves_are_normal(inst: IlapInstance) -> bool:
+    """Whether ``_half`` of every cost of ``inst`` is a normalized cost,
+    one that ``model._as_cost`` returns unchanged.
+
+    An even int halves to an int.  An odd int of magnitude at most 2**53
+    halves exactly to a non-integer float.  So does a normalized float of
+    that magnitude (it is not integer-valued, so it lies below 2**52),
+    except that a subnormal's half may round: to another non-integer,
+    or, for +-5e-324 alone, to a zero.  Above 2**53 a half can round to an
+    integer-valued float of magnitude at most 2**53, which ``_as_cost``
+    would make an int.
+    """
+    return inst.max_abs_cost <= 2**53 and not any(
+        _TINIEST in map(abs, row) for row in inst.costs)
 
 
 def reduce_ilap_to_lap(inst: IlapInstance) -> LapInstance:
@@ -96,20 +119,29 @@ def reduce_ilap_to_lap(inst: IlapInstance) -> LapInstance:
     is linear in the number of allowed (vertex, label) pairs.  The index
     layout is built once per structure; each call only prices it with
     ``inst``'s costs, and the result is memoized on ``inst``.
+
+    Each non-dummy cost is halved once, and that half prices both its
+    vertex row and its label row.  The halves of normalized costs are
+    normalized themselves (see ``_halves_are_normal``), so the priced rows
+    are not normalized a second time; only an instance with a cost above
+    2**53 or a cost of +-5e-324 takes the constructor's per-cell rule.
     """
     reduced = inst._reduced
     if reduced is not None:
         return reduced
     layout = _layout(inst)
     costs = inst.costs
-    # Row v: the dummy cost, then the halved costs of v's non-dummy labels.
-    rows = [[row[0], *map(_half, row[1:])] for row in costs]
+    halves = [tuple(map(_half, row[1:])) for row in costs]
+    # Row v: the dummy cost, then the halves of v's non-dummy costs.
+    rows = [(row[0], *half) for row, half in zip(costs, halves)]
     for cells in layout.label_cells:
-        row = [_half(costs[u][i]) for u, i in cells]
-        row.append(0)
-        rows.append(row)
-    reduced = inst._reduced = layout.template.with_costs(
-        rows, tolerance=inst.tolerance)
+        rows.append((*[halves[u][i] for u, i in cells], 0))
+    if _halves_are_normal(inst):
+        reduced = layout.template._with_normal_costs(tuple(rows),
+                                                     inst.tolerance)
+    else:
+        reduced = layout.template.with_costs(rows, tolerance=inst.tolerance)
+    inst._reduced = reduced
     return reduced
 
 

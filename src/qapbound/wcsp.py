@@ -22,13 +22,19 @@ They read the row tables that every ``PairwiseEdge`` builds once at
 construction, so a sweep builds no per-edge structure: a row without
 stored cells is answered by the cheapest column alone, a sparse row by the
 cheapest column it does not store, and a dense row by the few columns it
-does not store, before its stored cells are compared.  On an edge whose
-cells are all non-negative, a row that does not store the cheapest column
-is answered by that column: no stored cell can undercut it.  So the scan
-reads the transposed table's entry for that column, the rows that store
-it, and visits only those (about three in ten on graph-matching edges).
-A pass builds the label potential of each label once, as one row per
-vertex, and a handshake subtracts that row from the cached unaries.
+does not store, before its stored cells are compared.  A dense row with
+one unstored column reads that column directly; every row of an augmented
+QAPLIB edge is such a row, its one unstored column the dummy's.  Building
+a one-element list to take its ``min`` cost a frame per row on Python
+3.11; 3.12 inlines comprehensions (PEP 709), so it gains less there.
+
+On an edge whose cells are all non-negative, a row that does not store the
+cheapest column is answered by that column: no stored cell can undercut
+it.  So the scan reads the transposed table's entry for that column, the
+rows that store it, and visits only those (about three in ten on
+graph-matching edges).  A pass builds the label potential of each label
+once, as one row per vertex, and a handshake subtracts that row from the
+cached unaries.
 
 Each row's stored cells are kept in ascending cost order, so the scan of a
 row stops at its first cell whose cost plus the cheapest column is not below
@@ -146,7 +152,8 @@ def _row_minima(base: list, rows: tuple, trans: tuple | None,
     not store that column; a sparse row that does walks the columns in
     ascending ``base`` order (ties to the smaller index) to its first
     unstored one.  A dense row takes the minimum over its few unstored
-    columns.  The stored cells come last, in ascending cost order, each
+    columns, reading a lone unstored column directly (with none it starts
+    at infinity).  The stored cells come last, in ascending cost order, each
     replacing the running minimum only when strictly smaller, so every row
     yields exactly the value of a strict scan in that order.
 
@@ -174,7 +181,12 @@ def _row_minima(base: list, rows: tuple, trans: tuple | None,
             continue
         dense, cols, cells = row
         if dense:
-            best = min([base[j] for j in cols]) if cols else _INF
+            if len(cols) == 1:
+                best = base[cols[0]]
+            elif cols:
+                best = min([base[j] for j in cols])
+            else:
+                best = _INF
         elif first not in cols:
             best = cheapest
         else:
