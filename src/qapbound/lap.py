@@ -63,7 +63,8 @@ def equality_subgraph(inst: LapInstance, dual: LapDual) -> EqualitySubgraph:
     tight constraints is not meaningful for them.  One list of slacks per
     row serves both the feasibility check and the tight labels; a dual of
     the wrong kind or length, or a row with a violated constraint, is
-    handed to ``require_dual_feasible``, which raises its own error.
+    handed to ``require_dual_feasible``, which raises its own error.  The
+    instance must be square: a dummy-label instance raises ``ValueError``.
     """
     if not (isinstance(inst, LapInstance) and isinstance(dual, LapDual)
             and len(dual.alpha) == inst.num_vertices

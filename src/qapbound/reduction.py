@@ -60,9 +60,9 @@ class _Layout:
 
     ``template`` carries the allowed rows and index tables of the square
     instance (its costs and tolerance are placeholders); ``label_cells``
-    lists, for each non-dummy label, the ``(vertex, position among the
-    non-dummy labels of allowed[vertex])`` of the original cell behind each
-    cross cell of the label node's row.
+    lists, for each non-dummy label, the ``(vertex, position in
+    allowed[vertex])`` of the original cell behind each cross cell of the
+    label node's row.
     """
 
     template: LapInstance
@@ -83,7 +83,7 @@ def _layout(inst: IlapInstance) -> _Layout:
     label_cells = []
     for lab in range(nl):
         vertices = inst.vertices_for_label[lab]
-        label_cells.append(tuple((u, inst.label_index(u, lab) - 1)
+        label_cells.append(tuple((u, inst.label_index(u, lab))
                                  for u in vertices))
         allowed.append(list(vertices) + [nv + lab])
     template = LapInstance(allowed, [[0] * len(row) for row in allowed])
@@ -130,12 +130,11 @@ def reduce_ilap_to_lap(inst: IlapInstance) -> LapInstance:
     if reduced is not None:
         return reduced
     layout = _layout(inst)
-    costs = inst.costs
-    halves = [tuple(map(_half, row[1:])) for row in costs]
-    # Row v: the dummy cost, then the halves of v's non-dummy costs.
-    rows = [(row[0], *half) for row, half in zip(costs, halves)]
+    # Row v: the dummy cost, then the halves of v's non-dummy costs, each
+    # at its position in ``allowed[v]``; the label rows reuse those halves.
+    rows = [(row[0], *map(_half, row[1:])) for row in inst.costs]
     for cells in layout.label_cells:
-        rows.append((*[halves[u][i] for u, i in cells], 0))
+        rows.append((*[rows[u][i] for u, i in cells], 0))
     if _halves_are_normal(inst):
         reduced = layout.template._with_normal_costs(tuple(rows),
                                                      inst.tolerance)

@@ -1,9 +1,11 @@
 """Shared builders for the test suite: the worked 5x5 example, seeded
-random instance generators, the benchmark's instance writers, and an LP
-reference for bounds."""
+random instance generators, the benchmark's instance writers, an LP
+reference for bounds, and a reference LAP solver."""
 
 import importlib.util
+import math
 import random
+from heapq import heappop, heappush
 from pathlib import Path
 
 import pytest
@@ -219,3 +221,65 @@ def lp_relaxation_optimum(inst):
                               method="highs")
     assert result.status == 0, result.message
     return result.fun
+
+
+def reference_solve_lap(inst):
+    """``lap.solve_lap`` as it was before its sweeps shared their arrays
+    and stopped pushing at the best free label: fresh ``dist``, ``pred``
+    and ``done`` lists per sweep, and a push on every strict drop.  The
+    solver must return a ``repr``-identical result."""
+    n = inst.num_vertices
+    if n == 0:
+        return [], LapDual([], [])
+    alpha = [min(cs) for cs in inst.costs]
+    zero = 0 if inst.integral else 0.0
+    beta = [zero] * n
+    match_label = [-1] * n
+    match_vertex = [-1] * n
+    for start in range(n):
+        dist = [math.inf] * n
+        pred = [-1] * n
+        done = [False] * n
+        scanned = []
+        heap = []
+        u = start
+        path_len = zero
+        while True:
+            au = alpha[u]
+            for lab, c in zip(inst.allowed[u], inst.costs[u]):
+                if done[lab]:
+                    continue
+                nd = path_len + c - au - beta[lab]
+                if nd < dist[lab]:
+                    dist[lab] = nd
+                    pred[lab] = u
+                    heappush(heap, (nd, lab))
+            while heap:
+                best_dist, best = heappop(heap)
+                if not done[best] and best_dist == dist[best]:
+                    break
+            else:
+                return None
+            done[best] = True
+            scanned.append(best)
+            if match_vertex[best] < 0:
+                break
+            u = match_vertex[best]
+            path_len = best_dist
+        for lab in scanned:
+            diff = dist[lab] - best_dist
+            beta[lab] += diff
+            owner = match_vertex[lab]
+            if owner >= 0:
+                alpha[owner] -= diff
+        alpha[start] += best_dist
+        lab = best
+        while True:
+            u = pred[lab]
+            next_lab = match_label[u]
+            match_label[u] = lab
+            match_vertex[lab] = u
+            if u == start:
+                break
+            lab = next_lab
+    return match_label, LapDual(alpha, beta)

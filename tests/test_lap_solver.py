@@ -2,14 +2,19 @@ import pytest
 
 from qapbound.lap import equality_subgraph, solve_lap
 from qapbound.model import (
+    DUMMY,
     DualInfeasibleError,
+    IlapDual,
+    IlapInstance,
     LapDual,
     LapInstance,
     dual_feasible,
     dual_objective,
     lap_objective,
+    require_dual_feasible,
 )
 from qapbound.oracle import brute_force_optimum
+from qapbound.reduction import reduce_ilap_to_lap
 
 from helpers import (
     EXAMPLE1_INITIAL_ACTIVE,
@@ -18,7 +23,9 @@ from helpers import (
     example1_final_dual,
     example1_initial_dual,
     example1_instance,
+    random_ilap,
     random_lap,
+    reference_solve_lap,
     seeded,
 )
 
@@ -242,3 +249,130 @@ class TestEqualitySubgraph:
         inst = example1_instance()
         with pytest.raises(DualInfeasibleError):
             equality_subgraph(inst, LapDual([100] * 5, [0] * 5))
+
+    def test_raises_the_error_of_require_dual_feasible(self):
+        # Duals violated in one row or several, by a little more than the
+        # tolerance or a lot: the message names the first violation.
+        rng = seeded(269)
+        raised = 0
+        for _ in range(300):
+            inst = random_lap(rng, rng.randint(1, 8), extra=0.5)
+            _, dual = solve_lap(inst)
+            alpha = list(dual.alpha)
+            for v in rng.sample(range(len(alpha)),
+                                k=rng.randint(1, min(2, len(alpha)))):
+                alpha[v] += rng.choice([2 * inst.atol, 1, 7])
+            dual = LapDual(alpha, list(dual.beta))
+            want = dual_feasible(inst, dual)
+            if want is None:
+                assert equality_subgraph(inst, dual) is not None
+                continue
+            with pytest.raises(DualInfeasibleError) as got:
+                equality_subgraph(inst, dual)
+            assert str(got.value) == want.message
+            raised += 1
+        assert raised > 100
+
+    @pytest.mark.parametrize("dual", [
+        LapDual([0] * 4, [0] * 5),
+        LapDual([0] * 5, [0] * 6),
+        LapDual([0] * 5, []),
+        IlapDual([0] * 5, [0] * 5),
+    ])
+    def test_rejects_a_dual_of_the_wrong_kind_or_length(self, dual):
+        inst = example1_instance()
+        with pytest.raises(ValueError) as want:
+            require_dual_feasible(inst, dual)
+        with pytest.raises(ValueError) as got:
+            equality_subgraph(inst, dual)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_rejects_a_dummy_label_instance(self):
+        inst = IlapInstance([[DUMMY, 0]], [[0, 1]], 1)
+        with pytest.raises(ValueError, match="LapInstance"):
+            equality_subgraph(inst, IlapDual([0], [0]))
+
+    def test_tight_labels_match_a_scan_of_every_cell(self):
+        # Feasible duals whose slacks land on, just inside and just outside
+        # the tolerance.
+        rng = seeded(271)
+        for _ in range(300):
+            inst = _random_costs(rng, random_lap(rng, rng.randint(1, 8),
+                                                 extra=0.5),
+                                 rng.choice(["int", "float", "tied"]))
+            _, dual = solve_lap(inst)
+            atol = inst.atol
+            alpha = [a - rng.choice([0, atol / 2, atol, 2 * atol, 1])
+                     for a in dual.alpha]
+            dual = LapDual(alpha, list(dual.beta))
+            want = tuple(
+                tuple(lab for lab, c in zip(labs, cs)
+                      if c - av - dual.beta[lab] <= atol)
+                for labs, cs, av in zip(inst.allowed, inst.costs, alpha))
+            assert equality_subgraph(inst, dual).adjacency == want
+
+
+def _random_costs(rng, inst, kind):
+    """``inst`` re-priced: ``int`` keeps its costs, ``float`` draws
+    fractional floats, ``tied`` draws from a few ints and floats so that
+    distances tie often, also after float rounding."""
+    if kind == "int":
+        return inst
+    pool = [0, 1, 2, 0.5, 0.1, 0.2, 0.3, 1.5]
+    return inst.with_costs(
+        [[rng.uniform(-20, 20) if kind == "float" else rng.choice(pool)
+          for _ in labs] for labs in inst.allowed])
+
+
+def _random_allowed_lap(rng, n, extra):
+    """A square instance without a planted matching, so some have none."""
+    allowed = [sorted(rng.sample(range(n), k=rng.randint(1, n)))
+               if rng.random() < extra else [rng.randrange(n)]
+               for _ in range(n)]
+    return LapInstance(allowed, [[rng.randint(0, 9) for _ in labs]
+                                 for labs in allowed])
+
+
+class TestAgainstReferenceSolver:
+    """``solve_lap`` returns what ``helpers.reference_solve_lap`` returns,
+    ``repr`` for ``repr``: the same assignment, and the same potentials
+    with the same types."""
+
+    @pytest.mark.parametrize("kind", ["int", "float", "tied"])
+    @pytest.mark.parametrize("density", ["sparse", "dense"])
+    def test_random_laps(self, kind, density):
+        rng = seeded({"sparse": 241, "dense": 251}[density]
+                     + {"int": 0, "float": 1, "tied": 2}[kind])
+        extra = {"sparse": 0.15, "dense": 1.0}[density]
+        infeasible = 0
+        for _ in range(150):
+            n = rng.randint(1, 14)
+            inst = _random_costs(rng, random_lap(rng, n, extra=extra), kind)
+            assert repr(solve_lap(inst)) == repr(reference_solve_lap(inst))
+            inst = _random_costs(rng, _random_allowed_lap(rng, n, extra),
+                                 kind)
+            want = reference_solve_lap(inst)
+            assert repr(solve_lap(inst)) == repr(want)
+            infeasible += want is None
+        assert infeasible > 0
+
+    @pytest.mark.parametrize("kind", ["int", "float", "tied"])
+    def test_reduced_random_ilaps(self, kind):
+        rng = seeded(257 + {"int": 0, "float": 1, "tied": 2}[kind])
+        for _ in range(200):
+            inst = _random_costs(rng, random_ilap(rng, max_vertices=8,
+                                                  max_labels=8), kind)
+            for base in (inst, inst.scale_costs(2)):
+                reduced = reduce_ilap_to_lap(base)
+                assert (repr(solve_lap(reduced))
+                        == repr(reference_solve_lap(reduced)))
+
+    def test_workload_sized_reduction(self):
+        # A reduced 60-vertex graph-matching label step, float costs.
+        rng = seeded(263)
+        inst = random_ilap(rng, max_vertices=60, max_labels=60, allow=0.15)
+        inst = inst.with_costs([[c + rng.random() for c in row]
+                                for row in inst.costs])
+        reduced = reduce_ilap_to_lap(inst)
+        assert repr(solve_lap(reduced)) == repr(reference_solve_lap(reduced))

@@ -19,6 +19,7 @@ from qapbound.model import (
     lap_objective,
     lap_primal_feasible,
 )
+from qapbound.model import _as_cost, _normalize_costs
 from qapbound.oracle import brute_force_optimum
 
 from helpers import (
@@ -419,6 +420,92 @@ class TestWithCosts:
 
     def test_objective_names_share_one_function(self):
         assert ilap_objective is lap_objective
+
+
+def _per_cell_rule(costs):
+    """``_normalize_costs`` without its row screen: ``_as_cost`` on every
+    cell, then the largest magnitude and the all-int flag."""
+    rows = []
+    max_abs = 0
+    integral = True
+    for v, cs in enumerate(costs):
+        row = tuple([_as_cost(c, f"vertex {v}") for c in cs])
+        rows.append(row)
+        row_max = max(map(abs, row))
+        if row_max > max_abs:
+            max_abs = row_max
+        if integral:
+            integral = all(isinstance(c, int) for c in row)
+    return tuple(rows), max_abs, integral
+
+
+def _outcome(normalize, costs):
+    """``repr`` of what ``normalize(costs)`` returns, or the type and
+    message of what it raises."""
+    try:
+        return "returns", repr(normalize(costs))
+    except (TypeError, ValueError) as exc:
+        return "raises", type(exc), str(exc)
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+_INF = float("inf")
+_NAN = float("nan")
+
+SCREEN_ROWS = [
+    [1, 2, 3], [2**70, -2**70, 0],                    # ints: kept
+    [0.5, -2.25, 1e-300], [5e-324, -0.1],             # clean floats: kept
+    [1.0, 2.5], [3.0, 4.0], [2.0**53], [2.0**53 + 2, 0.5],
+    [-(2.0**60), 0.5],                                # integral floats
+    [_INF, 0.5], [0.5, -_INF], [_NAN, 0.5], [0.5, _NAN], [_INF, -_INF],
+    [-0.0, 0.5], [0.0], [-0.0],                       # zeros become int 0
+    [True, 1], [1, False], [True], [0.5, True],       # booleans
+    [1, 2.5], [2.5, 1], [1, 2.0], [Fraction(1, 2), 0.5],  # mixed rows
+    [_Int(3), 4], [_Float(0.5), 0.25], [_Float(2.0)],     # subclasses
+    [1e308, 1e308], [1e308, 1e308, 0.5], [-1e308, -1e308, 0.25],
+    [1.7e308, 0.5, 1.7e308],                          # sums overflow
+]
+
+
+class TestNormalizeScreen:
+    """``_normalize_costs`` screens each row in C; whatever the screen
+    passes or hands to the per-cell rule, the result is that of the
+    per-cell rule, and so are the errors."""
+
+    @staticmethod
+    def normalize(costs):
+        return _normalize_costs(costs, [range(len(row)) for row in costs])
+
+    @pytest.mark.parametrize("row", SCREEN_ROWS, ids=repr)
+    def test_row_agrees_with_the_per_cell_rule(self, row):
+        for costs in ([row], [[7, 0.5], row], [row, [1.5]]):
+            assert (_outcome(self.normalize, costs)
+                    == _outcome(_per_cell_rule, costs))
+
+    def test_random_rows_agree_with_the_per_cell_rule(self):
+        rng = seeded(331)
+        pool = [row[0] for row in SCREEN_ROWS] + [-3, 0.75, 2**53 + 1]
+        kinds = set()
+        for _ in range(2000):
+            costs = [rng.choices(pool, k=rng.randint(1, 4))
+                     for _ in range(rng.randint(1, 3))]
+            outcome = _outcome(self.normalize, costs)
+            assert outcome == _outcome(_per_cell_rule, costs)
+            kinds.add(outcome[0])
+        assert kinds == {"returns", "raises"}
+
+    @pytest.mark.parametrize("row", [(1, 2, 3), (0.5, -2.25), (5e-324,)])
+    def test_int_and_clean_float_rows_are_kept_as_they_are(self, row):
+        rows, _, integral = self.normalize([row])
+        assert rows[0] is row
+        assert integral is (type(row[0]) is int)
 
 
 class TestEdgeIntegrality:

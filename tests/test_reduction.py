@@ -23,6 +23,7 @@ from qapbound.oracle import (
     check_primal_relative_interior,
 )
 from qapbound.reduction import (
+    _halves_are_normal,
     decompose_assignment,
     lift_assignment,
     lift_dual,
@@ -432,6 +433,31 @@ class TestReducedLayout:
                 # re-price the same structure with new costs
                 inst = inst.with_costs([[c + rng.choice([0, 1, 0.25, -3])
                                          for c in row] for row in inst.costs])
+
+    @pytest.mark.parametrize("centre", [0, 2**52, 2**53, 2**54, 2**55])
+    def test_halves_near_the_edges_match_constructed_instance(self, centre):
+        # The priced rows skip normalization only when every half is
+        # normalized already.  Odd ints and integer-valued floats just above
+        # 2**53 halve to integer-valued floats that the constructor makes
+        # ints, and +-5e-324 halves to a zero; other subnormals round to
+        # non-integers.
+        rng = seeded(353)
+        pool = [centre + d for d in range(-3, 4)]
+        pool += [float(centre) + d for d in (-4.0, 2.0, 4.0, 0.5)]
+        pool += [5e-324, -5e-324, 1.5e-323, 2.5e-308, 0.5, -3]
+        skipped = set()
+        for _ in range(150):
+            inst = random_ilap(rng)
+            inst = inst.with_costs([[rng.choice(pool) for _ in labs]
+                                    for labs in inst.allowed])
+            lap = reduce_ilap_to_lap(inst)
+            ref = _constructed_reduction(inst)
+            assert (repr(lap.costs), repr(lap.max_abs_cost), lap.integral,
+                    repr(lap.atol)) == (repr(ref.costs),
+                                        repr(ref.max_abs_cost),
+                                        ref.integral, repr(ref.atol))
+            skipped.add(_halves_are_normal(inst))
+        assert skipped == {True, False}
 
     def test_memoized_per_instance(self):
         inst = random_ilap(seeded(337))

@@ -614,6 +614,48 @@ class TestRowMinimaEarlyExit:
         mplp_pp_pass(state)
         assert _bits(state.phi[(0, 1)][1]) == _bits(2.0**52 - 1)
 
+    @pytest.mark.parametrize("call", ["handshake", "dual_bound"])
+    def test_dense_rows_by_unstored_count(self, call):
+        # Dense rows that leave 0, 1, and 3 or more columns unstored: a
+        # lone unstored column is read directly, several take their
+        # ``min``, none start the scan at infinity.  ``handshake`` is a
+        # float base with ``scale`` 1, ``dual_bound`` an int base and int
+        # cells with a power of two.  Each row is checked with every row
+        # scanned and with the transposed scan, bit for bit.
+        rng = seeded({"handshake": 277, "dual_bound": 281}[call])
+        counts = set()
+        for _ in range(300):
+            n = rng.randint(7, 12)
+            base = [float(_random_cost(rng)) for _ in range(n)]
+            cost = _random_cost if call == "handshake" else _random_int_cost
+            if rng.random() < 0.5:
+                cost = _nonnegative(cost)
+            num_rows = rng.randint(1, 6)
+            core = IlapInstance(
+                [[DUMMY, *range(num_rows - 1)], [DUMMY, *range(n - 1)]],
+                [[0] * num_rows, [0] * n], max(num_rows, n) - 1)
+            cells = {}
+            for k in core.allowed[0]:
+                unstored = rng.choice([0, 1, rng.randint(3, (n - 1) // 2)])
+                for j in rng.sample(range(n), k=n - unstored):
+                    cells[(k, core.allowed[1][j])] = cost(rng)
+            inst = IqapInstance(core, [(0, 1, cells)])
+            edge = inst.edges[0]
+            assert all(row[0] for row in edge.rows_u)
+            counts.update(len(row[1]) for row in edge.rows_u)
+            stored = _stored(edge, inst)
+            scale = 1
+            if call == "dual_bound":
+                scale = max(x.as_integer_ratio()[1] for x in base)
+                base = _scaled(base, scale)
+                stored = [{j: c * scale for j, c in row.items()}
+                          for row in stored]
+            want = list(map(_bits, _full_scan(base, stored)))
+            for trans in (None, _transposes(edge)[0]):
+                got = _row_minima(base, edge.rows_u, trans, scale)
+                assert list(map(_bits, got)) == want
+        assert {0, 1, 3, 4} <= counts
+
     def test_equals_full_scan_on_int_scaled_rows(self):
         # ``dual_bound``'s call on an edge of int cells: the base scaled to
         # ints by a power of two, the edge's own row table and that power
