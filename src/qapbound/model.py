@@ -163,10 +163,11 @@ def _normalize_costs(costs, allowed):
             continue
         where = f"vertex {v}"
         # Ints and finite non-integer floats are already normal; this skips
-        # the call for nearly every cell.
-        rows.append(tuple([c if type(c) is int or (type(c) is float and c - c == 0
-                                                   and not c.is_integer())
-                           else _as_cost(c, where) for c in cs]))
+        # the call for most cells of a mixed row.
+        row = tuple([c if type(c) is int or (type(c) is float and c - c == 0
+                                             and not c.is_integer())
+                     else _as_cost(c, where) for c in cs])
+        rows.append(row)
     return (tuple(rows), *_cost_summary(rows))
 
 

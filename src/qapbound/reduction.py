@@ -103,8 +103,8 @@ def _halves_are_normal(inst: IlapInstance) -> bool:
     An even int halves to an int.  An odd int of magnitude at most 2**53
     halves exactly to a non-integer float.  So does a normalized float of
     that magnitude (it is not integer-valued, so it lies below 2**52),
-    except that a subnormal's half may round: to another non-integer,
-    or, for +-5e-324 alone, to a zero.  Above 2**53 a half can round to an
+    unless its half is subnormal and rounds: to another non-integer, or,
+    for +-5e-324 alone, to a zero.  Above 2**53 a half can round to an
     integer-valued float of magnitude at most 2**53, which ``_as_cost``
     would make an int.
     """

@@ -24,9 +24,9 @@ stored cells is answered by the cheapest column alone, a sparse row by the
 cheapest column it does not store, and a dense row by the few columns it
 does not store, before its stored cells are compared.  A dense row with
 one unstored column reads that column directly; every row of an augmented
-QAPLIB edge is such a row, its one unstored column the dummy's.  Building
-a one-element list to take its ``min`` cost a frame per row on Python
-3.11; 3.12 inlines comprehensions (PEP 709), so it gains less there.
+QAPLIB edge is such a row, its one unstored column the dummy's.  That
+saves a comprehension per row, which on Python 3.11 runs in a frame of
+its own; 3.12 inlines comprehensions (PEP 709), so it gains less there.
 
 On an edge whose cells are all non-negative, a row that does not store the
 cheapest column is answered by that column: no stored cell can undercut
