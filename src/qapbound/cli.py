@@ -31,6 +31,7 @@ from .lap import equality_subgraph, solve_lap
 from .model import (
     DEFAULT_TOLERANCE,
     DUMMY,
+    IlapDual,
     IlapInstance,
     IqapInstance,
     LapInstance,
@@ -114,9 +115,14 @@ def _relative_interior_flag(inst, dual, x) -> bool:
     ``dual`` and ``x`` must be optimal for ``inst``.  A dummy-label instance
     is checked on its reduced instance, with ``dual`` and ``x`` lifted
     there: the lifted dual is in the relative interior exactly when ``dual``
-    is.
+    is.  An integral one is first doubled, with its dual, as ``solve_ilap``
+    doubles it, so that its reduction is integral and its tight set exact.
     """
     if isinstance(inst, IlapInstance):
+        if inst.integral:
+            inst = inst.scale_costs(2)
+            dual = IlapDual([2 * a for a in dual.alpha],
+                            [2 * b for b in dual.beta])
         dual = lift_dual(inst, dual)
         x = lift_assignment(inst, x)
         inst = reduce_ilap_to_lap(inst)

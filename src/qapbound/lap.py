@@ -24,7 +24,7 @@ from heapq import heappop, heappush
 from itertools import repeat
 from operator import lt
 
-from .model import LapDual, LapInstance, require_dual_feasible
+from .model import LapDual, LapInstance, _tight_slack, require_dual_feasible
 
 INF = math.inf
 
@@ -34,7 +34,7 @@ class EqualitySubgraph:
     """Bipartite graph of dual constraints that hold with equality.
 
     ``adjacency[v]`` is the sorted tuple of labels whose constraint at vertex
-    ``v`` is tight within the instance tolerance.
+    ``v`` is tight (see ``model._tight_slack``).
     """
 
     adjacency: tuple[tuple[int, ...], ...]
@@ -57,7 +57,7 @@ class EqualitySubgraph:
 
 
 def equality_subgraph(inst: LapInstance, dual: LapDual) -> EqualitySubgraph:
-    """Edges whose dual constraint is tight within the instance tolerance.
+    """Edges whose dual constraint is tight (see ``model._tight_slack``).
 
     Rejects duals that are infeasible beyond tolerance, since the set of
     tight constraints is not meaningful for them.  One list of slacks per
@@ -71,8 +71,8 @@ def equality_subgraph(inst: LapInstance, dual: LapDual) -> EqualitySubgraph:
             and len(dual.beta) == inst.num_labels):
         require_dual_feasible(inst, dual)
         raise ValueError("expected a LapInstance and a LapDual")
-    atol = inst.atol
-    floor = repeat(-atol)
+    floor = repeat(-inst.atol)
+    tight = _tight_slack(inst)
     beta = dual.beta
     adjacency = []
     for labs, cs, av in zip(inst.allowed, inst.costs, dual.alpha):
@@ -80,7 +80,7 @@ def equality_subgraph(inst: LapInstance, dual: LapDual) -> EqualitySubgraph:
         if any(map(lt, slack, floor)):
             require_dual_feasible(inst, dual)
         adjacency.append(tuple([lab for lab, s in zip(labs, slack)
-                                if s <= atol]))
+                                if s <= tight]))
     return EqualitySubgraph(tuple(adjacency))
 
 

@@ -31,7 +31,8 @@ processes.
 Every tolerance comparison in the package goes through the instance's
 ``atol``: the relative knob ``tolerance`` (``DEFAULT_TOLERANCE`` unless
 given) scaled by ``1 + max_abs_cost``.  The knob is fixed when an instance
-is built, by its constructor or by ``with_costs``.
+is built, by its constructor or by ``with_costs``.  Whether a dual
+constraint is tight is exact on an integral instance (``_tight_slack``).
 """
 
 from __future__ import annotations
@@ -77,6 +78,17 @@ def _half(c):
     if isinstance(c, int) and c % 2 == 0:
         return c // 2
     return c / 2
+
+
+def _half_cost(c):
+    """Half of a normal cost, in normal form: ``_as_cost(_half(c))`` in
+    value and type.  Only a half that rounds (of an odd int or a float
+    above 2**53, or of +-5e-324) can be an integer-valued float that
+    ``_as_cost`` would turn into an int."""
+    if type(c) is int and c % 2 == 0:
+        return c // 2
+    h = c / 2
+    return int(h) if h.is_integer() and abs(h) <= 2.0**53 else h
 
 
 def _as_cost(value, where: str):
@@ -146,8 +158,8 @@ def _normalize_costs(costs, allowed):
 
     Each row is screened in C first.  A row of ints only is normal as it
     is, and so is a row of floats only whose sum is finite (so every cell
-    is) and none of whose cells ``is_integer()``.  Any other row takes the
-    per-cell rule, which raises the errors of ``_as_cost``.
+    is) and none of whose cells ``is_integer()``.  Any other row goes
+    through ``_as_cost`` cell by cell, which raises its errors.
     """
     if len(costs) != len(allowed):
         raise ValueError("allowed and costs must have one entry per vertex")
@@ -162,12 +174,7 @@ def _normalize_costs(costs, allowed):
             rows.append(tuple(cs))
             continue
         where = f"vertex {v}"
-        # Ints and finite non-integer floats are already normal; this skips
-        # the call for most cells of a mixed row.
-        row = tuple([c if type(c) is int or (type(c) is float and c - c == 0
-                                             and not c.is_integer())
-                     else _as_cost(c, where) for c in cs])
-        rows.append(row)
+        rows.append(tuple([_as_cost(c, where) for c in cs]))
     return (tuple(rows), *_cost_summary(rows))
 
 
@@ -590,6 +597,13 @@ def require_dual_feasible(inst, dual) -> None:
     viol = dual_feasible(inst, dual)
     if viol is not None:
         raise DualInfeasibleError(viol.message)
+
+
+def _tight_slack(inst):
+    """The largest slack at which a dual constraint of ``inst`` is tight:
+    0 on an integral instance, whose slacks are exact (there ``atol`` can
+    reach 1 and merge two integer slacks), else ``atol``."""
+    return 0 if inst.integral else inst.atol
 
 
 def dual_objective(inst, dual):

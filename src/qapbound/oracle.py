@@ -17,6 +17,7 @@ from .model import (
     IlapInstance,
     IqapInstance,
     LapInstance,
+    _tight_slack,
     lap_primal_feasible,
     require_dual_feasible,
     unary_part,
@@ -150,13 +151,13 @@ def _labels_unused_somewhere(optima, num_labels: int) -> set[int]:
 
 
 def _active_pairs(inst, dual) -> set[tuple[int, int]]:
-    atol = inst.atol
+    tight = _tight_slack(inst)
     active = set()
     for v, (labs, cs) in enumerate(zip(inst.allowed, inst.costs)):
         av = dual.alpha[v]
         for lab, c in zip(labs, cs):
             b = 0 if lab == DUMMY else dual.beta[lab]
-            if c - av - b <= atol:
+            if c - av - b <= tight:
                 active.add((v, lab))
     return active
 
@@ -177,8 +178,8 @@ def check_dual_relative_interior(inst, dual) -> bool:
         return False
     if isinstance(inst, LapInstance):
         return True
-    atol = inst.atol
-    zero_beta = {lab for lab, b in enumerate(dual.beta) if b >= -atol}
+    tight = _tight_slack(inst)
+    zero_beta = {lab for lab, b in enumerate(dual.beta) if b >= -tight}
     return zero_beta == _labels_unused_somewhere(optima, inst.num_labels)
 
 

@@ -27,10 +27,9 @@ sets.  It is built once per instance structure, on the first
 reduction, and shared by every instance made from that structure with
 ``with_costs`` or ``scale_costs``.  Each reduction then only prices the
 layout with the instance's costs, and its result is memoized on the
-instance.  Pricing does not normalize the costs a second time: the
-instance's costs are normalized already, and so is the half of each (up to
-the two edge cases that ``_halves_are_normal`` rules out), so the priced
-rows go into the template as they are.
+instance.  Pricing halves each cost with ``model._half_cost``, which
+returns a normal cost, so the priced rows go into the template as they
+are, without a second normalization.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from .model import (
     LapInstance,
     PrimalVector,
     _half,
+    _half_cost,
     lap_primal_feasible,
     require_dual_feasible,
     require_feasible,
@@ -92,26 +92,6 @@ def _layout(inst: IlapInstance) -> _Layout:
     return layout
 
 
-# The float that halves to zero: the smallest positive subnormal.
-_TINIEST = 5e-324
-
-
-def _halves_are_normal(inst: IlapInstance) -> bool:
-    """Whether ``_half`` of every cost of ``inst`` is a normalized cost,
-    one that ``model._as_cost`` returns unchanged.
-
-    An even int halves to an int.  An odd int of magnitude at most 2**53
-    halves exactly to a non-integer float.  So does a normalized float of
-    that magnitude (it is not integer-valued, so it lies below 2**52),
-    unless its half is subnormal and rounds: to another non-integer, or,
-    for +-5e-324 alone, to a zero.  Above 2**53 a half can round to an
-    integer-valued float of magnitude at most 2**53, which ``_as_cost``
-    would make an int.
-    """
-    return inst.max_abs_cost <= 2**53 and not any(
-        _TINIEST in map(abs, row) for row in inst.costs)
-
-
 def reduce_ilap_to_lap(inst: IlapInstance) -> LapInstance:
     """Build the mirrored square instance for ``inst``.
 
@@ -120,11 +100,9 @@ def reduce_ilap_to_lap(inst: IlapInstance) -> LapInstance:
     layout is built once per structure; each call only prices it with
     ``inst``'s costs, and the result is memoized on ``inst``.
 
-    Each non-dummy cost is halved once, and that half prices both its
-    vertex row and its label row.  The halves of normalized costs are
-    normalized themselves (see ``_halves_are_normal``), so the priced rows
-    are not normalized a second time; only an instance with a cost above
-    2**53 or a cost of +-5e-324 takes the constructor's per-cell rule.
+    Each non-dummy cost is halved once, by ``_half_cost``, and that half
+    prices both its vertex row and its label row.  The halves are normal
+    costs, so the priced rows are not normalized a second time.
     """
     reduced = inst._reduced
     if reduced is not None:
@@ -132,14 +110,10 @@ def reduce_ilap_to_lap(inst: IlapInstance) -> LapInstance:
     layout = _layout(inst)
     # Row v: the dummy cost, then the halves of v's non-dummy costs, each
     # at its position in ``allowed[v]``; the label rows reuse those halves.
-    rows = [(row[0], *map(_half, row[1:])) for row in inst.costs]
+    rows = [(row[0], *map(_half_cost, row[1:])) for row in inst.costs]
     for cells in layout.label_cells:
         rows.append((*[rows[u][i] for u, i in cells], 0))
-    if _halves_are_normal(inst):
-        reduced = layout.template._with_normal_costs(tuple(rows),
-                                                     inst.tolerance)
-    else:
-        reduced = layout.template.with_costs(rows, tolerance=inst.tolerance)
+    reduced = layout.template._with_normal_costs(tuple(rows), inst.tolerance)
     inst._reduced = reduced
     return reduced
 

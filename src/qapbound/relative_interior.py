@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lap import EqualitySubgraph, equality_subgraph
-from .model import Assignment, FeasibilityError, LapDual, LapInstance, _half
+from .model import (Assignment, FeasibilityError, LapDual, LapInstance,
+                    _half, _tight_slack)
 
 
 def _tarjan_components(adjacency):
@@ -187,8 +188,10 @@ def shift_to_relative_interior(inst: LapInstance, dual: LapDual,
     ``equality_subgraph`` of ``dual``.
 
     The per-component slack is computed from the already-updated potentials,
-    and with non-integral costs it is floored at twice the instance
-    tolerance so removed edges land strictly below the tightness test.
+    and it is floored at twice the largest slack that counts as tight
+    (``model._tight_slack``) so removed edges clear the tightness test.  On
+    an integral instance that floor is 0: its slacks are exact, as long as
+    the halved slacks are (up to about 2**50).
     """
     subgraph = equality_subgraph(inst, dual)
     try:
@@ -198,7 +201,7 @@ def shift_to_relative_interior(inst: LapInstance, dual: LapDual,
             f"inputs are not an optimal pair: {exc}") from exc
     alpha = list(dual.alpha)
     beta = list(dual.beta)
-    floor = 2 * inst.atol
+    floor = 2 * _tight_slack(inst)
     components = digraph.components
     for ci in range(len(components) - 1, -1, -1):
         if not digraph.has_incoming[ci]:

@@ -69,16 +69,11 @@ class GroupSummary:
 def aggregate(rows: list[InstanceResult],
               methods: list[str]) -> list[GroupSummary]:
     """Group-wise aggregation of marked rows, groups in first-seen order."""
-    order: list[str] = []
     per_group: dict[str, list[InstanceResult]] = {}
     for row in rows:
-        if row.group not in per_group:
-            per_group[row.group] = []
-            order.append(row.group)
-        per_group[row.group].append(row)
+        per_group.setdefault(row.group, []).append(row)
     summaries = []
-    for group in order:
-        members = per_group[group]
+    for group, members in per_group.items():
         instances = len({r.instance for r in members})
         best = {m: 0 for m in methods}
         sums = {m: 0.0 for m in methods}

@@ -10,7 +10,7 @@ import pytest
 from qapbound import batch
 from qapbound.cli import _lap_payload, _relative_interior_flag, main
 from qapbound.lap import solve_lap
-from qapbound.model import IlapInstance, dual_objective
+from qapbound.model import IlapDual, IlapInstance, LapDual, dual_objective
 from qapbound.oracle import brute_force_optimum, check_dual_relative_interior
 from qapbound.reduction import solve_ilap
 from qapbound.relative_interior import shift_to_relative_interior
@@ -204,6 +204,26 @@ class TestLapPayload:
                 outside += not expected
         assert outside > 50  # unshifted optima are often not interior
 
+    def test_integral_certificates_hold_at_any_scale(self):
+        # Integer costs near 1e9 or 1e12 make ``atol`` reach 1 and more, so
+        # a tolerance on the tight test would merge slacks that differ by 1.
+        rng = seeded(11)
+        for i in range(800):
+            if i % 2:
+                inst = random_ilap(rng, max_vertices=5, max_labels=5,
+                                   lo=0, hi=3)
+            else:
+                inst = random_lap(rng, rng.randint(1, 5), extra=0.4,
+                                  lo=0, hi=3)
+            base = rng.choice([1, 10**6, 10**9, 10**12])
+            inst = inst.with_costs([[base + c for c in row]
+                                    for row in inst.costs])
+            payload = _lap_payload(inst)
+            kind = IlapDual if isinstance(inst, IlapInstance) else LapDual
+            dual = kind(payload["alpha"], payload["beta"])
+            assert payload["relative_interior"] is True
+            assert check_dual_relative_interior(inst, dual)
+
     def test_dual_fields_match_the_returned_dual(self):
         inst = next(i for i in _random_unary_instances(10, 40)
                     if isinstance(i, IlapInstance) and i.integral)
@@ -215,7 +235,8 @@ class TestLapPayload:
 
 class TestVerify:
     @pytest.mark.parametrize("name", ["example1.lap", "tiny.ilap",
-                                      "toy1.dd", "toy2.dd", "toy3.dd"])
+                                      "toy1.dd", "toy2.dd", "toy3.dd",
+                                      "wide.lap", "wide.ilap"])
     def test_fixtures_pass(self, capsys, name):
         code, out, _ = run_cli(capsys, "verify", "--input",
                                str(FIXTURES / name))

@@ -1,3 +1,5 @@
+import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,9 @@ from qapbound.model import (
     IlapInstance,
     LapDual,
     LapInstance,
+    _as_cost,
+    _half,
+    _half_cost,
     dual_feasible,
     dual_objective,
     ilap_objective,
@@ -23,7 +28,6 @@ from qapbound.oracle import (
     check_primal_relative_interior,
 )
 from qapbound.reduction import (
-    _halves_are_normal,
     decompose_assignment,
     lift_assignment,
     lift_dual,
@@ -389,6 +393,21 @@ def _uniform_mixture(optima):
     return mu
 
 
+_CENTRES = [0, 2**52, 2**53, 2**54, 2**55]
+
+
+def _edge_pool(centre):
+    """Costs near ``centre`` and near the subnormals, whose halves can
+    round."""
+    pool = [centre + d for d in range(-3, 4)]
+    pool += [float(centre) + d for d in (-4.0, 2.0, 4.0, 0.5)]
+    return pool + [5e-324, -5e-324, 1.5e-323, 2.5e-308, 0.5, -3]
+
+
+def _is_normal(c):
+    return type(c) is type(_as_cost(c, "cost"))
+
+
 def _constructed_reduction(inst):
     """The reduced square instance built row by row through the
     ``LapInstance`` constructor, as the reduction is defined."""
@@ -434,18 +453,14 @@ class TestReducedLayout:
                 inst = inst.with_costs([[c + rng.choice([0, 1, 0.25, -3])
                                          for c in row] for row in inst.costs])
 
-    @pytest.mark.parametrize("centre", [0, 2**52, 2**53, 2**54, 2**55])
+    @pytest.mark.parametrize("centre", _CENTRES)
     def test_halves_near_the_edges_match_constructed_instance(self, centre):
-        # The priced rows skip normalization only when every half is
-        # normalized already.  Odd ints and integer-valued floats just above
-        # 2**53 halve to integer-valued floats that the constructor makes
-        # ints, and +-5e-324 halves to a zero; other subnormals round to
-        # non-integers.
+        # Odd ints and integer-valued floats just above 2**53 halve to
+        # integer-valued floats that the constructor makes ints, and
+        # +-5e-324 halves to a zero; other subnormals round to non-integers.
         rng = seeded(353)
-        pool = [centre + d for d in range(-3, 4)]
-        pool += [float(centre) + d for d in (-4.0, 2.0, 4.0, 0.5)]
-        pool += [5e-324, -5e-324, 1.5e-323, 2.5e-308, 0.5, -3]
-        skipped = set()
+        pool = _edge_pool(centre)
+        rounded = 0
         for _ in range(150):
             inst = random_ilap(rng)
             inst = inst.with_costs([[rng.choice(pool) for _ in labs]
@@ -456,8 +471,23 @@ class TestReducedLayout:
                     repr(lap.atol)) == (repr(ref.costs),
                                         repr(ref.max_abs_cost),
                                         ref.integral, repr(ref.atol))
-            skipped.add(_halves_are_normal(inst))
-        assert skipped == {True, False}
+            rounded += any(not _is_normal(_half(c))
+                           for row in inst.costs for c in row)
+        assert rounded > 0
+
+    @pytest.mark.parametrize("centre", _CENTRES)
+    def test_half_cost_is_the_normalized_half(self, centre):
+        rng = seeded(359)
+        costs = [_as_cost(c, "pool") for c in _edge_pool(centre)]
+        for _ in range(2000):
+            x, = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))
+            if math.isfinite(x):
+                costs.append(_as_cost(x, "random"))
+            costs.append(_as_cost(rng.uniform(-1e3, 1e3), "random"))
+        for c in costs:
+            want = _as_cost(_half(c), "half")
+            assert (type(_half_cost(c)), repr(_half_cost(c))) == (
+                type(want), repr(want))
 
     def test_memoized_per_instance(self):
         inst = random_ilap(seeded(337))
