@@ -14,6 +14,13 @@ Costs are kept per vertex as a sorted tuple of allowed labels with a parallel
 cost tuple.  Integer-valued costs are stored as Python ints so that integral
 instances can be processed in exact arithmetic.
 
+The pairwise row tables of an ``IqapInstance`` share their cells: all edges
+of one instance take their immutable ``(column, cost)`` cells from one
+table, so equal cells are one tuple object (the benchmark's dense QAPLIB
+instance, n = 28, has 296,352 cell references but 1,012 distinct cells).
+Only int cells are shared, so a cell always has the type of its own edge's
+cost.  The table lives only while the instance is built.
+
 A unary instance is a *structure* and its *costs*.  The structure (the
 sorted ``allowed`` rows, the label-index and vertices-per-label tables) is
 validated and built once, by the constructor.  ``with_costs``
@@ -350,6 +357,13 @@ class PairwiseEdge:
     and rounding is monotone in the one arithmetic each scan uses (see
     ``wcsp.IqapDualState``).
 
+    Cells are immutable tuples and may be shared: every int cell is taken
+    from ``_cell_table``, a dict from a cell to its one shared object.
+    ``IqapInstance`` passes one table to all of its edges; an edge built on
+    its own uses a private one.  Float cells are never shared, because a
+    float can equal an int (``2.0**60 == 2**60``) and an integral edge must
+    hold int cells only.
+
     ``integral`` is true when every stored cost is an int, and
     ``nonnegative`` when no stored cost is below zero; then a row that does
     not store the cheapest column has that column as its minimum, which
@@ -359,7 +373,8 @@ class PairwiseEdge:
     __slots__ = ("u", "v", "cells", "rows_u", "rows_v", "max_abs_cost",
                  "integral", "nonnegative")
 
-    def __init__(self, u: int, v: int, cells: Mapping, unary: IlapInstance):
+    def __init__(self, u: int, v: int, cells: Mapping, unary: IlapInstance,
+                 _cell_table: dict | None = None):
         if u == v:
             raise ValueError(f"pairwise edge ({u}, {v}) is a loop")
         if u > v:
@@ -375,6 +390,7 @@ class PairwiseEdge:
         norm = cells if type(cells) is dict else dict(cells)
         rows = [[] for _ in index_u]
         cols = [[] for _ in index_v]
+        share = ({} if _cell_table is None else _cell_table).setdefault
         integral = True
         for (k, l), c in cells.items():
             ki = index_u.get(k)
@@ -393,8 +409,13 @@ class PairwiseEdge:
                     if norm is cells:
                         norm = dict(cells)
                     norm[k, l] = c = x
-            rows[ki].append((li, c))
-            cols[li].append((ki, c))
+            row_cell = (li, c)
+            col_cell = (ki, c)
+            if type(c) is int:
+                row_cell = share(row_cell, row_cell)
+                col_cell = share(col_cell, col_cell)
+            rows[ki].append(row_cell)
+            cols[li].append(col_cell)
         self.cells = norm
         self.rows_u = _row_table(rows, len(cols))
         self.rows_v = _row_table(cols, len(rows))
@@ -431,8 +452,10 @@ class IqapInstance:
     def __init__(self, unary: IlapInstance, edges: Iterable = ()):
         self.unary = unary
         self._edge_by_pair = {}
+        # One table for all edges, dropped when construction ends.
+        cell_table = {}
         for u, v, cells in edges:
-            edge = PairwiseEdge(u, v, cells, unary)
+            edge = PairwiseEdge(u, v, cells, unary, cell_table)
             if (edge.u, edge.v) in self._edge_by_pair:
                 raise ValueError(f"duplicate edge ({edge.u}, {edge.v})")
             self._edge_by_pair[edge.u, edge.v] = edge

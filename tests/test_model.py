@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from qapbound.bounds import SolverConfig, dual_bound, run
+from qapbound.formats import convert_qaplib_to_iqap
 from qapbound.model import (
     DUMMY,
     FeasibilityError,
@@ -21,6 +23,7 @@ from qapbound.model import (
 )
 from qapbound.model import _as_cost, _normalize_costs
 from qapbound.oracle import brute_force_optimum
+from qapbound.wcsp import IqapDualState
 
 from helpers import (
     EXAMPLE1_MATCHING,
@@ -596,3 +599,83 @@ class TestPairwiseEdge:
         for name in PairwiseEdge.__slots__[2:]:
             assert getattr(swapped, name) == getattr(edge, name), name
         assert list(swapped.cells.items()) == list(edge.cells.items())
+
+
+class TestSharedCells:
+    """The edges of one instance share their equal int cells."""
+
+    labels = [DUMMY, 0, 1]
+    core = IlapInstance([labels] * 3, [[0, -1, 2], [0, 1, -3], [0, 2, 1]], 2)
+
+    # Facilities on a 2 x 3 grid with repeated flows; both directions of a
+    # pair add up to each cell, so many cells of different edges are equal.
+    flow = [[0, 1, 2, 0, 1, 2],
+            [1, 0, 1, 2, 0, 1],
+            [2, 1, 0, 1, 2, 0],
+            [0, 2, 1, 0, 1, 2],
+            [1, 0, 2, 1, 0, 1],
+            [2, 1, 0, 2, 1, 0]]
+    dist = [[abs(a // 3 - b // 3) + abs(a % 3 - b % 3) for b in range(6)]
+            for a in range(6)]
+
+    @staticmethod
+    def row_cells(inst, edge):
+        """Each row cell of ``edge`` with the ``cells`` key it stores."""
+        labs_u = inst.unary.allowed[edge.u]
+        labs_v = inst.unary.allowed[edge.v]
+        for ki, row in enumerate(edge.rows_u):
+            for cell in row[2] if row else ():
+                yield (labs_u[ki], labs_v[cell[0]]), cell
+        for li, row in enumerate(edge.rows_v):
+            for cell in row[2] if row else ():
+                yield (labs_u[cell[0]], labs_v[li]), cell
+
+    @classmethod
+    def all_cells(cls, inst):
+        return [cell for edge in inst.edges
+                for _, cell in cls.row_cells(inst, edge)]
+
+    @pytest.mark.parametrize("int_first", [True, False])
+    def test_an_equal_float_cell_keeps_its_type(self, int_first):
+        # Edge (0, 1) stores the int 2**60 and edge (1, 2) the equal float
+        # 2.0**60 in the same row and column; every other cell of (0, 1)
+        # is larger, so the int is that edge's cheapest cell.
+        ints = {(k, l): 2**60 + 5 + 3 * k + l
+                for k in self.labels for l in self.labels}
+        ints[0, 1] = 2**60
+        floats = {(0, 1): 2.0**60, (1, 1): 3, (0, DUMMY): -2}
+        edges = [(0, 1, ints), (1, 2, floats)]
+        inst = IqapInstance(self.core, edges if int_first else edges[::-1])
+        for edge in inst.edges:
+            for key, (_, c) in self.row_cells(inst, edge):
+                assert type(c) is type(edge.cells[key]), (edge.u, edge.v, key)
+        int_edge = inst.edge_between(0, 1)
+        assert int_edge.integral
+        assert all(type(c) is int for _, (_, c) in self.row_cells(inst, int_edge))
+        # The exact zero-state bound is 2**60 + (-2) + (-1 - 3 + 0), and
+        # 2**60 - 128 is the largest float not above it.  A float cell in
+        # the int edge's rows would sum it in floats and report 2**60.
+        # Three ``hung`` iterations leave the certified bound there.
+        assert dual_bound(inst, IqapDualState(inst)) == 2**60 - 128
+        report = run(inst, SolverConfig(method="hung", max_iterations=3,
+                                        bound_improvement_epsilon=0))
+        assert report.final_bound == 2**60 - 128
+
+    def test_equal_int_cells_are_one_object(self):
+        inst = convert_qaplib_to_iqap(self.flow, self.dist, augment=True)
+        cells = self.all_cells(inst)
+        assert all(type(c) is int for _, c in cells)
+        distinct = set(cells)
+        assert len(distinct) < len(cells)
+        assert len({id(cell) for cell in cells}) == len(distinct)
+
+    def test_float_cells_are_not_shared(self):
+        flow = [[f / 4 for f in row] for row in self.flow]
+        inst = convert_qaplib_to_iqap(flow, self.dist, augment=True)
+        cells = self.all_cells(inst)
+        floats = [cell for cell in cells if type(cell[1]) is float]
+        ints = [cell for cell in cells if type(cell[1]) is int]
+        assert len(set(floats)) < len(floats)
+        assert len({id(cell) for cell in floats}) == len(floats)
+        assert len(set(ints)) < len(ints)
+        assert len({id(cell) for cell in ints}) == len(set(ints))
