@@ -173,8 +173,6 @@ def _scaled(row, scale: int) -> list:
 
 def _scaled_rows(rows: tuple, scale: int):
     """A ``PairwiseEdge`` row table with its cells scaled by ``_scaled``."""
-    if not scale:
-        return rows
     out = []
     for row in rows:
         if row is not None:

@@ -463,10 +463,11 @@ def augment_instance(inst: IqapInstance) -> IqapInstance:
     diagonal cell currently costs zero (stored or implicit), the cell is set
     to ``AUGMENT_VALUE``.  Explicitly stored non-zero diagonal cells are
     kept.  No feasible assignment uses such a cell, so optimal values are
-    unchanged.  The readers' ``augment`` option builds the same instance
-    without the intermediate one.
+    unchanged.  The cells are set in the new dicts that the edges' ``cells``
+    return, so ``inst`` is left as it was.  The readers' ``augment`` option
+    builds the same instance without the intermediate one.
     """
-    edges = [(e.u, e.v, dict(e.cells)) for e in inst.edges]
+    edges = [(e.u, e.v, e.cells) for e in inst.edges]
     _augment_cells(inst.unary, edges)
     return IqapInstance(inst.unary, edges)
 

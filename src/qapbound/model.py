@@ -33,7 +33,8 @@ instance (see ``reduction``), is computed on first use and shared the same
 way, so loading an instance never pays for it.  Instances are immutable
 after construction (the lazily filled caches hold values that depend only
 on what they are derived from) and safe to share across threads or
-processes.
+processes.  An ``IqapInstance`` keeps no reference to the cell maps it was
+built from: each ``PairwiseEdge`` stores its cells only as row tables.
 
 Every tolerance comparison in the package goes through the instance's
 ``atol``: the relative knob ``tolerance`` (``DEFAULT_TOLERANCE`` unless
@@ -328,15 +329,15 @@ class IlapInstance(_BaseInstance):
 class PairwiseEdge:
     """Pairwise costs of one unordered vertex pair, stored with ``u < v``.
 
-    ``cells`` maps ``(label of u, label of v)`` to a cost; absent cells are
-    zero.  It is the dict the caller passed, not a copy, unless it was not
-    a dict, the pair came as ``(v, u)`` or a cost needed normalizing;
-    callers must not mutate it afterwards.  ``rows_u`` and ``rows_v`` hold
-    the same cells as row tables in local label indices (positions in
-    ``allowed[u]``/``allowed[v]``), the layout that the per-edge minima of
-    ``wcsp`` read.  ``rows_u`` has one entry per label of ``u`` with the
-    labels of ``v`` as columns, and ``rows_v`` is its transpose.  An entry
-    is
+    The constructor reads the given map from ``(label of u, label of v)``
+    to a cost once, normalizes each cost, and keeps no reference to the
+    map, so later changes to it do not reach the edge.  Absent cells are
+    zero.  The edge stores its cells only as two row tables in local label
+    indices (positions in ``allowed[u]``/``allowed[v]``), the layout that
+    the per-edge minima of ``wcsp`` read; ``cells`` is a new dict read from
+    them on each access.  ``rows_u`` has one entry per label of ``u`` with
+    the labels of ``v`` as columns, and ``rows_v`` is its transpose.  An
+    entry is
 
     * ``None`` for a row with no stored cell;
     * ``(False, stored, cells)`` for a sparse row (at most half of the
@@ -370,7 +371,7 @@ class PairwiseEdge:
     ``wcsp`` uses to skip it.
     """
 
-    __slots__ = ("u", "v", "cells", "rows_u", "rows_v", "max_abs_cost",
+    __slots__ = ("u", "v", "_labels", "rows_u", "rows_v", "max_abs_cost",
                  "integral", "nonnegative")
 
     def __init__(self, u: int, v: int, cells: Mapping, unary: IlapInstance,
@@ -386,8 +387,6 @@ class PairwiseEdge:
         self.v = v
         index_u = unary._index[u]
         index_v = unary._index[v]
-        # The given dict is kept as ``cells`` unless a cost needs normalizing.
-        norm = cells if type(cells) is dict else dict(cells)
         rows = [[] for _ in index_u]
         cols = [[] for _ in index_v]
         share = ({} if _cell_table is None else _cell_table).setdefault
@@ -402,13 +401,9 @@ class PairwiseEdge:
                     raise ValueError(f"{where}: label {k} not allowed for vertex {u}")
                 if li is None:
                     raise ValueError(f"{where}: label {l} not allowed for vertex {v}")
-                x = _as_cost(c, where)
-                if type(x) is not int:
+                c = _as_cost(c, where)
+                if type(c) is not int:
                     integral = False
-                if x is not c:
-                    if norm is cells:
-                        norm = dict(cells)
-                    norm[k, l] = c = x
             row_cell = (li, c)
             col_cell = (ki, c)
             if type(c) is int:
@@ -416,14 +411,24 @@ class PairwiseEdge:
                 col_cell = share(col_cell, col_cell)
             rows[ki].append(row_cell)
             cols[li].append(col_cell)
-        self.cells = norm
+        self._labels = (unary.allowed[u], unary.allowed[v])
         self.rows_u = _row_table(rows, len(cols))
         self.rows_v = _row_table(cols, len(rows))
-        self.max_abs_cost = max(map(abs, norm.values()), default=0)
+        # Each row ascends by cost, so the least stored cost starts a row
+        # and the greatest ends one.
+        low = min([row[2][0][1] for row in self.rows_u if row], default=0)
+        high = max([row[2][-1][1] for row in self.rows_u if row], default=0)
+        self.max_abs_cost = max(abs(low), abs(high))
         self.integral = integral
-        # Each row's first cell is its cheapest.
-        self.nonnegative = all([row[2][0][1] >= 0 for row in self.rows_u
-                                if row is not None])
+        self.nonnegative = low >= 0
+
+    @property
+    def cells(self) -> dict:
+        """A new ``(label of u, label of v) -> cost`` dict of the stored
+        cells, read from ``rows_u``."""
+        labels_u, labels_v = self._labels
+        return {(labels_u[ki], labels_v[j]): c for ki, row
+                in enumerate(self.rows_u) if row for j, c in row[2]}
 
 
 def _row_table(grouped: list, num_cols: int) -> tuple:
@@ -487,7 +492,9 @@ class IqapInstance:
         return self._edge_by_pair.get((u, v))
 
     def pairwise_cost(self, u: int, v: int, k: int, l: int):
-        """Cost of labeling ``u`` with ``k`` and ``v`` with ``l`` (0 if unstored)."""
+        """Cost of labeling ``u`` with ``k`` and ``v`` with ``l`` (0 if
+        unstored), read from the edge's row for ``k``: a row of ``rows_u``
+        if ``u`` is the edge's ``u``, else of ``rows_v``."""
         edge = self.edge_between(u, v)
         if edge is None:
             raise ValueError(f"no edge between vertices {u} and {v}")
@@ -495,8 +502,10 @@ class IqapInstance:
             raise ValueError(f"label {k} not allowed for vertex {u}")
         if not self.unary.allows(v, l):
             raise ValueError(f"label {l} not allowed for vertex {v}")
-        key = (k, l) if u == edge.u else (l, k)
-        return edge.cells.get(key, 0)
+        rows = edge.rows_u if u == edge.u else edge.rows_v
+        row = rows[self.unary.label_index(u, k)]
+        j = self.unary.label_index(v, l)
+        return next((c for i, c in row[2] if i == j), 0) if row else 0
 
     def __repr__(self):
         return (f"IqapInstance(vertices={self.num_vertices}, "
@@ -557,7 +566,7 @@ def iqap_objective(inst: IqapInstance, x: Assignment):
     require_feasible(inst, x)
     total = sum(inst.unary.cost(v, lab) for v, lab in enumerate(x))
     for e in inst.edges:
-        total += e.cells.get((x[e.u], x[e.v]), 0)
+        total += inst.pairwise_cost(e.u, e.v, x[e.u], x[e.v])
     return total
 
 

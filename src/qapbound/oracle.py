@@ -126,10 +126,11 @@ def _exact_optimum(inst: IqapInstance, optima) -> Fraction:
     optimum's among them as long as the window exceeds the rounding.
     """
     unary = inst.unary
+    edges = [(e.u, e.v, e.cells) for e in inst.edges]
 
     def exact_cost(x):
         terms = [unary.cost(v, lab) for v, lab in enumerate(x)]
-        terms += [e.cells.get((x[e.u], x[e.v]), 0) for e in inst.edges]
+        terms += [cells.get((x[u], x[v]), 0) for u, v, cells in edges]
         return sum(map(Fraction, terms))
 
     return min(map(exact_cost, optima))

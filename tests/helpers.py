@@ -200,11 +200,12 @@ def lp_relaxation_optimum(inst):
         equal([(column[(v, lab)], 1) for lab in labs], 1)
     for e in inst.edges:
         labs_u, labs_v = unary.allowed[e.u], unary.allowed[e.v]
+        cells = e.cells
         pair = {}
         for k in labs_u:
             for l in labs_v:
                 pair[(k, l)] = len(cost)
-                cost.append(float(e.cells.get((k, l), 0)))
+                cost.append(float(cells.get((k, l), 0)))
         for k in labs_u:
             equal([(pair[(k, l)], 1) for l in labs_v]
                   + [(column[(e.u, k)], -1)], 0)

@@ -68,8 +68,9 @@ def exact_bound(inst, state):
     for e in inst.edges:
         out_u = state.phi[(e.u, e.v)]
         out_v = state.phi[(e.v, e.u)]
+        cells = e.cells
         total += min(
-            Fraction(e.cells.get((k, l), 0)) - Fraction(out_u[i])
+            Fraction(cells.get((k, l), 0)) - Fraction(out_u[i])
             - Fraction(out_v[j])
             for i, k in enumerate(unary.allowed[e.u])
             for j, l in enumerate(unary.allowed[e.v]))

@@ -146,6 +146,22 @@ class TestLap:
         assert code == 0
         assert "value: 24" in out
 
+    @pytest.mark.parametrize("name, text, payload", [
+        ("infeasible.lap", "p lap 2\na 0 0 1\na 1 0 1\n",
+         {"status": "infeasible"}),
+        ("linear.dd", "p 2 2 2 0\na 0 0 0 1\na 1 1 1 2\n",
+         {"status": "optimal", "value": 3, "assignment": {"0": "0", "1": "1"},
+          "alpha": [2, 2.5], "beta": [-1, -0.5], "dual_objective": 3.0,
+          "relative_interior": True}),
+    ])
+    def test_payload_of_a_file(self, tmp_path, capsys, name, text, payload):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "lap", "--input", str(path),
+                                 "--dummy-cost", "3")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(payload, indent=2) + "\n"
+
     @pytest.mark.parametrize("name", ["example1.lap", "tiny.ilap"])
     @pytest.mark.parametrize("tolerance", ["nan", "inf"])
     def test_non_finite_tolerance_is_input_error(self, capsys, name,
@@ -446,6 +462,14 @@ class TestBatch:
         err = _rejected_before_any_job(tmp_path, monkeypatch, capsys, manifest)
         assert err == ("error: manifest 'methods': unknown method 'nope', "
                        "expected one of ('bca', 'hung', 'hung-ri')\n")
+
+    def test_missing_instance_file_is_input_error(self, tmp_path, monkeypatch,
+                                                  capsys):
+        missing = tmp_path / "missing.dd"
+        err = _rejected_before_any_job(
+            tmp_path, monkeypatch, capsys,
+            {"methods": ["bca"], "instances": [{"path": str(missing)}]})
+        assert err == f"error: instance file not found: {missing.resolve()}\n"
 
     def test_empty_instances_is_input_error(self, tmp_path, monkeypatch,
                                             capsys):

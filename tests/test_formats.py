@@ -36,6 +36,15 @@ def same_iqap(a: IqapInstance, b: IqapInstance) -> bool:
             == [(e.u, e.v, e.cells) for e in b.edges])
 
 
+def raises_parse_error(parse, text, message, line, **kwargs):
+    """``parse(text)`` raises a ``ParseError`` with ``message`` at ``line``."""
+    with pytest.raises(ParseError) as info:
+        parse(text, **kwargs)
+    assert info.value.line == line
+    assert str(info.value) == (message if line is None
+                               else f"line {line}: {message}")
+
+
 class TestParseDd:
     def test_no_assignments(self):
         inst = parse_dd("p 2 3 0 0\n")
@@ -92,6 +101,31 @@ e 0 1 7
     def test_line_numbers_reported(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_dd("c x\np 1 1 1 0\na 0 0 0 bad\n")
+
+    @pytest.mark.parametrize("text, message, line", [
+        ("p 1 1 1 0\np 1 1 1 0\n", "duplicate header", 2),
+        ("p 1 -1 1 0\n", "header counts must be non-negative", 1),
+        ("p 1 1 1.5 0\n", "header field must be an integer, got '1.5'", 1),
+        ("p 1 1 1 0\na 0 0 0\n",
+         "assignment record must be 'a id vertex label cost'", 2),
+        ("p 1 1 1 0\na 0 v 0 1\n", "vertex must be an integer, got 'v'", 2),
+        ("p 1 1 1 0\na 1 0 0 1\n", "assignment id 1 outside 0..0", 2),
+        ("p 1 1 1 0\na -1 0 0 1\n", "assignment id -1 outside 0..0", 2),
+        ("e 0 1 5\n", "edge record before header", 1),
+        ("p 2 2 2 1\na 0 0 0 1\na 1 1 1 1\ne 0 1\n",
+         "edge record must be 'e id1 id2 cost'", 4),
+        ("c only a comment\n", "missing 'p' header", None),
+    ])
+    def test_error_messages_and_lines(self, text, message, line):
+        raises_parse_error(parse_dd, text, message, line)
+
+    def test_serializing_a_dummy_cell_is_an_error(self):
+        core = IlapInstance([[DUMMY, 0], [DUMMY, 1]], [[0, 1], [0, 2]], 2)
+        inst = IqapInstance(core, [(0, 1, {(0, 1): 3, (DUMMY, 1): 4})])
+        with pytest.raises(ValueError) as info:
+            serialize_dd(inst)
+        assert str(info.value) == ("edge (0, 1) prices the dummy label, which "
+                                   "this format cannot express")
 
     def test_round_trip_fixture_style(self):
         rng = seeded(121)
@@ -188,6 +222,42 @@ class TestLapFormat:
         with pytest.raises(ParseError):
             parse_lap_file("p lap 2\na 0 0 1\na 0 1 1\n")
 
+    @pytest.mark.parametrize("text, message, line", [
+        ("p lap 1\np lap 1\n", "duplicate header", 2),
+        ("p lap\n", "header must be 'p lap n'", 1),
+        ("p lap x\n", "size must be an integer, got 'x'", 1),
+        ("p ilap 1\n", "header must be 'p ilap nv nl'", 1),
+        ("p ilap 1 y\n", "label count must be an integer, got 'y'", 1),
+        ("p dd 1\n", "header must start 'p lap' or 'p ilap'", 1),
+        ("p lap -1\n", "header counts must be non-negative", 1),
+        ("p lap 1\nd 0 1\n", "dummy record outside an ilap file", 2),
+        ("p ilap 1 1\nd 0\n", "dummy record must be 'd vertex cost'", 2),
+        ("p ilap 1 1\nd 1 5\n", "vertex 1 out of range", 2),
+        ("p ilap 1 1\nd 0 5\nd 0 6\n", "duplicate dummy record for vertex 0", 3),
+        ("a 0 0 1\n", "assignment record before header", 1),
+        ("p lap 1\na 0 0\n", "record must be 'a vertex label cost'", 2),
+        ("p lap 1\na 1 0 1\n", "vertex 1 out of range", 2),
+        ("p lap 1\na 0 1 1\n", "label 1 out of range", 2),
+        ("p lap 1\na 0 0 1\na 0 0 2\n", "duplicate pair (0, 0)", 3),
+        ("p ilap 1 1\na 0 0 z\n", "cost must be numeric, got 'z'", 2),
+        ("p lap 1\nx 0\n", "unknown record type 'x'", 2),
+        ("c only a comment\n", "missing 'p' header", None),
+        ("p lap 1\n", "vertex 0: needs at least one allowed label", None),
+    ])
+    def test_error_messages_and_lines(self, text, message, line):
+        raises_parse_error(parse_lap_file, text, message, line)
+
+    def test_invalid_tolerance_is_a_parse_error(self):
+        raises_parse_error(parse_lap_file, "p ilap 1 1\n",
+                           "tolerance must be finite and non-negative", None,
+                           tolerance=-1)
+
+    def test_serializing_a_quadratic_instance_is_a_type_error(self):
+        inst = parse_dd("p 1 1 1 0\na 0 0 0 5\n")
+        with pytest.raises(TypeError) as info:
+            serialize_lap_file(inst)
+        assert str(info.value) == "expected a LapInstance or IlapInstance"
+
 
 class TestQaplib:
     def test_trivial(self):
@@ -213,6 +283,15 @@ class TestQaplib:
         with pytest.raises(ParseError):
             parse_qaplib(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("x", "size must be an integer, got 'x'"),
+        ("-1", "size must be non-negative"),
+        ("2 1 2 3", "expected 9 tokens for size 2, found 4"),
+    ])
+    def test_malformed_messages(self, text, message):
+        raises_parse_error(parse_qaplib, text, message, None)
+
     @pytest.mark.parametrize("token, message", [
         ("inf", "matrix entry: cost must be finite, got inf"),
         ("-inf", "matrix entry: cost must be finite, got -inf"),
@@ -226,6 +305,18 @@ class TestQaplib:
 
 
 class TestConvertQaplib:
+    @pytest.mark.parametrize("flow, dist", [
+        ([[0, 1]], [[0]]),
+        ([[0]], [[0], [0]]),
+        ([[0]], [[0, 1]]),
+        ([[0, 1], [1]], [[0, 1], [1, 0]]),
+    ])
+    def test_non_square_matrices_are_rejected(self, flow, dist):
+        with pytest.raises(ValueError) as info:
+            convert_qaplib_to_iqap(flow, dist)
+        assert str(info.value) == (
+            "flow and distance must be square matrices of equal size")
+
     def test_zero_flow_gives_pure_unary_instance(self):
         flow = [[0, 0], [0, 0]]
         dist = [[0, 3], [3, 0]]

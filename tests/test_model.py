@@ -1,9 +1,10 @@
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
 from qapbound.bounds import SolverConfig, dual_bound, run
-from qapbound.formats import convert_qaplib_to_iqap
+from qapbound.formats import convert_qaplib_to_iqap, serialize_dd
 from qapbound.model import (
     DUMMY,
     FeasibilityError,
@@ -526,7 +527,7 @@ class TestEdgeIntegrality:
 
 
 class TestPairwiseEdge:
-    """``PairwiseEdge``'s checks and the cell map it keeps."""
+    """``PairwiseEdge``'s checks and the cells it stores."""
 
     core = IlapInstance([[DUMMY, 0, 1], [DUMMY, 1, 2], [DUMMY, 0]],
                         [[0, 1, 2], [0, 3, 4], [0, 5]], 3)
@@ -582,13 +583,17 @@ class TestPairwiseEdge:
     def test_nonnegative_flags_a_negative_cell(self, cells, nonnegative):
         assert PairwiseEdge(0, 1, cells, self.core).nonnegative is nonnegative
 
-    def test_given_dict_is_kept_unless_a_cost_is_normalized(self):
+    def test_given_dict_is_read_once_and_normalized(self):
         given = {(0, 1): 3, (1, 2): 2.5}
-        assert PairwiseEdge(0, 1, given, self.core).cells is given
+        edge = PairwiseEdge(0, 1, given, self.core)
+        assert edge.cells == given and edge.cells is not given
+        given[0, 1] = 0
+        del given[1, 2]
+        assert edge.cells == {(0, 1): 3, (1, 2): 2.5}
         given = {(0, 1): 3.0, (1, 2): -1}
         edge = PairwiseEdge(0, 1, given, self.core)
-        assert edge.cells is not given and edge.cells == {(0, 1): 3, (1, 2): -1}
-        assert type(given[0, 1]) is float
+        assert edge.cells == {(0, 1): 3, (1, 2): -1}
+        assert type(edge.cells[0, 1]) is int and type(given[0, 1]) is float
 
     def test_swapped_endpoints_give_the_same_edge(self):
         cells = {(0, 1): 3, (1, 2): 2.5, (DUMMY, 1): -4}
@@ -599,6 +604,59 @@ class TestPairwiseEdge:
         for name in PairwiseEdge.__slots__[2:]:
             assert getattr(swapped, name) == getattr(edge, name), name
         assert list(swapped.cells.items()) == list(edge.cells.items())
+
+
+class TestEdgeOwnsCells:
+    """An edge reads its cell map once; ``cells`` is derived from its rows."""
+
+    def test_changing_the_given_dict_changes_nothing(self):
+        # Any two non-dummy labels cost 10 on the edge, a dummy 100: the
+        # optimum is 10.  Zeroing two cells of the given dict afterwards
+        # must not make it 0 to any reader.
+        core = IlapInstance([[DUMMY, 0, 1]] * 2, [[100, 0, 0]] * 2, 2)
+        given = {(k, l): 10 for k in (0, 1) for l in (0, 1)}
+        inst = IqapInstance(core, [(0, 1, given)])
+        text = serialize_dd(inst)
+        given[0, 1] = given[1, 0] = 0
+        report = run(inst, SolverConfig(method="hung-ri", max_iterations=10,
+                                        bound_improvement_epsilon=0))
+        assert report.final_bound == 10.0
+        assert brute_force_optimum(inst)[0] == 10
+        assert iqap_objective(inst, [0, 1]) == 10
+        assert serialize_dd(inst) == text
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cells_round_trip_the_normalized_input(self, seed):
+        rng = seeded(seed)
+        labels = [[DUMMY, *rng.sample(range(6), rng.randint(1, 5))]
+                  for _ in range(2)]
+        core = IlapInstance(labels, [[0] * len(labs) for labs in labels], 6)
+        pool = [-3, 0, 7, 2**60, 2.5, -0.25, 4.0, -2.0**60, Fraction(1, 3),
+                Fraction(-6, 2)]
+        cells = {(k, l): rng.choice(pool) for k in labels[0]
+                 for l in labels[1] if rng.random() < 0.6}
+        expected = {key: _as_cost(c, "cell") for key, c in cells.items()}
+        swapped = {(l, k): c for (k, l), c in cells.items()}
+        for edge in (PairwiseEdge(0, 1, cells, core),
+                     PairwiseEdge(1, 0, swapped, core),
+                     PairwiseEdge(0, 1, MappingProxyType(cells), core)):
+            got = edge.cells
+            assert got == expected
+            assert [type(got[key]) for key in expected] == list(
+                map(type, expected.values()))
+            assert edge.cells is not got
+            rows = edge.rows_u
+            got.clear()
+            assert edge.rows_u is rows and edge.cells == expected
+            assert edge.max_abs_cost == max(map(abs, expected.values()),
+                                            default=0)
+        inst = IqapInstance(core, [(1, 0, swapped)])
+        for k in labels[0]:
+            for l in labels[1]:
+                cost = expected.get((k, l), 0)
+                assert inst.pairwise_cost(0, 1, k, l) == cost
+                assert inst.pairwise_cost(1, 0, l, k) == cost
+                assert type(inst.pairwise_cost(1, 0, l, k)) is type(cost)
 
 
 class TestSharedCells:

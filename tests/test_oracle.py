@@ -70,13 +70,14 @@ class TestBruteForce:
                              unary.num_labels),
                 [(e.u, e.v, {kl: c / 10 for kl, c in e.cells.items()})
                  for e in ints.edges])
+            edges = [(e.u, e.v, e.cells) for e in inst.edges]
             exact = []
             for x in itertools.product(*unary.allowed):
                 used = [lab for lab in x if lab != DUMMY]
                 if len(used) == len(set(used)):
                     terms = [inst.unary.cost(v, lab) for v, lab in enumerate(x)]
-                    terms += [e.cells.get((x[e.u], x[e.v]), 0)
-                              for e in inst.edges]
+                    terms += [cells.get((x[u], x[v]), 0)
+                              for u, v, cells in edges]
                     exact.append(sum(map(Fraction, terms)))
             _, optima = brute_force_optimum(inst)
             assert _exact_optimum(inst, optima) == min(exact)

@@ -61,7 +61,8 @@ def row_kinds_iqap(rng):
 
 def row_kind(edge, state, k, allowed_v):
     """How row ``k`` of ``edge`` (oriented from ``u``) stores its cells."""
-    stored = [l for l in allowed_v if (k, l) in edge.cells]
+    cells = edge.cells
+    stored = [l for l in allowed_v if (k, l) in cells]
     if not stored:
         return "empty"
     if len(stored) == len(allowed_v):
@@ -339,7 +340,8 @@ def _full_scan_of_rows(base, rows, trans, scale=1):
 
 def _stored(edge, inst):
     """The cells of ``edge`` as one ``{column: cost}`` dict per row of
-    ``rows_u``, read from ``edge.cells``, not from the row tables."""
+    ``rows_u``, keyed by labels in ``edge.cells`` and mapped here to
+    column indices."""
     cols = {lab: j for j, lab in enumerate(inst.unary.allowed[edge.v])}
     rows = [{} for _ in inst.unary.allowed[edge.u]]
     rows_of = {lab: i for i, lab in enumerate(inst.unary.allowed[edge.u])}
@@ -483,9 +485,10 @@ def _negative_off_the_cheapest_column(rng, base, cost):
         inst, _ = _sorted_rows_edge(rng, base, _nonnegative(cost))
         labels = inst.unary.allowed[1]
         cheapest = labels[base.index(min(base))]
-        rows = {k for k, l in inst.edges[0].cells if l == cheapest}
+        given = inst.edges[0].cells
+        rows = {k for k, l in given if l == cheapest}
         cells = {(k, l): c if k in rows else -c - 1
-                 for (k, l), c in inst.edges[0].cells.items()}
+                 for (k, l), c in given.items()}
         if any(c < 0 for c in cells.values()):
             return IqapInstance(inst.unary, [(0, 1, cells)])
 
