@@ -389,10 +389,16 @@ def _shift_constant(flow, dist, edges):
     """``qaplib_shift_constant`` read from the ``_edge_cells`` triples."""
     n = len(flow)
     total = 0
+    # Each distinct map's largest magnitude, by ``id``: every map stays
+    # alive in ``edges`` or in the generator that shares it.
+    peaks = {}
     for _, _, cells in edges:
-        # Left to right, as written: ``sum`` compensates float rounding
-        # on Python 3.12 and later.
-        total += max(map(abs, cells.values()))
+        peak = peaks.get(id(cells))
+        if peak is None:
+            peak = peaks[id(cells)] = max(map(abs, cells.values()))
+        # Once per edge, left to right, as written: ``sum`` compensates
+        # float rounding on Python 3.12 and later.
+        total += peak
     diagonal = max((flow[v][v] * dist[lab][lab]
                     for v in range(n) for lab in range(n)), default=0)
     return 1 + total + max(0, diagonal)
@@ -402,18 +408,27 @@ def _edge_cells(flow, dist):
     """Yield ``(u, v, cells)`` for each vertex pair ``u < v`` with a
     non-zero cell; ``cells`` maps ``(k, l)`` to the non-zero costs of
     placing ``u`` at ``k`` and ``v`` at ``l``, both flow directions
-    combined.  Every edge shares the same key tuples."""
+    combined.  Pairs whose flows ``(flow[u][v], flow[v][u])`` are equal
+    in type as well as in value yield one shared dict, and every dict
+    shares the same key tuples."""
     n = len(flow)
     keys = [(k, l) for k in range(n) for l in range(n)]
     forward = [dist[k][l] for k, l in keys]
     backward = [dist[l][k] for k, l in keys]
+    # Keyed by type too: ``2**60`` and ``2.0**60`` flows give equal cells
+    # of different types, and an int edge must not take float cells.
+    by_flows = {}
     for u in range(n):
         for v in range(u + 1, n):
             fu, fv = flow[u][v], flow[v][u]
             if fu == 0 and fv == 0:
                 continue
-            cells = {key: c for key, a, b in zip(keys, forward, backward)
-                     if (c := fu * a + fv * b) != 0}
+            flows = (type(fu), fu, type(fv), fv)
+            cells = by_flows.get(flows)
+            if cells is None:
+                cells = by_flows[flows] = {
+                    key: c for key, a, b in zip(keys, forward, backward)
+                    if (c := fu * a + fv * b) != 0}
             if cells:
                 yield u, v, cells
 
@@ -423,8 +438,12 @@ def convert_qaplib_to_iqap(flow, dist, *, tolerance: float = DEFAULT_TOLERANCE,
     """Convert flow/distance matrices to a dummy-label quadratic instance.
 
     Vertices are facilities, non-dummy labels are locations, all locations
-    allowed everywhere.  A vertex pair becomes an edge when either flow
-    direction is non-zero; its cell costs combine both directions.  Unary
+    allowed everywhere.  A vertex pair becomes an edge when one of its
+    cells, ``flow[u][v] * dist[k][l] + flow[v][u] * dist[l][k]`` for
+    ``u`` at ``k`` and ``v`` at ``l``, is non-zero; so a pair with non-zero
+    flows whose terms all cancel, or meet zero distances, has no edge.
+    Pairs with the same typed flow pair share one cell map, which
+    ``IqapInstance`` builds into row tables once.  Unary
     costs are the diagonal product minus the shift constant, the dummy costs
     zero, so reported bounds carry an offset of minus ``n`` times the shift
     relative to the flow/distance objective.  ``augment`` builds the
@@ -474,9 +493,17 @@ def augment_instance(inst: IqapInstance) -> IqapInstance:
 
 def _augment_cells(unary: IlapInstance, edges: list) -> None:
     """Set the ``augment_instance`` diagonal cells in ``(u, v, cells)``
-    edge triples, in place, before they are built into an instance."""
+    edge triples, in place, before they are built into an instance.  A
+    map given for several edges is augmented once, for the labels of its
+    first edge; ``convert_qaplib_to_iqap``, the only reader that shares
+    maps, allows the same labels at every vertex."""
     allowed = unary.allowed
+    # By ``id``: every map stays alive in ``edges``.
+    done = set()
     for u, v, cells in edges:
+        if id(cells) in done:
+            continue
+        done.add(id(cells))
         shared = set(allowed[u]) & set(allowed[v])
         shared.discard(DUMMY)
         for lab in shared:

@@ -35,6 +35,11 @@ after construction (the lazily filled caches hold values that depend only
 on what they are derived from) and safe to share across threads or
 processes.  An ``IqapInstance`` keeps no reference to the cell maps it was
 built from: each ``PairwiseEdge`` stores its cells only as row tables.
+Edges given one map object, with the same orientation and equal allowed
+rows at their endpoints, share the row tables built from that map at its
+first edge.  ``convert_qaplib_to_iqap`` gives all vertex pairs with one
+flow pair one map, so the benchmark's QAPLIB instance builds 10 pairs of
+tables for its 189 edges.
 
 Every tolerance comparison in the package goes through the instance's
 ``atol``: the relative knob ``tolerance`` (``DEFAULT_TOLERANCE`` unless
@@ -376,13 +381,10 @@ class PairwiseEdge:
 
     def __init__(self, u: int, v: int, cells: Mapping, unary: IlapInstance,
                  _cell_table: dict | None = None):
-        if u == v:
-            raise ValueError(f"pairwise edge ({u}, {v}) is a loop")
-        if u > v:
-            u, v = v, u
+        low, high = _edge_ends(u, v, unary.num_vertices)
+        if low != u:
             cells = {(l, k): c for (k, l), c in cells.items()}
-        if u < 0 or v >= unary.num_vertices:
-            raise ValueError(f"edge ({u}, {v}) references unknown vertex")
+        u, v = low, high
         self.u = u
         self.v = v
         index_u = unary._index[u]
@@ -430,6 +432,28 @@ class PairwiseEdge:
         return {(labels_u[ki], labels_v[j]): c for ki, row
                 in enumerate(self.rows_u) if row for j, c in row[2]}
 
+    def _moved(self, u: int, v: int, allowed: tuple) -> "PairwiseEdge":
+        """A new edge on ``u < v`` with this edge's row tables and flags;
+        ``allowed[u]`` and ``allowed[v]`` must equal this edge's rows."""
+        edge = object.__new__(PairwiseEdge)
+        for name in self.__slots__[3:]:
+            setattr(edge, name, getattr(self, name))
+        edge.u = u
+        edge.v = v
+        edge._labels = (allowed[u], allowed[v])
+        return edge
+
+
+def _edge_ends(u: int, v: int, num_vertices: int) -> tuple:
+    """The endpoints of an edge as ``(low, high)``, checked."""
+    if u == v:
+        raise ValueError(f"pairwise edge ({u}, {v}) is a loop")
+    if u > v:
+        u, v = v, u
+    if u < 0 or v >= num_vertices:
+        raise ValueError(f"edge ({u}, {v}) references unknown vertex")
+    return u, v
+
 
 def _row_table(grouped: list, num_cols: int) -> tuple:
     """``PairwiseEdge`` row entries from the ``(column, cost)`` list of
@@ -452,15 +476,35 @@ def _row_table(grouped: list, num_cols: int) -> tuple:
 
 
 class IqapInstance:
-    """ILAP core plus sparse pairwise costs over a vertex graph."""
+    """ILAP core plus sparse pairwise costs over a vertex graph.
+
+    ``edges`` yields ``(u, v, cells)`` triples, ``cells`` a map from
+    ``(label of u, label of v)`` to a cost, each built into a
+    ``PairwiseEdge``.  A map object given for several edges is read once,
+    at its first edge: each later edge with the same orientation and equal
+    allowed rows at its endpoints is a new edge object with its own
+    endpoints that holds the first edge's row tables and flags.
+    """
 
     def __init__(self, unary: IlapInstance, edges: Iterable = ()):
         self.unary = unary
         self._edge_by_pair = {}
-        # One table for all edges, dropped when construction ends.
+        allowed = unary.allowed
+        # One cell table for all edges, and one built edge per cell map,
+        # orientation and pair of endpoint rows, whose tables every later
+        # edge with that key shares; both are dropped when construction
+        # ends.  An entry holds its map, so no other map takes its ``id``.
         cell_table = {}
+        built = {}
         for u, v, cells in edges:
-            edge = PairwiseEdge(u, v, cells, unary, cell_table)
+            low, high = _edge_ends(u, v, unary.num_vertices)
+            key = (id(cells), low != u, allowed[low], allowed[high])
+            first = built.get(key)
+            if first is None:
+                edge = PairwiseEdge(u, v, cells, unary, cell_table)
+                built[key] = (cells, edge)
+            else:
+                edge = first[1]._moved(low, high, allowed)
             if (edge.u, edge.v) in self._edge_by_pair:
                 raise ValueError(f"duplicate edge ({edge.u}, {edge.v})")
             self._edge_by_pair[edge.u, edge.v] = edge

@@ -109,6 +109,13 @@ def random_iqap(rng, *, max_vertices=5, max_labels=4, max_edges=6,
     return IqapInstance(core, edges)
 
 
+def edge_layout(inst):
+    """Every edge of ``inst`` as its endpoints, cells, row tables and
+    ``integral`` flag, for comparing two constructions."""
+    return [(e.u, e.v, list(e.cells.items()), e.rows_u, e.rows_v, e.integral)
+            for e in inst.edges]
+
+
 def random_feasible_ilap_assignment(rng, inst):
     """Uniform-ish feasible assignment: greedy with the dummy as fallback."""
     x = []

@@ -20,10 +20,11 @@ from qapbound.formats import (
     serialize_lap_file,
     sniff_format,
 )
+from qapbound.bounds import SolverConfig, run
 from qapbound.model import DUMMY, IlapInstance, IqapInstance, LapInstance
 from qapbound.oracle import brute_force_optimum, search_space_size
 
-from helpers import random_iqap, seeded
+from helpers import edge_layout, random_iqap, seeded
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -374,6 +375,95 @@ class TestConvertQaplib:
                 for v in range(n))
 
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_one_row_table_per_typed_flow_pair(self, symmetric):
+        rng = seeded(163 + symmetric)
+        n = 7
+        values = [0, 0, 1, 3, 3.0, 0.5]
+        flow = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+        if symmetric:
+            flow = [[flow[min(u, v)][max(u, v)] for v in range(n)]
+                    for u in range(n)]
+        dist = [[rng.randint(0, 4) for _ in range(n)] for _ in range(n)]
+        inst = convert_qaplib_to_iqap(flow, dist)
+        tables = {}
+        for e in inst.edges:
+            fu, fv = flow[e.u][e.v], flow[e.v][e.u]
+            tables.setdefault((type(fu), fu, type(fv), fv), set()).add(
+                id(e.rows_u))
+        assert len(tables) < len(inst.edges)
+        assert all(len(ids) == 1 for ids in tables.values())
+        assert len({id(e.rows_u) for e in inst.edges}) == len(tables)
+        unshared = IqapInstance(inst.unary, _unshared_edges(flow, dist))
+        assert edge_layout(inst) == edge_layout(unshared)
+
+    @pytest.mark.parametrize("int_first", [True, False])
+    def test_equal_int_and_float_flows_stay_apart(self, tmp_path, int_first):
+        # 2**60 as an int token and as a float token: equal values whose
+        # cells must keep their types, so they must not share a map.
+        big = ["1152921504606846976", "1.152921504606847e+18"]
+        first, second = big if int_first else big[::-1]
+        path = tmp_path / "big.dat"
+        path.write_text(f"3\n0 {first} 0\n0 0 {second}\n0 0 0\n"
+                        "0 1 2\n1 0 1\n2 1 0\n")
+        inst = load_instance(path, fmt="qaplib")
+        assert [e.integral for e in inst.edges] == [int_first, not int_first]
+        for e in inst.edges:
+            kinds = {type(c) for c in e.cells.values()}
+            assert kinds == ({int} if e.integral else {float})
+        _, flow, dist = parse_qaplib(path.read_text())
+        assert type(flow[0][1]) is not type(flow[1][2])
+        unshared = IqapInstance(inst.unary, _unshared_edges(flow, dist))
+        assert edge_layout(inst) == edge_layout(unshared)
+        assert inst.integral == unshared.integral
+        config = SolverConfig(method="hung", max_iterations=5,
+                              bound_improvement_epsilon=0)
+        got, want = run(inst, config), run(unshared, config)
+        assert (got.final_bound, got.bound_trajectory) == (
+            want.final_bound, want.bound_trajectory)
+
+    @pytest.mark.parametrize("kind", ["int", "float"])
+    def test_shift_constant_on_repeated_flows(self, kind):
+        # Few flow values over many pairs.  The float shift is
+        # 63.83333333333332 summed edge by edge, left to right, but
+        # 63.833333333333336 from each distinct peak times its edge count
+        # and 63.83333333333333 from ``math.fsum``.
+        values = [0, 1, 7, 12] if kind == "int" else [0, 0.1, 0.3, 1 / 3]
+        rng = seeded(167)
+        n = 9
+        flow = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+        dist = [[rng.randint(0, 5) for _ in range(n)] for _ in range(n)]
+        shift = qaplib_shift_constant(flow, dist)
+        assert shift == _documented_shift(flow, dist)
+        assert type(shift) is type(_documented_shift(flow, dist))
+
+    def test_a_pair_whose_cells_are_all_zero_has_no_edge(self):
+        flow = [[0, 2, 1], [3, 0, 0], [1, 0, 0]]
+        zero = [[0] * 3 for _ in range(3)]
+        assert convert_qaplib_to_iqap(flow, zero).edges == ()
+        assert qaplib_shift_constant(flow, zero) == 1
+        # Opposite flows over a symmetric distance cancel in every cell.
+        flow = [[0, 2, 1], [-2, 0, 0], [0, 0, 0]]
+        dist = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        inst = convert_qaplib_to_iqap(flow, dist)
+        assert [(e.u, e.v) for e in inst.edges] == [(0, 2)]
+
+
+def _unshared_edges(flow, dist):
+    """``(u, v, cells)`` for each vertex pair with a non-zero cell, as the
+    ``convert_qaplib_to_iqap`` docstring states it, each with its own
+    new map."""
+    n = len(flow)
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            cells = {(k, l): c for k in range(n) for l in range(n)
+                     if (c := flow[u][v] * dist[k][l] + flow[v][u] * dist[l][k])}
+            if cells:
+                edges.append((u, v, cells))
+    return edges
+
+
 def _documented_shift(flow, dist):
     """``qaplib_shift_constant`` as its docstring states it, over every
     cell of every vertex pair."""
@@ -456,18 +546,13 @@ class TestExactIntTokens:
             parse_dd("p 1 1 1 0\na 0 0 0 1" + "0" * 400 + "\n")
 
 
-def _edge_layout(inst):
-    return [(e.u, e.v, list(e.cells.items()), e.rows_u, e.rows_v, e.integral)
-            for e in inst.edges]
-
-
 class TestAugmentOnLoad:
     @pytest.mark.parametrize("name", ["toy1.dd", "toy2.dd", "toy3.dd", "qap3.dat"])
     def test_one_construction_equals_augmenting_the_instance(self, name):
         path = FIXTURES / name
         once = load_instance(path, augment=True)
         twice = augment_instance(load_instance(path))
-        assert _edge_layout(once) == _edge_layout(twice)
+        assert edge_layout(once) == edge_layout(twice)
         assert once.integral == twice.integral
         assert once.max_abs_cost == twice.max_abs_cost
 
@@ -479,13 +564,13 @@ class TestAugmentOnLoad:
             dist = [[rng.choice([0, 1, 2.5]) for _ in range(n)] for _ in range(n)]
             once = convert_qaplib_to_iqap(flow, dist, augment=True)
             twice = augment_instance(convert_qaplib_to_iqap(flow, dist))
-            assert _edge_layout(once) == _edge_layout(twice)
+            assert edge_layout(once) == edge_layout(twice)
             assert once.integral == twice.integral
             inst = random_iqap(rng, dummy_cells=False)
             text = serialize_dd(inst)
             once = parse_dd(text, augment=True)
             twice = augment_instance(parse_dd(text))
-            assert _edge_layout(once) == _edge_layout(twice)
+            assert edge_layout(once) == edge_layout(twice)
             assert once.integral == twice.integral
 
     def test_augment_rejects_a_linear_instance(self):

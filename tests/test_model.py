@@ -33,6 +33,7 @@ from helpers import (
     example1_final_dual,
     example1_instance,
     random_ilap,
+    edge_layout,
     random_lap,
     seeded,
 )
@@ -728,12 +729,90 @@ class TestSharedCells:
         assert len({id(cell) for cell in cells}) == len(distinct)
 
     def test_float_cells_are_not_shared(self):
+        # Edges of one flow pair share whole row tables, so one edge per
+        # table is compared: edges of different cell maps share no float
+        # cell, and no float cell goes through the shared cell table.
         flow = [[f / 4 for f in row] for row in self.flow]
         inst = convert_qaplib_to_iqap(flow, self.dist, augment=True)
-        cells = self.all_cells(inst)
+        built = list({id(edge.rows_u): edge for edge in inst.edges}.values())
+        assert 1 < len(built) < len(inst.edges)
+        cells = [cell for edge in built for _, cell in self.row_cells(inst, edge)]
         floats = [cell for cell in cells if type(cell[1]) is float]
         ints = [cell for cell in cells if type(cell[1]) is int]
         assert len(set(floats)) < len(floats)
         assert len({id(cell) for cell in floats}) == len(floats)
         assert len(set(ints)) < len(ints)
         assert len({id(cell) for cell in ints}) == len(set(ints))
+
+
+class TestSharedEdgeTables:
+    """Edges given one cell map share the row tables built from it."""
+
+    # Vertices 0-3 allow the same labels; vertex 4 allows fewer, so a row
+    # that stores two cells is sparse against it and dense against 0-3.
+    core = IlapInstance([[DUMMY, 0, 1, 2]] * 4 + [[DUMMY, 0, 1]],
+                        [[0, 1, 2, 3]] * 4 + [[0, 4, 5]], 3)
+    given = {(0, 0): 4, (0, 1): -2.5, (1, DUMMY): 7, (DUMMY, 1): 2**60,
+             (1, 1): 3.0}
+    # Endpoints in given order.  Each group shares one orientation and
+    # the allowed rows of its endpoints, so it is built once.
+    groups = [[(0, 1), (2, 3)], [(3, 1), (2, 0)], [(0, 4), (1, 4)], [(4, 2)]]
+
+    @pytest.mark.parametrize("proxy", [False, True])
+    def test_a_shared_map_builds_what_copies_build(self, proxy):
+        cells = MappingProxyType(self.given) if proxy else self.given
+        ends = [pair for group in self.groups for pair in group]
+        inst = IqapInstance(self.core, [(u, v, cells) for u, v in ends])
+        copies = IqapInstance(self.core,
+                              [(u, v, dict(self.given)) for u, v in ends])
+        assert edge_layout(inst) == edge_layout(copies)
+        assert [(e.max_abs_cost, e.nonnegative) for e in inst.edges] == [
+            (e.max_abs_cost, e.nonnegative) for e in copies.edges]
+        assert (inst.integral, inst.max_abs_cost) == (
+            copies.integral, copies.max_abs_cost)
+        tables = []
+        for group in self.groups:
+            edges = [inst.edge_between(u, v) for u, v in group]
+            assert all(e.rows_u is edges[0].rows_u for e in edges)
+            assert all(e.rows_v is edges[0].rows_v for e in edges)
+            tables.append(edges[0].rows_u)
+        assert len({id(rows) for rows in tables}) == len(self.groups)
+        allowed = self.core.allowed
+        for e in inst.edges:
+            assert e._labels[0] is allowed[e.u] and e._labels[1] is allowed[e.v]
+            for k in allowed[e.u]:
+                for l in allowed[e.v]:
+                    assert inst.pairwise_cost(e.v, e.u, l, k) == (
+                        copies.pairwise_cost(e.u, e.v, k, l))
+
+    def test_a_map_given_again_is_read_only_at_its_first_edge(self):
+        cells = {(0, 1): 3}
+
+        def edges():
+            yield 0, 1, cells
+            cells[0, 1] = 5
+            yield 2, 3, cells
+
+        inst = IqapInstance(self.core, edges())
+        assert [e.cells for e in inst.edges] == [{(0, 1): 3}] * 2
+
+    def test_new_maps_are_never_taken_for_freed_ones(self):
+        # Each map is freed by the caller once it is built; the memo holds
+        # it, so a later map cannot reuse its ``id`` and its tables.
+        edges = ((u, u + 1, {(0, 1): u + 1}) for u in range(4))
+        inst = IqapInstance(self.core, edges)
+        assert [e.cells for e in inst.edges] == [{(0, 1): u + 1} for u in range(4)]
+
+    @pytest.mark.parametrize("second, message", [
+        ((1, 1), "pairwise edge (1, 1) is a loop"),
+        ((2, 5), "edge (2, 5) references unknown vertex"),
+        ((-1, 2), "edge (-1, 2) references unknown vertex"),
+        ((1, 0), "duplicate edge (0, 1)"),
+        ((0, 4), "edge (0, 4) cell (0, 2): label 2 not allowed for vertex 4"),
+    ])
+    def test_every_edge_of_a_shared_map_is_checked(self, second, message):
+        cells = {(0, 2): 1}
+        edges = [(0, 1, cells), (*second, cells)]
+        with pytest.raises(ValueError) as info:
+            IqapInstance(self.core, edges)
+        assert str(info.value) == message
