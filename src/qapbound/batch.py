@@ -20,7 +20,8 @@ giving every instance of the group the same limit.  Entries may also set
 repeating ``methods`` list, an unknown method, an empty ``instances`` list,
 or one tag twice in a group is an error.
 Every entry's format, tolerance and dummy cost are checked, and every job's
-``SolverConfig`` is built, before any job runs.  Jobs run
+``SolverConfig`` is built, before any job runs.  An error a job meets while
+it loads its file names that file.  Jobs run
 concurrently up to a worker cap (``QAPBOUND_WORKERS``, an integer, or the
 ``workers`` argument, one worker by default); each worker owns one solver
 state, and rows are assembled deterministically after all jobs finish.
@@ -52,9 +53,12 @@ def _as_iqap(inst) -> IqapInstance:
 
 
 def _run_job(job: dict) -> InstanceResult:
-    inst = _as_iqap(load_instance(
-        job["path"], fmt=job["format"], dummy_cost=job["dummy_cost"],
-        tolerance=job["tolerance"], augment=job["augment"]))
+    try:
+        inst = _as_iqap(load_instance(
+            job["path"], fmt=job["format"], dummy_cost=job["dummy_cost"],
+            tolerance=job["tolerance"], augment=job["augment"]))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"instance {job['path']}: {exc}") from None
     report = run(inst, job["config"], instance_tag=job["tag"])
     return InstanceResult(group=job["group"],
                           **report.to_dict(include_trajectory=False))

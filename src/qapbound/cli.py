@@ -11,6 +11,11 @@ Subcommands:
 * ``batch``: run a method-by-instance grid from a manifest and print the
   result table.
 
+``lap`` and ``verify`` solve and certify an assignment instance with
+``reduction._solve_interior`` and ``reduction._relative_interior_flag``,
+the library's own exact step, so this module does no arithmetic on
+instances or duals of its own.
+
 Exit codes: 0 success, 1 input error, 2 internal invariant violation
 (including failed ``verify`` checks).
 """
@@ -27,11 +32,9 @@ from .batch import _as_iqap, run_batch
 from .bounds import DEFAULT_EPSILON, METHODS, SolverConfig, run
 from .formats import (DEFAULT_DUMMY_COST, ParseError, augment_instance,
                       load_instance)
-from .lap import equality_subgraph, solve_lap
 from .model import (
     DEFAULT_TOLERANCE,
     DUMMY,
-    IlapDual,
     IlapInstance,
     IqapInstance,
     LapInstance,
@@ -45,12 +48,8 @@ from .oracle import (
     search_space_size,
     SEARCH_SPACE_GUARD,
 )
-from .reduction import (lift_assignment, lift_dual, reduce_ilap_to_lap,
-                        solve_ilap)
-from .relative_interior import (
-    perfectly_matchable_edges,
-    shift_to_relative_interior,
-)
+from .reduction import (_relative_interior_flag, _solve_interior,
+                        lift_assignment, reduce_ilap_to_lap)
 from .results import groups_to_csv, render_group_table, rows_to_csv, table_to_json
 
 
@@ -107,39 +106,6 @@ def _cmd_solve(args) -> int:
         writer.writerow(record)
         sys.stdout.write(out.getvalue())
     return 0
-
-
-def _relative_interior_flag(inst, dual, x) -> bool:
-    """Whether exactly the tight edges of ``dual`` lie on optimal assignments.
-
-    ``dual`` and ``x`` must be optimal for ``inst``.  A dummy-label instance
-    is checked on its reduced instance, with ``dual`` and ``x`` lifted
-    there: the lifted dual is in the relative interior exactly when ``dual``
-    is.  An integral one is first doubled, with its dual, as ``solve_ilap``
-    doubles it, so that its reduction is integral and its tight set exact.
-    """
-    if isinstance(inst, IlapInstance):
-        if inst.integral:
-            inst = inst.scale_costs(2)
-            dual = IlapDual([2 * a for a in dual.alpha],
-                            [2 * b for b in dual.beta])
-        dual = lift_dual(inst, dual)
-        x = lift_assignment(inst, x)
-        inst = reduce_ilap_to_lap(inst)
-    subgraph = equality_subgraph(inst, dual)
-    return set(subgraph.edges()) == perfectly_matchable_edges(subgraph, x)
-
-
-def _solve_interior(inst: LapInstance | IlapInstance):
-    """An optimal assignment and a dual in the relative interior of the dual
-    optimal set, or None for a square instance without a perfect matching."""
-    if isinstance(inst, IlapInstance):
-        return solve_ilap(inst, relative_interior=True)
-    solved = solve_lap(inst)
-    if solved is None:
-        return None
-    x, dual = solved
-    return x, shift_to_relative_interior(inst, dual, x)
 
 
 def _lap_payload(inst: LapInstance | IlapInstance) -> dict:

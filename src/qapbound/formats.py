@@ -515,14 +515,24 @@ def _augment_cells(unary: IlapInstance, edges: list) -> None:
 # Loading with format detection
 
 
+# The parser that reports each record letter met before any header.
+_HEADERLESS_FORMAT = {"a": "dd", "e": "dd", "d": "ilap"}
+
+
 def sniff_format(text: str) -> str:
-    """Best-effort format detection: 'dd', 'lap', 'ilap', or 'qaplib'."""
+    """Best-effort format detection: 'dd', 'lap', 'ilap', or 'qaplib'.
+
+    The first record decides.  A ``p`` header names its format.  A record
+    letter before any header goes to a parser that reports the missing
+    header with a line number: ``a`` and ``e`` to the ``.dd`` parser, ``d``
+    to the ``.ilap`` one.  Anything else, such as a QAPLIB size, is QAPLIB.
+    """
     for _, tokens in _tokenize(text):
         if tokens[0] == "p":
             if len(tokens) >= 2 and tokens[1] in ("lap", "ilap"):
                 return tokens[1]
             return "dd"
-        break
+        return _HEADERLESS_FORMAT.get(tokens[0], "qaplib")
     return "qaplib"
 
 

@@ -17,7 +17,8 @@ instances can be processed in exact arithmetic.
 The pairwise row tables of an ``IqapInstance`` share their cells: all edges
 of one instance take their immutable ``(column, cost)`` cells from one
 table, so equal cells are one tuple object (the benchmark's dense QAPLIB
-instance, n = 28, has 296,352 cell references but 1,012 distinct cells).
+instance, n = 28, holds 15,680 cell references in its 10 pairs of row
+tables, and 1,012 distinct cells).
 Only int cells are shared, so a cell always has the type of its own edge's
 cost.  The table lives only while the instance is built.
 
@@ -86,18 +87,17 @@ class Violation:
         return self.message
 
 
-def _half(c):
-    """Half of a cost, kept an int when ``c`` is an even int."""
-    if isinstance(c, int) and c % 2 == 0:
-        return c // 2
-    return c / 2
-
-
 def _half_cost(c):
-    """Half of a normal cost, in normal form: ``_as_cost(_half(c))`` in
-    value and type.  Only a half that rounds (of an odd int or a float
-    above 2**53, or of +-5e-324) can be an integer-valued float that
-    ``_as_cost`` would turn into an int."""
+    """Half of ``c`` in the normal form of a cost (see ``_as_cost``): an
+    int when the half is an integer of at most 2**53 in size (or ``c`` is an
+    even int), else a float.
+
+    Every halving in the package goes through here: the reduction's cross
+    costs, the potentials that ``reduction.lift_dual`` and
+    ``reduction.solve_ilap`` halve, and the relative-interior shift's
+    slack.  So on an integral instance a potential that equals an integer
+    is an int.  An even int halves exactly; anything else halves in floats,
+    exactly except for an odd int above 2**53 and for a subnormal float."""
     if type(c) is int and c % 2 == 0:
         return c // 2
     h = c / 2
@@ -678,7 +678,8 @@ def require_dual_feasible(inst, dual) -> None:
 def _tight_slack(inst):
     """The largest slack at which a dual constraint of ``inst`` is tight:
     0 on an integral instance, whose slacks are exact (there ``atol`` can
-    reach 1 and merge two integer slacks), else ``atol``."""
+    reach 1 and merge two integer slacks), else ``atol``.  The oracle
+    counts an assignment optimal within the same window of the optimum."""
     return 0 if inst.integral else inst.atol
 
 

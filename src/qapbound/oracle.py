@@ -106,7 +106,7 @@ def brute_force_optimum(inst):
     _enumerate(inst, track)
     if best is None:
         return None, []
-    window = 0 if inst.integral else inst.atol
+    window = _tight_slack(inst)
     optima = []
 
     def collect(x, value):

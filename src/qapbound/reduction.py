@@ -18,6 +18,14 @@ Maps between the two: ``lift_assignment`` and ``decompose_assignment`` for
 assignments, ``lift_dual`` and ``map_dual`` for duals, ``map_primal`` for
 primal vectors.
 
+``solve_ilap`` is the exact step: reduce, solve, optionally shift into the
+relative interior, and map back.  It reduces an integral instance at double
+scale, so that the step stays in exact arithmetic; ``_exact_base`` is that
+rule, and ``_relative_interior_flag`` checks a certificate on the same
+reduction.  ``_solve_interior`` and ``_relative_interior_flag`` are the
+solve-and-certify pair, for square and dummy-label instances alike, that
+``qapbound lap`` and ``qapbound verify`` use.
+
 Node layout: nodes 0 .. |V|-1 are the vertices, nodes |V| .. |V|+|L|-1 are
 the non-dummy labels, identically on both sides of the square instance.
 
@@ -27,16 +35,17 @@ sets.  It is built once per instance structure, on the first
 reduction, and shared by every instance made from that structure with
 ``with_costs`` or ``scale_costs``.  Each reduction then only prices the
 layout with the instance's costs, and its result is memoized on the
-instance.  Pricing halves each cost with ``model._half_cost``, which
-returns a normal cost, so the priced rows go into the template as they
-are, without a second normalization.
+instance.  Pricing halves each cost with ``model._half_cost``, the one
+halving rule for costs and potentials alike, which returns a normal cost,
+so the priced rows go into the template as they are, without a second
+normalization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lap import solve_lap
+from .lap import equality_subgraph, solve_lap
 from .model import (
     DUMMY,
     Assignment,
@@ -46,13 +55,13 @@ from .model import (
     LapDual,
     LapInstance,
     PrimalVector,
-    _half,
     _half_cost,
     lap_primal_feasible,
     require_dual_feasible,
     require_feasible,
 )
-from .relative_interior import shift_to_relative_interior
+from .relative_interior import (perfectly_matchable_edges,
+                                shift_to_relative_interior)
 
 @dataclass(frozen=True)
 class _Layout:
@@ -163,7 +172,7 @@ def lift_dual(inst: IlapInstance, dual: IlapDual) -> LapDual:
     """
     if len(dual.alpha) != inst.num_vertices or len(dual.beta) != inst.num_labels:
         raise ValueError("dual dimensions do not match the instance")
-    halves = [_half(p) for p in (*dual.alpha, *dual.beta)]
+    halves = [_half_cost(p) for p in (*dual.alpha, *dual.beta)]
     return LapDual(halves, list(halves))
 
 
@@ -210,6 +219,20 @@ def map_primal(inst: IlapInstance, mu_p: PrimalVector) -> dict[int, dict[int, fl
     return mu
 
 
+def _exact_base(inst: IlapInstance):
+    """``(base, doubled)``: the instance whose reduction stands for
+    ``inst``, and whether it is ``inst`` with every cost doubled.
+
+    An integral instance is doubled, so that the halved cross costs of its
+    reduction stay integers and the reduced tight sets are exact; its duals
+    are doubled on the way in and halved on the way back.  Any other
+    instance is reduced as it is.
+    """
+    if inst.integral:
+        return inst.scale_costs(2), True
+    return inst, False
+
+
 def solve_ilap(inst: IlapInstance, *, relative_interior: bool = False):
     """Exact solve via the reduction; returns ``(assignment, dual)``.
 
@@ -220,11 +243,10 @@ def solve_ilap(inst: IlapInstance, *, relative_interior: bool = False):
     first shifted into the relative interior, so the mapped dual lies in the
     relative interior of the original dual optimal set.
 
-    Integral instances take an exact path: all costs are doubled before the
-    reduction, so the halved cross costs stay integers, and the dual is
-    halved on the way back.
+    An integral instance is reduced at double scale (``_exact_base``), so
+    its solve is exact.
     """
-    base = inst.scale_costs(2) if inst.integral else inst
+    base, doubled = _exact_base(inst)
     reduced = reduce_ilap_to_lap(base)
     solved = solve_lap(reduced)
     assert solved is not None, "reduced instance must admit the self-loop matching"
@@ -232,10 +254,43 @@ def solve_ilap(inst: IlapInstance, *, relative_interior: bool = False):
     if relative_interior:
         dual_p = shift_to_relative_interior(reduced, dual_p, xp)
     dual = _map_dual_unchecked(inst.num_vertices, inst.num_labels, dual_p)
-    if inst.integral:
-        dual = IlapDual([_half(a) for a in dual.alpha],
-                        [_half(b) for b in dual.beta])
+    if doubled:
+        dual = IlapDual([_half_cost(a) for a in dual.alpha],
+                        [_half_cost(b) for b in dual.beta])
     # ``base`` has ``inst``'s structure, so it decomposes ``xp`` the same
     # way, and its reduction is already memoized.
     x, _ = decompose_assignment(base, xp)
     return x, dual
+
+
+def _solve_interior(inst: LapInstance | IlapInstance):
+    """An optimal assignment and a dual in the relative interior of the dual
+    optimal set, or None for a square instance without a perfect matching."""
+    if isinstance(inst, IlapInstance):
+        return solve_ilap(inst, relative_interior=True)
+    solved = solve_lap(inst)
+    if solved is None:
+        return None
+    x, dual = solved
+    return x, shift_to_relative_interior(inst, dual, x)
+
+
+def _relative_interior_flag(inst: LapInstance | IlapInstance, dual,
+                            x: Assignment) -> bool:
+    """Whether exactly the tight edges of ``dual`` lie on optimal assignments.
+
+    ``dual`` and ``x`` must be optimal for ``inst``.  A dummy-label instance
+    is checked on the reduction that ``solve_ilap`` solves, with ``dual``
+    and ``x`` lifted there: the lifted dual is in the relative interior
+    exactly when ``dual`` is.
+    """
+    if isinstance(inst, IlapInstance):
+        base, doubled = _exact_base(inst)
+        if doubled:
+            dual = IlapDual([2 * a for a in dual.alpha],
+                            [2 * b for b in dual.beta])
+        dual = lift_dual(base, dual)
+        x = lift_assignment(base, x)
+        inst = reduce_ilap_to_lap(base)
+    subgraph = equality_subgraph(inst, dual)
+    return set(subgraph.edges()) == perfectly_matchable_edges(subgraph, x)

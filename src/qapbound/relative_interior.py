@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .lap import EqualitySubgraph, equality_subgraph
 from .model import (Assignment, FeasibilityError, LapDual, LapInstance,
-                    _half, _tight_slack)
+                    _half_cost, _tight_slack)
 
 
 def _tarjan_components(adjacency):
@@ -223,7 +223,7 @@ def shift_to_relative_interior(inst: LapInstance, dual: LapDual,
             delta = floor
         else:
             delta = slack
-        half = _half(delta)
+        half = _half_cost(delta)
         for v in comp:
             alpha[v] += half
         for lab in comp_labels:

@@ -115,6 +115,47 @@ class TestSolve:
         assert code == 1
 
 
+class TestIntegerValuedOutput:
+    """On integer costs a value that equals an integer prints as an int."""
+
+    # 2 vertices and 1 label.  On the doubled reduction, the shift leaves
+    # vertex node 0 the potentials -2.5 and -1.5, whose sum -4.0 halves to
+    # the integer -2.
+    ILAP = "p ilap 2 1\nd 0 -2\nd 1 0\na 0 0 -2\na 1 0 -1\n"
+
+    def test_lap_potentials_from_halves_summing_to_an_integer(
+            self, tmp_path, capsys):
+        path = tmp_path / "halves.ilap"
+        path.write_text(self.ILAP)
+        code, out, _ = run_cli(capsys, "lap", "--input", str(path),
+                               "--output", "text")
+        assert code == 0
+        assert "alpha: [-2, -0.5]\nbeta: [-0.5]\n" in out
+        assert "relative_interior: True\n" in out
+
+    def test_random_integral_payloads_print_no_integer_valued_float(self):
+        rng = seeded(21)
+        for i in range(600):
+            if i % 2:
+                inst = random_ilap(rng, max_vertices=7, max_labels=7)
+            else:
+                inst = random_lap(rng, rng.randint(1, 7))
+            payload = _lap_payload(inst)
+            assert not [p for p in payload["alpha"] + payload["beta"]
+                        if isinstance(p, float) and p.is_integer()]
+
+    def test_edge_free_solve_bound_and_trajectory(self, tmp_path, capsys):
+        path = tmp_path / "edge_free.ilap"
+        path.write_text("p ilap 2 1\nd 0 -2\nd 1 1\na 0 0 -1\na 1 0 2\n")
+        code, out, _ = run_cli(
+            capsys, "solve", "--method", "hung-ri", "--input", str(path),
+            "--max-iters", "3", "--epsilon", "0", "--trajectory")
+        assert code == 0
+        payload = json.loads(out)
+        assert repr((payload["final_bound"], payload["bound_trajectory"])) \
+            == "(-1, [-1, -1, -1, -1])"
+
+
 class TestLap:
     def test_example_fixture_value(self, capsys):
         code, out, _ = run_cli(
@@ -249,10 +290,42 @@ class TestLapPayload:
         assert payload["dual_objective"] == dual_objective(inst, dual)
 
 
+_HEADERLESS = [
+    ("a.dd", "a 0 0 0 1\n", "line 1: assignment record before header"),
+    ("e.dd", "c no header\ne 0 1 2\n", "line 2: edge record before header"),
+    ("d.ilap", "d 0 4\na 0 0 1\n",
+     "line 1: dummy record outside an ilap file"),
+]
+
+
+class TestRecordBeforeHeader:
+    """A record file without its ``p`` line is reported by the record
+    parsers, with a line number, instead of being read as QAPLIB."""
+
+    @pytest.mark.parametrize("command", ["lap", "verify", "solve"])
+    @pytest.mark.parametrize("name,text,message", _HEADERLESS)
+    def test_is_a_line_numbered_input_error(self, tmp_path, capsys, command,
+                                            name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        budget = ["--max-iters", "1"] if command == "solve" else []
+        code, out, err = run_cli(capsys, command, "--input", str(path),
+                                 *budget)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_qaplib_flag_still_forces_the_format(self, tmp_path, capsys):
+        path = tmp_path / "a.dd"
+        path.write_text(_HEADERLESS[0][1])
+        code, _, err = run_cli(capsys, "solve", "--qaplib", "--input",
+                               str(path), "--max-iters", "1")
+        assert (code, err) == (1, "error: size must be an integer, got 'a'\n")
+
+
 class TestVerify:
     @pytest.mark.parametrize("name", ["example1.lap", "tiny.ilap",
                                       "toy1.dd", "toy2.dd", "toy3.dd",
-                                      "wide.lap", "wide.ilap"])
+                                      "wide.lap", "wide.ilap",
+                                      "float.dd", "float.ilap"])
     def test_fixtures_pass(self, capsys, name):
         code, out, _ = run_cli(capsys, "verify", "--input",
                                str(FIXTURES / name))
@@ -508,6 +581,30 @@ class TestBatch:
             capsys, "batch", "--manifest", str(FIXTURES / "manifest.json"))
         assert code == 0
         assert len(json.loads(out)["rows"]) == 15
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("name,message", [
+        ("square.lap", "bound solving needs a dummy label; "),
+        ("bad.dd", "line 3: cost must be numeric, got 'zz'\n"),
+    ])
+    def test_job_error_names_the_instance(self, tmp_path, capsys, workers,
+                                          name, message):
+        # Raised inside the job, on the serial path and in a pool worker.
+        if name == "square.lap":
+            text = (FIXTURES / "example1.lap").read_text()
+        else:
+            text = (FIXTURES / "toy1.dd").read_text().replace(
+                "a 0 0 0 1", "a 0 0 0 zz")
+        (tmp_path / name).write_text(text)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "methods": ["bca", "hung"], "defaults": {"max_iterations": 1},
+            "instances": [{"path": name}]}))
+        code, out, err = run_cli(capsys, "batch", "--manifest",
+                                 str(manifest), "--workers", workers)
+        assert (code, out) == (1, "")
+        prefix = f"error: instance {(tmp_path / name).resolve()}: "
+        assert err.startswith(prefix + message)
 
     def test_worker_pool_matches_sequential(self):
         from qapbound.batch import run_batch

@@ -521,6 +521,12 @@ class TestSniff:
         assert sniff_format("p ilap 2 2\n") == "ilap"
         assert sniff_format("3\n0 1 2\n") == "qaplib"
 
+    def test_a_record_before_any_header_goes_to_its_parser(self):
+        assert sniff_format("a 0 0 0 1\n") == "dd"
+        assert sniff_format("c x\ne 0 1 2\n") == "dd"
+        assert sniff_format("d 0 4\n") == "ilap"
+        assert sniff_format("x 1\n") == "qaplib"
+
 
 class TestExactIntTokens:
     def test_qaplib_keeps_an_int_above_two_to_the_53(self):
