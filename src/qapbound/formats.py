@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import islice
 
 from .model import (
     DEFAULT_TOLERANCE,
@@ -73,6 +74,10 @@ def _tokenize(text: str):
         yield number, stripped.split()
 
 
+# Field rules.  Every token a reader turns into a number goes through one
+# of the three, and every error they raise names the token's line.
+
+
 def _int_field(token: str, what: str, line: int) -> int:
     try:
         return int(token)
@@ -80,28 +85,65 @@ def _int_field(token: str, what: str, line: int) -> int:
         raise ParseError(f"{what} must be an integer, got {token!r}", line) from None
 
 
-def _number(token: str):
-    """An int token as an exact int, any other numeric token as a float.
+def _index_field(token: str, what: str, size: int, line: int) -> int:
+    """A vertex, label or id token, which must lie in ``0..size - 1``."""
+    value = _int_field(token, what, line)
+    if not 0 <= value < size:
+        raise ParseError(f"{what} {value} outside 0..{size - 1}", line)
+    return value
 
-    An int beyond the float range reads as an infinite float, which the
-    callers reject as not finite.  Raises ValueError for a token that is
-    not a number.
+
+def _cost_field(token: str, line: int):
+    """A cost token as a normal cost: an int token as an exact int, any
+    other numeric token as a float that ``_as_cost`` normalizes.
+
+    An int beyond the float range reads as infinite, which is rejected as
+    not finite.
     """
     try:
         value = int(token)
     except ValueError:
-        return float(token)
-    return value if abs(value) <= sys.float_info.max else float(token)
-
-
-def _cost_field(token: str, line: int):
-    try:
-        value = _number(token)
-    except ValueError:
-        raise ParseError(f"cost must be numeric, got {token!r}", line) from None
+        try:
+            value = float(token)
+        except ValueError:
+            raise ParseError(f"cost must be numeric, got {token!r}", line) from None
+    else:
+        if abs(value) <= sys.float_info.max:
+            return value
+        value = math.inf
     if not math.isfinite(value):
         raise ParseError(f"cost must be finite, got {token!r}", line)
     return _as_cost(value, "cost")
+
+
+def _pair_record(tokens, num_vertices: int, num_labels: int, pairs: dict,
+                 line: int):
+    """Read the ``vertex label cost`` tokens of an ``a`` record into
+    ``pairs``, a ``(vertex, label) -> cost`` map, and return the pair;
+    a pair already in ``pairs`` is an error."""
+    v = _index_field(tokens[0], "vertex", num_vertices, line)
+    lab = _index_field(tokens[1], "label", num_labels, line)
+    cost = _cost_field(tokens[2], line)
+    if (v, lab) in pairs:
+        raise ParseError(f"duplicate assignment pair ({v}, {lab})", line)
+    pairs[v, lab] = cost
+    return v, lab
+
+
+def _rows(num_vertices: int, pairs: dict, dummy_costs=None):
+    """Allowed-label and cost rows per vertex from a ``(vertex, label) ->
+    cost`` map.  Each row starts with the dummy label at
+    ``dummy_costs[v]``, or has no dummy when ``dummy_costs`` is None."""
+    if dummy_costs is None:
+        allowed = [[] for _ in range(num_vertices)]
+        costs = [[] for _ in range(num_vertices)]
+    else:
+        allowed = [[DUMMY] for _ in range(num_vertices)]
+        costs = [[cost] for cost in dummy_costs]
+    for (v, lab), cost in pairs.items():
+        allowed[v].append(lab)
+        costs[v].append(cost)
+    return allowed, costs
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +158,7 @@ def parse_dd(text: str, *, dummy_cost=DEFAULT_DUMMY_COST,
     ``augment`` builds the instance ``augment_instance`` would return, in
     one construction.
     """
+    dummy_cost = _as_cost(dummy_cost, "dummy cost")
     header = None
     records: dict[int, tuple[int, int]] = {}
     unary: dict[tuple[int, int], float] = {}
@@ -130,28 +173,17 @@ def parse_dd(text: str, *, dummy_cost=DEFAULT_DUMMY_COST,
             header = tuple(_int_field(t, "header field", line) for t in tokens[1:])
             if any(v < 0 for v in header):
                 raise ParseError("header counts must be non-negative", line)
+            header_line = line
         elif kind == "a":
             if header is None:
                 raise ParseError("assignment record before header", line)
             if len(tokens) != 5:
                 raise ParseError("assignment record must be 'a id vertex label cost'", line)
-            rec_id = _int_field(tokens[1], "assignment id", line)
-            v = _int_field(tokens[2], "vertex", line)
-            lab = _int_field(tokens[3], "label", line)
-            cost = _cost_field(tokens[4], line)
-            n0, n1, a_count, _ = header
-            if not 0 <= rec_id < a_count:
-                raise ParseError(f"assignment id {rec_id} outside 0..{a_count - 1}", line)
+            rec_id = _index_field(tokens[1], "assignment id", header[2], line)
             if rec_id in records:
                 raise ParseError(f"duplicate assignment id {rec_id}", line)
-            if not 0 <= v < n0:
-                raise ParseError(f"vertex {v} outside 0..{n0 - 1}", line)
-            if not 0 <= lab < n1:
-                raise ParseError(f"label {lab} outside 0..{n1 - 1}", line)
-            if (v, lab) in unary:
-                raise ParseError(f"duplicate assignment pair ({v}, {lab})", line)
-            records[rec_id] = (v, lab)
-            unary[(v, lab)] = cost
+            records[rec_id] = _pair_record(tokens[2:], header[0], header[1],
+                                           unary, line)
         elif kind == "e":
             if header is None:
                 raise ParseError("edge record before header", line)
@@ -184,16 +216,14 @@ def parse_dd(text: str, *, dummy_cost=DEFAULT_DUMMY_COST,
     n0, n1, a_count, e_count = header
     if len(records) != a_count:
         raise ParseError(
-            f"header announces {a_count} assignments, file has {len(records)}")
+            f"header announces {a_count} assignments, file has {len(records)}",
+            header_line)
     num_edges = sum(map(len, edge_cells.values()))
     if num_edges != e_count:
         raise ParseError(
-            f"header announces {e_count} edges, file has {num_edges}")
-    allowed = [[DUMMY] for _ in range(n0)]
-    costs = [[dummy_cost] for _ in range(n0)]
-    for (v, lab), cost in unary.items():
-        allowed[v].append(lab)
-        costs[v].append(cost)
+            f"header announces {e_count} edges, file has {num_edges}",
+            header_line)
+    allowed, costs = _rows(n0, unary, [dummy_cost] * n0)
     try:
         core = IlapInstance(allowed, costs, n1, tolerance=tolerance)
         edges = [(u, v, cells) for (u, v), cells in edge_cells.items()]
@@ -271,9 +301,7 @@ def parse_lap_file(text: str, *, tolerance: float = DEFAULT_TOLERANCE):
                 raise ParseError("dummy record outside an ilap file", line)
             if len(tokens) != 3:
                 raise ParseError("dummy record must be 'd vertex cost'", line)
-            v = _int_field(tokens[1], "vertex", line)
-            if not 0 <= v < header[1]:
-                raise ParseError(f"vertex {v} out of range", line)
+            v = _index_field(tokens[1], "vertex", header[1], line)
             if v in dummy:
                 raise ParseError(f"duplicate dummy record for vertex {v}", line)
             dummy[v] = _cost_field(tokens[2], line)
@@ -282,59 +310,39 @@ def parse_lap_file(text: str, *, tolerance: float = DEFAULT_TOLERANCE):
                 raise ParseError("assignment record before header", line)
             if len(tokens) != 4:
                 raise ParseError("record must be 'a vertex label cost'", line)
-            v = _int_field(tokens[1], "vertex", line)
-            lab = _int_field(tokens[2], "label", line)
-            cost = _cost_field(tokens[3], line)
-            _, nv, nl = header
-            if not 0 <= v < nv:
-                raise ParseError(f"vertex {v} out of range", line)
-            if not 0 <= lab < nl:
-                raise ParseError(f"label {lab} out of range", line)
-            if (v, lab) in entries:
-                raise ParseError(f"duplicate pair ({v}, {lab})", line)
-            entries[(v, lab)] = cost
+            _pair_record(tokens[1:], header[1], header[2], entries, line)
         else:
             raise ParseError(f"unknown record type {kind!r}", line)
     if header is None:
         raise ParseError("missing 'p' header")
     kind, nv, nl = header
-    if kind == "lap":
-        allowed = [[] for _ in range(nv)]
-        costs = [[] for _ in range(nv)]
-        for (v, lab), cost in entries.items():
-            allowed[v].append(lab)
-            costs[v].append(cost)
-        try:
-            return LapInstance(allowed, costs, tolerance=tolerance)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-    allowed = [[DUMMY] for _ in range(nv)]
-    costs = [[dummy.get(v, 0)] for v in range(nv)]
-    for (v, lab), cost in entries.items():
-        allowed[v].append(lab)
-        costs[v].append(cost)
+    square = kind == "lap"
+    allowed, costs = _rows(
+        nv, entries, None if square else [dummy.get(v, 0) for v in range(nv)])
     try:
+        if square:
+            return LapInstance(allowed, costs, tolerance=tolerance)
         return IlapInstance(allowed, costs, nl, tolerance=tolerance)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def serialize_lap_file(inst) -> str:
-    lines = []
+    """Render a square or dummy-label instance in the assignment format.
+
+    The dummy label sorts first in each row, so a vertex's ``d`` line
+    comes before its ``a`` lines.
+    """
     if isinstance(inst, LapInstance):
-        lines.append(f"p lap {inst.num_vertices}")
-        for v in range(inst.num_vertices):
-            for lab, cost in zip(inst.allowed[v], inst.costs[v]):
-                lines.append(f"a {v} {lab} {cost}")
+        lines = [f"p lap {inst.num_vertices}"]
     elif isinstance(inst, IlapInstance):
-        lines.append(f"p ilap {inst.num_vertices} {inst.num_labels}")
-        for v in range(inst.num_vertices):
-            lines.append(f"d {v} {inst.dummy_cost(v)}")
-            for lab, cost in zip(inst.allowed[v], inst.costs[v]):
-                if lab != DUMMY:
-                    lines.append(f"a {v} {lab} {cost}")
+        lines = [f"p ilap {inst.num_vertices} {inst.num_labels}"]
     else:
         raise TypeError("expected a LapInstance or IlapInstance")
+    for v in range(inst.num_vertices):
+        for lab, cost in zip(inst.allowed[v], inst.costs[v]):
+            lines.append(f"d {v} {cost}" if lab == DUMMY
+                         else f"a {v} {lab} {cost}")
     return "\n".join(lines) + "\n"
 
 
@@ -345,33 +353,30 @@ def serialize_lap_file(inst) -> str:
 def parse_qaplib(text: str):
     """Parse size plus flow and distance matrices; whitespace-tolerant.
 
-    Returns ``(n, flow, distance)`` with matrices as nested lists.
+    Returns ``(n, flow, distance)`` with matrices as nested lists.  The
+    format has no comment lines.  A wrong token count is reported at the
+    first surplus token, or at the last token when some are missing.
     """
-    tokens = text.split()
+    tokens = []
+    lines = []  # the line number of each token
+    for line, raw in enumerate(text.splitlines(), start=1):
+        row = raw.split()
+        tokens += row
+        lines += [line] * len(row)
     if not tokens:
         raise ParseError("empty file")
-    try:
-        n = int(tokens[0])
-    except ValueError:
-        raise ParseError(f"size must be an integer, got {tokens[0]!r}") from None
+    n = _int_field(tokens[0], "size", lines[0])
     if n < 0:
-        raise ParseError("size must be non-negative")
+        raise ParseError("size must be non-negative", lines[0])
     need = 1 + 2 * n * n
     if len(tokens) != need:
         raise ParseError(
-            f"expected {need} tokens for size {n}, found {len(tokens)}")
-    values = []
-    for tok in tokens[1:]:
-        try:
-            value = _number(tok)
-        except ValueError:
-            raise ParseError(f"non-numeric token {tok!r}") from None
-        try:
-            values.append(_as_cost(value, "matrix entry"))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-    flow = [values[i * n:(i + 1) * n] for i in range(n)]
-    dist = [values[n * n + i * n:n * n + (i + 1) * n] for i in range(n)]
+            f"expected {need} tokens for size {n}, found {len(tokens)}",
+            lines[min(need, len(tokens) - 1)])
+    values = map(_cost_field, tokens, lines)
+    next(values)  # the size, read above
+    flow = [list(islice(values, n)) for _ in range(n)]
+    dist = [list(islice(values, n)) for _ in range(n)]
     return n, flow, dist
 
 

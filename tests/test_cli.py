@@ -56,6 +56,15 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["method"] == "hung"
 
+    def test_malformed_qaplib_is_a_line_numbered_input_error(self, tmp_path,
+                                                             capsys):
+        path = tmp_path / "bad.dat"
+        path.write_text("2\n0 1\n1 0\n0 zz\n3 0\n")
+        code, out, err = run_cli(capsys, "solve", "--qaplib", "--input",
+                                 str(path), "--max-iters", "1")
+        assert (code, out, err) == (
+            1, "", "error: line 4: cost must be numeric, got 'zz'\n")
+
     def test_augment_flag(self, capsys):
         code, _, _ = run_cli(
             capsys, "solve", "--augment", "--input",
@@ -86,20 +95,20 @@ class TestSolve:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("setting", [
-        ("--time-limit", "nan"),
-        ("--time-limit", "inf"),
-        ("--epsilon", "nan"),
-        ("--tolerance", "nan"),
-        ("--tolerance", "inf"),
+    @pytest.mark.parametrize("setting, message", [
+        (("--time-limit", "nan"), "time_limit must be finite and positive"),
+        (("--time-limit", "inf"), "time_limit must be finite and positive"),
+        (("--epsilon", "nan"), "bound_improvement_epsilon must be non-negative"),
+        (("--tolerance", "nan"), "tolerance must be finite and non-negative"),
+        (("--tolerance", "inf"), "tolerance must be finite and non-negative"),
+        (("--dummy-cost", "nan"), "dummy cost: cost must be finite, got nan"),
     ], ids=["nan-time-limit", "infinite-time-limit", "nan-epsilon",
-            "nan-tolerance", "infinite-tolerance"])
-    def test_non_finite_setting_is_input_error(self, capsys, setting):
+            "nan-tolerance", "infinite-tolerance", "nan-dummy-cost"])
+    def test_non_finite_setting_is_input_error(self, capsys, setting, message):
         code, out, err = run_cli(
             capsys, "solve", "--method", "hung-ri",
             "--input", str(FIXTURES / "toy1.dd"), "--max-iters", "1", *setting)
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_square_instance_is_input_error(self, capsys):
         code, out, err = run_cli(
@@ -318,7 +327,8 @@ class TestRecordBeforeHeader:
         path.write_text(_HEADERLESS[0][1])
         code, _, err = run_cli(capsys, "solve", "--qaplib", "--input",
                                str(path), "--max-iters", "1")
-        assert (code, err) == (1, "error: size must be an integer, got 'a'\n")
+        assert (code, err) == (
+            1, "error: line 1: size must be an integer, got 'a'\n")
 
 
 class TestVerify:

@@ -116,6 +116,10 @@ e 0 1 7
         ("p 2 2 2 1\na 0 0 0 1\na 1 1 1 1\ne 0 1\n",
          "edge record must be 'e id1 id2 cost'", 4),
         ("c only a comment\n", "missing 'p' header", None),
+        ("c counts\np 2 2 2 0\na 0 0 0 1\n",
+         "header announces 2 assignments, file has 1", 2),
+        ("c counts\np 1 1 1 1\na 0 0 0 1\n",
+         "header announces 1 edges, file has 0", 2),
     ])
     def test_error_messages_and_lines(self, text, message, line):
         raises_parse_error(parse_dd, text, message, line)
@@ -233,13 +237,13 @@ class TestLapFormat:
         ("p lap -1\n", "header counts must be non-negative", 1),
         ("p lap 1\nd 0 1\n", "dummy record outside an ilap file", 2),
         ("p ilap 1 1\nd 0\n", "dummy record must be 'd vertex cost'", 2),
-        ("p ilap 1 1\nd 1 5\n", "vertex 1 out of range", 2),
+        ("p ilap 1 1\nd 1 5\n", "vertex 1 outside 0..0", 2),
         ("p ilap 1 1\nd 0 5\nd 0 6\n", "duplicate dummy record for vertex 0", 3),
         ("a 0 0 1\n", "assignment record before header", 1),
         ("p lap 1\na 0 0\n", "record must be 'a vertex label cost'", 2),
-        ("p lap 1\na 1 0 1\n", "vertex 1 out of range", 2),
-        ("p lap 1\na 0 1 1\n", "label 1 out of range", 2),
-        ("p lap 1\na 0 0 1\na 0 0 2\n", "duplicate pair (0, 0)", 3),
+        ("p lap 1\na 1 0 1\n", "vertex 1 outside 0..0", 2),
+        ("p lap 1\na 0 1 1\n", "label 1 outside 0..0", 2),
+        ("p lap 1\na 0 0 1\na 0 0 2\n", "duplicate assignment pair (0, 0)", 3),
         ("p ilap 1 1\na 0 0 z\n", "cost must be numeric, got 'z'", 2),
         ("p lap 1\nx 0\n", "unknown record type 'x'", 2),
         ("c only a comment\n", "missing 'p' header", None),
@@ -258,6 +262,18 @@ class TestLapFormat:
         with pytest.raises(TypeError) as info:
             serialize_lap_file(inst)
         assert str(info.value) == "expected a LapInstance or IlapInstance"
+
+
+_QAPLIB_MALFORMED = [
+    ("", "empty file", None),
+    ("x", "size must be an integer, got 'x'", 1),
+    ("-1", "size must be non-negative", 1),
+    ("2 1 2 3", "expected 9 tokens for size 2, found 4", 1),
+    # Missing tokens are reported at the last one, surplus ones at the
+    # first surplus token.
+    ("2\n0 1\n1 0\n0 3\n3\n\n", "expected 9 tokens for size 2, found 8", 5),
+    ("2\n0 1\n1 0\n0 3\n3 0 7\n8\n", "expected 9 tokens for size 2, found 11", 5),
+]
 
 
 class TestQaplib:
@@ -284,25 +300,20 @@ class TestQaplib:
         with pytest.raises(ParseError):
             parse_qaplib(text)
 
-    @pytest.mark.parametrize("text, message", [
-        ("", "empty file"),
-        ("x", "size must be an integer, got 'x'"),
-        ("-1", "size must be non-negative"),
-        ("2 1 2 3", "expected 9 tokens for size 2, found 4"),
-    ])
-    def test_malformed_messages(self, text, message):
-        raises_parse_error(parse_qaplib, text, message, None)
+    @pytest.mark.parametrize("text, message, line", _QAPLIB_MALFORMED, ids=[
+        f"{text}-{message}" for text, message, _ in _QAPLIB_MALFORMED])
+    def test_malformed_messages(self, text, message, line):
+        raises_parse_error(parse_qaplib, text, message, line)
 
     @pytest.mark.parametrize("token, message", [
-        ("inf", "matrix entry: cost must be finite, got inf"),
-        ("-inf", "matrix entry: cost must be finite, got -inf"),
-        ("nan", "matrix entry: cost must be finite, got nan"),
-        ("x", "non-numeric token 'x'"),
+        ("inf", "cost must be finite, got 'inf'"),
+        ("-inf", "cost must be finite, got '-inf'"),
+        ("nan", "cost must be finite, got 'nan'"),
+        ("zz", "cost must be numeric, got 'zz'"),
     ])
     def test_bad_entry_messages(self, token, message):
-        with pytest.raises(ParseError) as info:
-            parse_qaplib(f"1\n{token}\n2\n")
-        assert str(info.value) == message
+        raises_parse_error(parse_qaplib, f"2\n0 1\n1 0\n0 {token}\n3 0\n",
+                           message, 4)
 
 
 class TestConvertQaplib:
