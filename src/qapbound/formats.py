@@ -29,8 +29,6 @@ whitespace-separated matrices (flow first, then distance).
 
 from __future__ import annotations
 
-import math
-import sys
 from itertools import islice
 
 from .model import (
@@ -40,6 +38,20 @@ from .model import (
     IqapInstance,
     LapInstance,
     _as_cost,
+)
+from .records import (
+    ParseError,
+    _cost_column,
+    _cost_field,
+    _index_column,
+    _index_field,
+    _int_field,
+    _new_entries,
+    _pair_block,
+    _pair_record,
+    _read_records,
+    _slices,
+    _tokenize,
 )
 
 AUGMENT_VALUE = 10**7
@@ -53,81 +65,6 @@ _FORMATS = ("auto", "dd", "lap", "ilap", "qaplib")
 def _check_format(fmt) -> None:
     if fmt not in _FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-
-
-class ParseError(ValueError):
-    """Malformed instance text; carries a line number when one applies."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
-def _tokenize(text: str):
-    """Yield (line number, tokens) for non-empty, non-comment lines."""
-    for number, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("c"):
-            continue
-        yield number, stripped.split()
-
-
-# Field rules.  Every token a reader turns into a number goes through one
-# of the three, and every error they raise names the token's line.
-
-
-def _int_field(token: str, what: str, line: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"{what} must be an integer, got {token!r}", line) from None
-
-
-def _index_field(token: str, what: str, size: int, line: int) -> int:
-    """A vertex, label or id token, which must lie in ``0..size - 1``."""
-    value = _int_field(token, what, line)
-    if not 0 <= value < size:
-        raise ParseError(f"{what} {value} outside 0..{size - 1}", line)
-    return value
-
-
-def _cost_field(token: str, line: int):
-    """A cost token as a normal cost: an int token as an exact int, any
-    other numeric token as a float that ``_as_cost`` normalizes.
-
-    An int beyond the float range reads as infinite, which is rejected as
-    not finite.
-    """
-    try:
-        value = int(token)
-    except ValueError:
-        try:
-            value = float(token)
-        except ValueError:
-            raise ParseError(f"cost must be numeric, got {token!r}", line) from None
-    else:
-        if abs(value) <= sys.float_info.max:
-            return value
-        value = math.inf
-    if not math.isfinite(value):
-        raise ParseError(f"cost must be finite, got {token!r}", line)
-    return _as_cost(value, "cost")
-
-
-def _pair_record(tokens, num_vertices: int, num_labels: int, pairs: dict,
-                 line: int):
-    """Read the ``vertex label cost`` tokens of an ``a`` record into
-    ``pairs``, a ``(vertex, label) -> cost`` map, and return the pair;
-    a pair already in ``pairs`` is an error."""
-    v = _index_field(tokens[0], "vertex", num_vertices, line)
-    lab = _index_field(tokens[1], "label", num_labels, line)
-    cost = _cost_field(tokens[2], line)
-    if (v, lab) in pairs:
-        raise ParseError(f"duplicate assignment pair ({v}, {lab})", line)
-    pairs[v, lab] = cost
-    return v, lab
 
 
 def _rows(num_vertices: int, pairs: dict, dummy_costs=None):
@@ -159,11 +96,13 @@ def parse_dd(text: str, *, dummy_cost=DEFAULT_DUMMY_COST,
     one construction.
     """
     dummy_cost = _as_cost(dummy_cost, "dummy cost")
-    header = None
+    header = header_line = None
     records: dict[int, tuple[int, int]] = {}
     unary: dict[tuple[int, int], float] = {}
     edge_cells: dict[tuple[int, int], dict] = {}
-    for line, tokens in _tokenize(text):
+
+    def line_rule(line, tokens):
+        nonlocal header, header_line
         kind = tokens[0]
         if kind == "p":
             if header is not None:
@@ -211,6 +150,47 @@ def parse_dd(text: str, *, dummy_cost=DEFAULT_DUMMY_COST,
             cells[(k, l)] = cost
         else:
             raise ParseError(f"unknown record type {kind!r}", line)
+
+    def assignment_block(ids, vertices, labels, costs):
+        if header is None:
+            raise ValueError
+        ids = _index_column(ids, header[2])
+        pairs, new_unary = _pair_block(vertices, labels, costs, header[0],
+                                       header[1], unary)
+        records.update(_new_entries(records, zip(ids, pairs), len(ids)))
+        unary.update(new_unary)
+
+    def edge_block(ids1, ids2, costs):
+        if header is None:
+            raise ValueError
+        ends1 = list(map(records.get, map(int, ids1)))
+        ends2 = list(map(records.get, map(int, ids2)))
+        costs = _cost_column(costs)
+        if None in ends1 or None in ends2:
+            raise ValueError
+        added = 0
+        for (u, k), (v, l), cost in zip(ends1, ends2, costs):
+            if u > v:
+                u, v, k, l = v, u, l, k
+            elif u == v:
+                break
+            cells = edge_cells.setdefault((u, v), {})
+            if (k, l) in cells:
+                break
+            cells[k, l] = cost
+            added += 1
+        else:
+            return
+        # Take the block's cells back out before it is re-read.
+        for (u, k), (v, l) in map(sorted, zip(ends1[:added], ends2[:added])):
+            cells = edge_cells[u, v]
+            del cells[k, l]
+            if not cells:
+                del edge_cells[u, v]
+        raise ValueError
+
+    _read_records(text, line_rule, {"a": (5, assignment_block),
+                                    "e": (4, edge_block)})
     if header is None:
         raise ParseError("missing 'p' header")
     n0, n1, a_count, e_count = header
@@ -277,7 +257,9 @@ def parse_lap_file(text: str, *, tolerance: float = DEFAULT_TOLERANCE):
     header = None
     dummy: dict[int, float] = {}
     entries: dict[tuple[int, int], float] = {}
-    for line, tokens in _tokenize(text):
+
+    def line_rule(line, tokens):
+        nonlocal header
         kind = tokens[0]
         if kind == "p":
             if header is not None:
@@ -313,6 +295,14 @@ def parse_lap_file(text: str, *, tolerance: float = DEFAULT_TOLERANCE):
             _pair_record(tokens[1:], header[1], header[2], entries, line)
         else:
             raise ParseError(f"unknown record type {kind!r}", line)
+
+    def assignment_block(vertices, labels, costs):
+        if header is None:
+            raise ValueError
+        entries.update(_pair_block(vertices, labels, costs, header[1],
+                                   header[2], entries)[1])
+
+    _read_records(text, line_rule, {"a": (4, assignment_block)})
     if header is None:
         raise ParseError("missing 'p' header")
     kind, nv, nl = header
@@ -532,12 +522,13 @@ def sniff_format(text: str) -> str:
     header with a line number: ``a`` and ``e`` to the ``.dd`` parser, ``d``
     to the ``.ilap`` one.  Anything else, such as a QAPLIB size, is QAPLIB.
     """
-    for _, tokens in _tokenize(text):
-        if tokens[0] == "p":
-            if len(tokens) >= 2 and tokens[1] in ("lap", "ilap"):
-                return tokens[1]
-            return "dd"
-        return _HEADERLESS_FORMAT.get(tokens[0], "qaplib")
+    for first, lines in _slices(text):
+        for _, tokens in _tokenize(lines, first):
+            if tokens[0] == "p":
+                if len(tokens) >= 2 and tokens[1] in ("lap", "ilap"):
+                    return tokens[1]
+                return "dd"
+            return _HEADERLESS_FORMAT.get(tokens[0], "qaplib")
     return "qaplib"
 
 

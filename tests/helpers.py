@@ -1,6 +1,7 @@
 """Shared builders for the test suite: the worked 5x5 example, seeded
 random instance generators, the benchmark's instance writers, an LP
-reference for bounds, and a reference LAP solver."""
+reference for bounds, a reference LAP solver, and reference line-by-line
+instance readers."""
 
 import importlib.util
 import math
@@ -10,7 +11,22 @@ from pathlib import Path
 
 import pytest
 
-from qapbound.model import DUMMY, IlapInstance, IqapInstance, LapDual, LapInstance
+from qapbound import formats
+from qapbound.model import (
+    DUMMY,
+    IlapInstance,
+    IqapInstance,
+    LapDual,
+    LapInstance,
+    _as_cost,
+)
+from qapbound.records import (
+    ParseError,
+    _cost_field,
+    _index_field,
+    _int_field,
+    _pair_record,
+)
 
 EXAMPLE1_COSTS = [
     [3, 3, 3, 7, 6],
@@ -291,3 +307,151 @@ def reference_solve_lap(inst):
                 break
             lab = next_lab
     return match_label, LapDual(alpha, beta)
+
+
+def _reference_records(text):
+    """(line number, tokens) for each record line, as the readers split a
+    text before they read records a block at a time."""
+    for number, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("c"):
+            yield number, stripped.split()
+
+
+def reference_parse_dd(text, *, dummy_cost=formats.DEFAULT_DUMMY_COST,
+                       tolerance=formats.DEFAULT_TOLERANCE, augment=False):
+    """``formats.parse_dd`` as it was before it read ``a`` and ``e``
+    records a block at a time: every record through the field rules, line
+    by line.  The reader must return an equal instance or raise the same
+    message."""
+    dummy_cost = _as_cost(dummy_cost, "dummy cost")
+    header = None
+    records = {}
+    unary = {}
+    edge_cells = {}
+    for line, tokens in _reference_records(text):
+        kind = tokens[0]
+        if kind == "p":
+            if header is not None:
+                raise ParseError("duplicate header", line)
+            if len(tokens) != 5:
+                raise ParseError("header must be 'p N0 N1 A E'", line)
+            header = tuple(_int_field(t, "header field", line) for t in tokens[1:])
+            if any(v < 0 for v in header):
+                raise ParseError("header counts must be non-negative", line)
+            header_line = line
+        elif kind == "a":
+            if header is None:
+                raise ParseError("assignment record before header", line)
+            if len(tokens) != 5:
+                raise ParseError(
+                    "assignment record must be 'a id vertex label cost'", line)
+            rec_id = _index_field(tokens[1], "assignment id", header[2], line)
+            if rec_id in records:
+                raise ParseError(f"duplicate assignment id {rec_id}", line)
+            records[rec_id] = _pair_record(tokens[2:], header[0], header[1],
+                                           unary, line)
+        elif kind == "e":
+            if header is None:
+                raise ParseError("edge record before header", line)
+            if len(tokens) != 4:
+                raise ParseError("edge record must be 'e id1 id2 cost'", line)
+            id1 = _int_field(tokens[1], "assignment id", line)
+            id2 = _int_field(tokens[2], "assignment id", line)
+            cost = _cost_field(tokens[3], line)
+            if id1 not in records or id2 not in records:
+                missing = id1 if id1 not in records else id2
+                raise ParseError(
+                    f"edge references unknown assignment id {missing}", line)
+            u, k = records[id1]
+            v, l = records[id2]
+            if u == v:
+                raise ParseError(
+                    f"edge connects two assignments of vertex {u}", line)
+            if u > v:
+                u, v, k, l = v, u, l, k
+            cells = edge_cells.setdefault((u, v), {})
+            if (k, l) in cells:
+                raise ParseError(
+                    f"duplicate edge between assignment ids {min(id1, id2)} "
+                    f"and {max(id1, id2)}", line)
+            cells[(k, l)] = cost
+        else:
+            raise ParseError(f"unknown record type {kind!r}", line)
+    if header is None:
+        raise ParseError("missing 'p' header")
+    n0, n1, a_count, e_count = header
+    if len(records) != a_count:
+        raise ParseError(
+            f"header announces {a_count} assignments, file has {len(records)}",
+            header_line)
+    num_edges = sum(map(len, edge_cells.values()))
+    if num_edges != e_count:
+        raise ParseError(
+            f"header announces {e_count} edges, file has {num_edges}",
+            header_line)
+    allowed, costs = formats._rows(n0, unary, [dummy_cost] * n0)
+    try:
+        core = IlapInstance(allowed, costs, n1, tolerance=tolerance)
+        edges = [(u, v, cells) for (u, v), cells in edge_cells.items()]
+        if augment:
+            formats._augment_cells(core, edges)
+        return IqapInstance(core, edges)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def reference_parse_lap_file(text, *, tolerance=formats.DEFAULT_TOLERANCE):
+    """``formats.parse_lap_file`` as it was before it read ``a`` records
+    a block at a time, as ``reference_parse_dd`` is to ``parse_dd``."""
+    header = None
+    dummy = {}
+    entries = {}
+    for line, tokens in _reference_records(text):
+        kind = tokens[0]
+        if kind == "p":
+            if header is not None:
+                raise ParseError("duplicate header", line)
+            if len(tokens) >= 2 and tokens[1] == "lap":
+                if len(tokens) != 3:
+                    raise ParseError("header must be 'p lap n'", line)
+                n = _int_field(tokens[2], "size", line)
+                header = ("lap", n, n)
+            elif len(tokens) >= 2 and tokens[1] == "ilap":
+                if len(tokens) != 4:
+                    raise ParseError("header must be 'p ilap nv nl'", line)
+                header = ("ilap", _int_field(tokens[2], "vertex count", line),
+                          _int_field(tokens[3], "label count", line))
+            else:
+                raise ParseError("header must start 'p lap' or 'p ilap'", line)
+            if min(header[1:]) < 0:
+                raise ParseError("header counts must be non-negative", line)
+        elif kind == "d":
+            if header is None or header[0] != "ilap":
+                raise ParseError("dummy record outside an ilap file", line)
+            if len(tokens) != 3:
+                raise ParseError("dummy record must be 'd vertex cost'", line)
+            v = _index_field(tokens[1], "vertex", header[1], line)
+            if v in dummy:
+                raise ParseError(f"duplicate dummy record for vertex {v}", line)
+            dummy[v] = _cost_field(tokens[2], line)
+        elif kind == "a":
+            if header is None:
+                raise ParseError("assignment record before header", line)
+            if len(tokens) != 4:
+                raise ParseError("record must be 'a vertex label cost'", line)
+            _pair_record(tokens[1:], header[1], header[2], entries, line)
+        else:
+            raise ParseError(f"unknown record type {kind!r}", line)
+    if header is None:
+        raise ParseError("missing 'p' header")
+    kind, nv, nl = header
+    square = kind == "lap"
+    allowed, costs = formats._rows(
+        nv, entries, None if square else [dummy.get(v, 0) for v in range(nv)])
+    try:
+        if square:
+            return LapInstance(allowed, costs, tolerance=tolerance)
+        return IlapInstance(allowed, costs, nl, tolerance=tolerance)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc

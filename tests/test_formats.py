@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qapbound import formats, records
 from qapbound.formats import (
     AUGMENT_VALUE,
     ParseError,
@@ -24,7 +26,14 @@ from qapbound.bounds import SolverConfig, run
 from qapbound.model import DUMMY, IlapInstance, IqapInstance, LapInstance
 from qapbound.oracle import brute_force_optimum, search_space_size
 
-from helpers import edge_layout, random_iqap, seeded
+from helpers import (
+    benchmark_generators,
+    edge_layout,
+    random_iqap,
+    reference_parse_dd,
+    reference_parse_lap_file,
+    seeded,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -532,6 +541,25 @@ class TestSniff:
         assert sniff_format("p ilap 2 2\n") == "ilap"
         assert sniff_format("3\n0 1 2\n") == "qaplib"
 
+    def test_every_fixture_sniffs_to_its_format(self):
+        kinds = {".dd": "dd", ".lap": "lap", ".ilap": "ilap", ".dat": "qaplib"}
+        for path in FIXTURES.iterdir():
+            if path.suffix in kinds:
+                assert sniff_format(path.read_text()) == kinds[path.suffix]
+
+    def test_sniffing_reads_only_the_start_of_the_text(self, tmp_path):
+        path = tmp_path / "gm.dd"
+        benchmark_generators().write_gm(path, 7, vertices=220)
+        text = path.read_text()
+        assert len(text) > 300_000
+        tracemalloc.start()
+        try:
+            assert sniff_format(text) == "dd"
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     def test_a_record_before_any_header_goes_to_its_parser(self):
         assert sniff_format("a 0 0 0 1\n") == "dd"
         assert sniff_format("c x\ne 0 1 2\n") == "dd"
@@ -593,3 +621,263 @@ class TestAugmentOnLoad:
     def test_augment_rejects_a_linear_instance(self):
         with pytest.raises(ValueError, match="quadratic instances only"):
             load_instance(FIXTURES / "tiny.ilap", augment=True)
+
+
+# ---------------------------------------------------------------------------
+# Block reader against the line-by-line reference readers
+
+
+def _image(inst):
+    """Rows, cost values and types, and edge cells of an instance."""
+    unary = getattr(inst, "unary", inst)
+    edges = [(e.u, e.v, list(e.cells.items()))
+             for e in getattr(inst, "edges", ())]
+    return repr((type(inst).__name__, unary.allowed, unary.costs,
+                 unary.num_labels, edges))
+
+
+def _outcome(parse, text, **kwargs):
+    try:
+        return "ok", _image(parse(text, **kwargs))
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+
+
+_COSTS = ["0", "7", "-3", "1.5", "-0.25", "2e3", "9007199254740993",
+          "-123456789012345678901", "1e20", "0.1"]
+
+
+def _cost(rng):
+    return rng.choice(_COSTS) if rng.random() < 0.3 else str(rng.randint(-9, 99))
+
+
+def _render(rng, records, *, crlf):
+    """Lines of ``records`` (token lists) with random spacing, comment and
+    blank lines between them, and ``\\n`` or ``\\r\\n`` line ends."""
+    lines = []
+    for tokens in records:
+        while rng.random() < 0.05:
+            lines.append(rng.choice(["c note", "  c", "cx 1 2", "", "  \t"]))
+        gap = rng.choice([" ", " ", "\t", "  "])
+        lead = rng.choice(["", "", "", " ", "\t "])
+        lines.append(lead + gap.join(tokens) + rng.choice(["", "", " "]))
+    end = "\r\n" if crlf else "\n"
+    return end.join(lines) + (end if rng.random() < 0.9 else "")
+
+
+def _dd_records(rng, long):
+    """A valid ``.dd`` file as token lists: the header, then ``a`` runs
+    with the ``e`` records they allow after each, so runs interleave."""
+    n0 = rng.randint(30, 60) if long else rng.randint(1, 6)
+    n1 = rng.randint(10, 20) if long else rng.randint(1, 6)
+    pairs = [(v, lab) for v in range(n0) for lab in range(n1)
+             if rng.random() < 0.6]
+    rng.shuffle(pairs)
+    ids = list(range(len(pairs)))
+    rng.shuffle(ids)
+    a_lines = [["a", str(i), str(v), str(lab), _cost(rng)]
+               for i, (v, lab) in zip(ids, pairs)]
+    vertex = dict(zip(ids, (v for v, _ in pairs)))
+    want = 4000 if long else rng.randint(0, 12)
+    edges = set()
+    for _ in range(4 * want):
+        if len(edges) >= want or len(ids) < 2:
+            break
+        one, two = rng.sample(ids, 2)
+        if vertex[one] != vertex[two] and (two, one) not in edges:
+            edges.add((one, two))
+    order = {i: n for n, i in enumerate(ids)}
+    pending = sorted(edges, key=lambda e: max(order[e[0]], order[e[1]]))
+    records = [["p", str(n0), str(n1), str(len(ids)), str(len(edges))]]
+    done = 0
+    while done < len(a_lines) or pending:
+        step = rng.randint(1, 600 if long else 4)
+        records += a_lines[done:done + step]
+        done += step
+        defined = set(ids[:done])
+        ready = [e for e in pending if e[0] in defined and e[1] in defined]
+        pending = pending[len(ready):]
+        records += [["e", str(i), str(j), _cost(rng)] for i, j in ready]
+    return records
+
+
+def _corrupt_dd(rng, records):
+    """Put one fault of a random class into ``records``, in place."""
+    header = records[0]
+    a_rows = [r for r in records if r[0] == "a"]
+    e_rows = [r for r in records if r[0] == "e"]
+    row = rng.choice(records[1:]) if len(records) > 1 else header
+    fault = rng.choice(["token", "range", "repeat id", "repeat pair",
+                        "repeat edge", "unknown id", "same vertex", "count",
+                        "record", "before header", "header count",
+                        "not finite"])
+    if fault == "token" and row is not header:
+        row[rng.randrange(1, len(row))] = rng.choice(["zz", "1.5", "0x1"])
+    elif fault == "range" and a_rows:
+        # id, vertex or label, and the header count it must stay below
+        field, count = rng.choice([(1, 3), (2, 1), (3, 2)])
+        rng.choice(a_rows)[field] = rng.choice(["-1", header[count]])
+    elif fault == "repeat id" and len(a_rows) > 1:
+        rng.choice(a_rows)[1] = rng.choice(a_rows)[1]
+    elif fault == "repeat pair" and len(a_rows) > 1:
+        rng.choice(a_rows)[2:4] = rng.choice(a_rows)[2:4]
+    elif fault == "repeat edge" and e_rows:
+        row = rng.choice(e_rows)
+        twin = list(row)
+        if rng.random() < 0.5:
+            twin[1], twin[2] = twin[2], twin[1]
+        records.insert(rng.randint(records.index(row) + 1, len(records)), twin)
+    elif fault == "unknown id" and e_rows:
+        rng.choice(e_rows)[rng.randint(1, 2)] = str(int(header[3]) + 2)
+    elif fault == "same vertex" and e_rows:
+        row = rng.choice(e_rows)
+        row[2] = row[1]
+    elif fault == "count":
+        if rng.random() < 0.5:
+            row.append("1")
+        elif len(row) > 1:
+            row.pop()
+    elif fault == "record":
+        records.insert(rng.randrange(len(records) + 1),
+                       [rng.choice(["q", "ab", "x1"]), "0", "0", "0", "1"])
+    elif fault == "before header" and len(records) > 1:
+        records.insert(rng.randrange(1, len(records)), records.pop(0))
+    elif fault == "header count":
+        count = rng.choice([3, 4])
+        header[count] = str(int(header[count]) + 1)
+    elif fault == "not finite" and row is not header:
+        row[-1] = rng.choice(["inf", "nan", "1" + "0" * 400])
+
+
+def _dd_texts(count, seed):
+    rng = seeded(seed)
+    for n in range(count):
+        long = n % 25 == 0
+        records = _dd_records(rng, long)
+        for _ in range(rng.choice([0, 0, 1, 1, 2])):
+            _corrupt_dd(rng, records)
+        yield _render(rng, records, crlf=rng.random() < 0.3)
+
+
+def _two_faults_in_one_block(rng):
+    """A ``.dd`` text whose one ``e`` run holds two faults on different
+    lines, the later one in an earlier field; at the reader's own sizes
+    the run is one block."""
+    records = []
+    while sum(r[0] == "e" for r in records) < 3:
+        records = _dd_records(rng, False)
+    # every e record after every a record: one e run
+    records.sort(key=lambda r: r[0] == "e")
+    e_rows = [r for r in records if r[0] == "e"]
+    first, second = sorted(rng.sample(range(len(e_rows)), 2))
+    e_rows[first][3] = "zz"
+    e_rows[second][1] = "yy"
+    return _render(rng, records, crlf=False)
+
+
+def _lap_texts(count, seed):
+    rng = seeded(seed)
+    for _ in range(count):
+        square = rng.random() < 0.4
+        nv = rng.randint(1, 6)
+        nl = nv if square else rng.randint(1, 6)
+        records = [["p", "lap", str(nv)] if square
+                   else ["p", "ilap", str(nv), str(nl)]]
+        pairs = [(v, lab) for v in range(nv) for lab in range(nl)
+                 if rng.random() < 0.6 or (square and lab == v)]
+        rng.shuffle(pairs)
+        records += [["a", str(v), str(lab), _cost(rng)] for v, lab in pairs]
+        if not square:
+            for v in rng.sample(range(nv), rng.randint(0, nv)):
+                records.insert(rng.randint(1, len(records)),
+                               ["d", str(v), _cost(rng)])
+        if rng.random() < 0.5:
+            row = rng.choice(records)
+            fault = rng.randrange(6)
+            if fault == 0 and len(row) > 2:
+                row[rng.randrange(1, len(row))] = "zz"
+            elif fault == 1 and row[0] == "a":
+                row[rng.randint(1, 2)] = rng.choice(["-1", "6", "7"])
+            elif fault == 2:
+                records.insert(rng.randint(1, len(records)), list(row))
+            elif fault == 3:
+                row.append("1") if rng.random() < 0.5 else row.pop()
+            elif fault == 4:
+                records.insert(rng.randrange(len(records) + 1), ["e", "0", "1"])
+            else:
+                records.insert(rng.randrange(1, len(records) + 1),
+                               records.pop(0))
+        yield _render(rng, records, crlf=rng.random() < 0.3)
+
+
+# Block and slice sizes of the reader: its own, and small ones that put
+# block and slice ends all over short texts.
+_READER_SIZES = [None, (3, 16, 64)]
+
+
+class TestBlockReader:
+    @pytest.fixture(params=_READER_SIZES, ids=["default-sizes", "small-sizes"])
+    def sizes(self, request, monkeypatch):
+        if request.param is not None:
+            block, first, size = request.param
+            monkeypatch.setattr(records, "_BLOCK", block)
+            monkeypatch.setattr(records, "_FIRST_SLICE", first)
+            monkeypatch.setattr(records, "_SLICE", size)
+
+    def test_dd_texts_read_as_the_line_reader_reads_them(self, sizes):
+        outcomes = set()
+        for text in _dd_texts(500, 241):
+            want = _outcome(reference_parse_dd, text, dummy_cost=3)
+            assert _outcome(parse_dd, text, dummy_cost=3) == want, text
+            outcomes.add(want[0])
+        assert outcomes == {"ok", "error"}
+
+    def test_long_runs_span_blocks_and_slices(self, sizes):
+        rng = seeded(251)
+        records = _dd_records(rng, True)
+        text = _render(rng, records, crlf=True)
+        # past the growing slices, and runs of several blocks
+        assert len(text) > 1 << 16
+        assert sum(r[0] == "e" for r in records) > 4 * 512
+        assert _outcome(parse_dd, text) == _outcome(reference_parse_dd, text)
+        assert _outcome(parse_dd, text)[0] == "ok"
+
+    def test_first_of_two_faults_in_one_block_is_named(self, sizes):
+        rng = seeded(257)
+        for _ in range(40):
+            text = _two_faults_in_one_block(rng)
+            want = _outcome(reference_parse_dd, text)
+            assert want[:2] == ("error", f"line {want[2]}: cost must be "
+                                "numeric, got 'zz'")
+            assert _outcome(parse_dd, text) == want
+
+    def test_lap_texts_read_as_the_line_reader_reads_them(self, sizes):
+        outcomes = set()
+        for text in _lap_texts(300, 263):
+            want = _outcome(reference_parse_lap_file, text)
+            assert _outcome(parse_lap_file, text) == want, text
+            outcomes.add(want[0])
+        assert outcomes == {"ok", "error"}
+
+    def test_valid_records_skip_the_field_rules(self, sizes, monkeypatch):
+        # The line rules of ``parse_dd`` read through these names; its
+        # block rules read through the column rules.
+        calls = []
+        for name in ("_int_field", "_index_field", "_cost_field", "_pair_record"):
+            rule = getattr(formats, name)
+            monkeypatch.setattr(formats, name, lambda *args, rule=rule, name=name:
+                                calls.append(name) or rule(*args))
+        rng = seeded(271)
+        for long in [True] + [False] * 40:
+            text = _render(rng, _dd_records(rng, long), crlf=rng.random() < 0.5)
+            parse_dd(text)
+            # the header's four counts only
+            assert calls == ["_int_field"] * 4
+            calls.clear()
+
+    def test_augmented_read_matches(self):
+        rng = seeded(269)
+        for _ in range(30):
+            text = _render(rng, _dd_records(rng, False), crlf=False)
+            assert (_outcome(parse_dd, text, augment=True)
+                    == _outcome(reference_parse_dd, text, augment=True))
