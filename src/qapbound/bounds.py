@@ -55,7 +55,6 @@ class SolverConfig:
     time_limit: float | None = None
     max_iterations: int | None = None
     bound_improvement_epsilon: float = DEFAULT_EPSILON
-    backward_mplp_pass: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -227,7 +226,7 @@ def run(inst: IqapInstance, config: SolverConfig,
         if (config.time_limit is not None
                 and time.perf_counter() - start >= config.time_limit):
             break
-        mplp_pp_pass(state, backward=config.backward_mplp_pass)
+        mplp_pp_pass(state)
         if config.method == "bca":
             beta_bca_pass(state)
         else:

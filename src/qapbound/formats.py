@@ -214,36 +214,6 @@ def parse_dd(text: str, *, dummy_cost=DEFAULT_DUMMY_COST,
         raise ParseError(str(exc)) from exc
 
 
-def serialize_dd(inst: IqapInstance) -> str:
-    """Render a quadratic instance in the graph-matching text format.
-
-    The format cannot express dummy costs (they are dropped; the round trip
-    is exact when they match the parser's default) nor pairwise cells that
-    involve the dummy label (those raise).
-    """
-    unary = inst.unary
-    ids: dict[tuple[int, int], int] = {}
-    a_lines = []
-    for v in range(unary.num_vertices):
-        for lab, cost in zip(unary.allowed[v], unary.costs[v]):
-            if lab == DUMMY:
-                continue
-            rec_id = len(ids)
-            ids[(v, lab)] = rec_id
-            a_lines.append(f"a {rec_id} {v} {lab} {cost}")
-    e_lines = []
-    for e in inst.edges:
-        for (k, l), cost in sorted(e.cells.items()):
-            if k == DUMMY or l == DUMMY:
-                raise ValueError(
-                    f"edge ({e.u}, {e.v}) prices the dummy label, which this "
-                    "format cannot express")
-            e_lines.append(f"e {ids[(e.u, k)]} {ids[(e.v, l)]} {cost}")
-    header = (f"p {unary.num_vertices} {unary.num_labels} "
-              f"{len(a_lines)} {len(e_lines)}")
-    return "\n".join([header, *a_lines, *e_lines]) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Square / dummy assignment format
 
@@ -315,25 +285,6 @@ def parse_lap_file(text: str, *, tolerance: float = DEFAULT_TOLERANCE):
         return IlapInstance(allowed, costs, nl, tolerance=tolerance)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def serialize_lap_file(inst) -> str:
-    """Render a square or dummy-label instance in the assignment format.
-
-    The dummy label sorts first in each row, so a vertex's ``d`` line
-    comes before its ``a`` lines.
-    """
-    if isinstance(inst, LapInstance):
-        lines = [f"p lap {inst.num_vertices}"]
-    elif isinstance(inst, IlapInstance):
-        lines = [f"p ilap {inst.num_vertices} {inst.num_labels}"]
-    else:
-        raise TypeError("expected a LapInstance or IlapInstance")
-    for v in range(inst.num_vertices):
-        for lab, cost in zip(inst.allowed[v], inst.costs[v]):
-            lines.append(f"d {v} {cost}" if lab == DUMMY
-                         else f"a {v} {lab} {cost}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +408,6 @@ def convert_qaplib_to_iqap(flow, dist, *, tolerance: float = DEFAULT_TOLERANCE,
     if augment:
         _augment_cells(core, edges)
     return IqapInstance(core, edges)
-
-
-def qap_objective(flow, dist, perm) -> float:
-    """Flow/distance objective of a permutation, for cross-checks."""
-    n = len(flow)
-    return sum(flow[u][v] * dist[perm[u]][perm[v]]
-               for u in range(n) for v in range(n))
 
 
 # ---------------------------------------------------------------------------

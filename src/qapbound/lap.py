@@ -51,10 +51,6 @@ class EqualitySubgraph:
             for lab in labs:
                 yield (v, lab)
 
-    @property
-    def num_edges(self) -> int:
-        return sum(len(labs) for labs in self.adjacency)
-
 
 def equality_subgraph(inst: LapInstance, dual: LapDual) -> EqualitySubgraph:
     """Edges whose dual constraint is tight (see ``model._tight_slack``).

@@ -67,7 +67,7 @@ Assignment = Sequence[int]
 
 
 class FeasibilityError(ValueError):
-    """An assignment or primal vector violates the problem constraints."""
+    """An assignment violates the problem constraints."""
 
 
 class DualInfeasibleError(ValueError):
@@ -92,12 +92,15 @@ def _half_cost(c):
     int when the half is an integer of at most 2**53 in size (or ``c`` is an
     even int), else a float.
 
-    Every halving in the package goes through here: the reduction's cross
-    costs, the potentials that ``reduction.lift_dual`` and
-    ``reduction.solve_ilap`` halve, and the relative-interior shift's
-    slack.  So on an integral instance a potential that equals an integer
-    is an int.  An even int halves exactly; anything else halves in floats,
-    exactly except for an odd int above 2**53 and for a subnormal float."""
+    It covers the halvings of the exact step and of the relative-interior
+    shift: the reduction's cross costs, the potentials that
+    ``reduction.lift_dual`` and ``reduction.solve_ilap`` halve, and the
+    shift's slack.  So on an integral instance a potential that equals an
+    integer is an int.  The message pass and the coordinate label step
+    (``wcsp._handshake``, ``beta_steps.beta_coordinate_update``) halve
+    with a plain ``/ 2`` instead, which always gives a float.  An even int
+    halves exactly here; anything else halves in floats, exactly except
+    for an odd int above 2**53 and for a subnormal float."""
     if type(c) is int and c % 2 == 0:
         return c // 2
     h = c / 2
@@ -318,9 +321,6 @@ class IlapInstance(_BaseInstance):
         self.allowed, costs = _sort_rows(allowed, costs, num_labels,
                                          dummy_required=True)
         self._finish_init(costs, tolerance)
-
-    def dummy_cost(self, v: int):
-        return self.costs[v][self._index[v][DUMMY]]
 
     def scale_costs(self, factor: int) -> "IlapInstance":
         """New instance with every cost multiplied by ``factor``."""
@@ -603,9 +603,6 @@ def lap_objective(inst: LapInstance | IlapInstance, x: Assignment):
     return sum(inst.cost(v, lab) for v, lab in enumerate(x))
 
 
-ilap_objective = lap_objective
-
-
 def iqap_objective(inst: IqapInstance, x: Assignment):
     require_feasible(inst, x)
     total = sum(inst.unary.cost(v, lab) for v, lab in enumerate(x))
@@ -689,47 +686,3 @@ def dual_objective(inst, dual):
     if len(dual.alpha) != unary.num_vertices or len(dual.beta) != unary.num_labels:
         raise ValueError("dual dimensions do not match the instance")
     return sum(dual.alpha) + sum(dual.beta)
-
-
-# ---------------------------------------------------------------------------
-# Primal vectors (mu), used by the mapping and oracle checks
-
-PrimalVector = Mapping[int, Mapping[int, float]]
-
-
-def lap_primal_feasible(inst: LapInstance | IlapInstance,
-                        mu: PrimalVector) -> Violation | None:
-    """Diagnose the first primal constraint ``mu`` violates beyond ``atol``.
-
-    Rows are keyed by vertices and sum to one.  Columns of a
-    ``LapInstance`` sum to one; those of an ``IlapInstance`` sum to at most
-    one, and its dummy column is free.
-    """
-    tol = inst.atol
-    for v in mu:
-        if v not in range(inst.num_vertices):
-            return Violation("dimension", f"mu has a row for {v!r}, "
-                             f"outside vertices 0..{inst.num_vertices - 1}")
-    square = isinstance(inst, LapInstance)
-    col = [0] * inst.num_labels
-    for v in range(inst.num_vertices):
-        row_sum = 0
-        for lab, value in mu.get(v, {}).items():
-            if not inst.allows(v, lab):
-                return Violation("disallowed",
-                                 f"mu[{v}][{lab}] set on a disallowed pair", v, lab)
-            if value < -tol:
-                return Violation("negative", f"mu[{v}][{lab}] = {value} < 0", v, lab)
-            row_sum += value
-            if lab != DUMMY:
-                col[lab] += value
-        if abs(row_sum - 1) > tol:
-            return Violation("row", f"mu row {v} sums to {row_sum}, expected 1", v)
-    for lab, s in enumerate(col):
-        if square and abs(s - 1) > tol:
-            return Violation("column", f"mu column {lab} sums to {s}, expected 1",
-                             None, lab)
-        if s > 1 + tol:
-            return Violation("column", f"mu column {lab} sums to {s} > 1",
-                             None, lab)
-    return None

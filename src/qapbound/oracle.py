@@ -13,12 +13,10 @@ from fractions import Fraction
 
 from .model import (
     DUMMY,
-    FeasibilityError,
     IlapInstance,
     IqapInstance,
     LapInstance,
     _tight_slack,
-    lap_primal_feasible,
     require_dual_feasible,
     unary_part,
 )
@@ -141,11 +139,6 @@ def _optimal_pairs(optima) -> set[tuple[int, int]]:
     return {(v, lab) for x in optima for v, lab in enumerate(x)}
 
 
-def minimally_assignable_pairs(inst) -> set[tuple[int, int]]:
-    """Pairs (vertex, label) realized by at least one optimal assignment."""
-    return _optimal_pairs(brute_force_optimum(inst)[1])
-
-
 def _labels_unused_somewhere(optima, num_labels: int) -> set[int]:
     """Non-dummy labels left unassigned by at least one optimal assignment."""
     return {lab for x in optima for lab in set(range(num_labels)).difference(x)}
@@ -182,34 +175,3 @@ def check_dual_relative_interior(inst, dual) -> bool:
     tight = _tight_slack(inst)
     zero_beta = {lab for lab, b in enumerate(dual.beta) if b >= -tight}
     return zero_beta == _labels_unused_somewhere(optima, inst.num_labels)
-
-
-def check_primal_relative_interior(inst, mu) -> bool:
-    """Whether ``mu`` lies in the relative interior of the primal optima.
-
-    The support of ``mu`` must be exactly the minimally assignable pairs;
-    for dummy-label instances a label's column mass must hit one exactly
-    when every optimal assignment uses that label.
-    """
-    if not isinstance(inst, (LapInstance, IlapInstance)):
-        raise TypeError("primal checks cover unary instances only")
-    viol = lap_primal_feasible(inst, mu)
-    if viol is not None:
-        raise FeasibilityError(viol.message)
-    _, optima = brute_force_optimum(inst)
-    atol = inst.atol
-    support = {(v, lab) for v, row in mu.items()
-               for lab, value in row.items() if value > atol}
-    if support != _optimal_pairs(optima):
-        return False
-    if isinstance(inst, LapInstance):
-        return True
-    col = [0] * inst.num_labels
-    for v, row in mu.items():
-        for lab, value in row.items():
-            if lab != DUMMY:
-                col[lab] += value
-    saturated = {lab for lab, s in enumerate(col) if s >= 1 - atol}
-    always_used = set(range(inst.num_labels)) - _labels_unused_somewhere(
-        optima, inst.num_labels)
-    return saturated == always_used

@@ -15,8 +15,9 @@ original vertex or label received, preserving feasibility, optimality and
 membership in the relative interior of the dual optimal set.
 
 Maps between the two: ``lift_assignment`` and ``decompose_assignment`` for
-assignments, ``lift_dual`` and ``map_dual`` for duals, ``map_primal`` for
-primal vectors.
+assignments, ``lift_dual`` for duals into the reduced instance.  The way
+back for duals is the sum of each node's two potentials, which
+``solve_ilap`` takes.
 
 ``solve_ilap`` is the exact step: reduce, solve, optionally shift into the
 relative interior, and map back.  It reduces an integral instance at double
@@ -49,15 +50,11 @@ from .lap import equality_subgraph, solve_lap
 from .model import (
     DUMMY,
     Assignment,
-    FeasibilityError,
     IlapDual,
     IlapInstance,
     LapDual,
     LapInstance,
-    PrimalVector,
     _half_cost,
-    lap_primal_feasible,
-    require_dual_feasible,
     require_feasible,
 )
 from .relative_interior import (perfectly_matchable_edges,
@@ -165,7 +162,7 @@ def lift_dual(inst: IlapInstance, dual: IlapDual) -> LapDual:
     """Mirror a dual of ``inst`` into the reduced instance.
 
     Each node gets half of its vertex's or label's potential on both sides,
-    so ``map_dual`` folds the result back to ``dual``.  Feasibility,
+    so summing each node's two potentials gives ``dual`` back.  Feasibility,
     optimality and relative-interior membership carry over, and the
     objectives agree.  Only the dimensions are checked here; the reduced
     instance's own checks judge feasibility.
@@ -176,47 +173,14 @@ def lift_dual(inst: IlapInstance, dual: IlapDual) -> LapDual:
     return LapDual(halves, list(halves))
 
 
-def map_dual(inst: IlapInstance, dual_p: LapDual) -> IlapDual:
-    """Fold a reduced-instance dual back onto the original instance.
-
-    Each original vertex or label collects the sum of the two potentials its
-    node carries.  Feasibility, optimality and relative-interior membership
-    carry over, and the objectives agree.
-    """
-    require_dual_feasible(reduce_ilap_to_lap(inst), dual_p)
-    return _map_dual_unchecked(inst.num_vertices, inst.num_labels, dual_p)
-
-
 def _map_dual_unchecked(nv: int, nl: int, dual_p: LapDual) -> IlapDual:
+    """Fold a reduced-instance dual back onto ``nv`` vertices and ``nl``
+    labels: each gets the sum of its node's two potentials.  Feasibility,
+    optimality and relative-interior membership carry over; nothing is
+    checked."""
     alpha = [dual_p.alpha[v] + dual_p.beta[v] for v in range(nv)]
     beta = [dual_p.alpha[nv + lab] + dual_p.beta[nv + lab] for lab in range(nl)]
     return IlapDual(alpha, beta)
-
-
-def map_primal(inst: IlapInstance, mu_p: PrimalVector) -> dict[int, dict[int, float]]:
-    """Fold a reduced-instance primal vector back onto the original instance.
-
-    Non-dummy mass averages the two mirrored entries; dummy mass is the
-    vertex self-loop mass.  Preserves feasibility, optimality and
-    relative-interior membership.
-    """
-    viol = lap_primal_feasible(reduce_ilap_to_lap(inst), mu_p)
-    if viol is not None:
-        raise FeasibilityError(viol.message)
-    nv = inst.num_vertices
-    mu: dict[int, dict[int, float]] = {}
-    for v in range(nv):
-        row_p = mu_p.get(v, {})
-        row: dict[int, float] = {}
-        for lab in inst.allowed[v]:
-            if lab == DUMMY:
-                row[DUMMY] = row_p.get(v, 0)
-            else:
-                node = nv + lab
-                mirrored = mu_p.get(node, {}).get(v, 0)
-                row[lab] = (row_p.get(node, 0) + mirrored) / 2
-        mu[v] = row
-    return mu
 
 
 def _exact_base(inst: IlapInstance):

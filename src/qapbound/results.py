@@ -1,9 +1,11 @@
 """Result rows, group aggregation, and the best-bound tie rule.
 
 A bound counts as best among the methods compared on one instance when it
-is at least ``(1 + 1e-10)`` times their maximum.  With the negative bounds
-the benchmark conversion produces, that is a relative-tolerance tie test;
-with a positive maximum only exact ties at zero can qualify.
+lies within a relative ``1e-10`` of their maximum: at least ``(1 + 1e-10)``
+times a maximum that is zero or negative, as the benchmark conversion
+produces, and at least the maximum divided by ``(1 + 1e-10)`` when it is
+positive, as on graph-matching instances.  The maximum itself always
+counts.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ class InstanceResult:
 def best_bound_flags(bounds: dict[str, float]) -> dict[str, bool]:
     """Apply the tie rule to one instance's per-method bounds."""
     top = max(bounds.values())
-    return {m: b >= BEST_BOUND_FACTOR * top for m, b in bounds.items()}
+    threshold = min(BEST_BOUND_FACTOR * top, top / BEST_BOUND_FACTOR)
+    return {m: b >= threshold for m, b in bounds.items()}
 
 
 def mark_best_bounds(rows: list[InstanceResult]) -> None:

@@ -8,12 +8,12 @@ changing any assignment's total cost:
 * reparametrized unary: original cost plus all outgoing messages,
 * reparametrized pairwise: stored cost minus the two incoming messages.
 
-``mplp_pp_edge_update`` performs one handshake on an edge: it absorbs both
-endpoint unaries (with ``beta`` subtracted from non-dummy labels) into the
-edge and returns half of each min-marginal to each side.  Afterwards the
-edge's reparametrized pairwise costs are non-negative and vanish at the
-joint minimizer, and the lower bound cannot decrease.  One pass applies the
-update once per edge in ascending endpoint order.
+A handshake on an edge absorbs both endpoint unaries (with ``beta``
+subtracted from non-dummy labels) into the edge and returns half of each
+min-marginal to each side.  Afterwards the edge's reparametrized pairwise
+costs are non-negative and vanish at the joint minimizer, and the lower
+bound cannot decrease.  One pass (``mplp_pp_pass``) applies the handshake
+once per edge in ascending endpoint order.
 
 Both the update and the bound's per-edge minimum reduce to row minima: for
 each label of one endpoint, the cheapest sum of a cost vector over the
@@ -71,10 +71,9 @@ class IqapDualState:
     ``theta_phi`` is float on every vertex with an edge from the start; an
     edge-free vertex keeps its int costs for the exact label step.  So the
     kernel adds in one arithmetic: a handshake's ``base`` is all floats,
-    ``pairwise_minimum`` reads int messages only while they are all zero,
     and ``bounds.dual_bound`` scales everything to ints.
 
-    A state belongs to one solver run; copy it for paired experiments.
+    A state belongs to one solver run.
     """
 
     __slots__ = ("inst", "beta", "phi", "theta_phi")
@@ -90,14 +89,6 @@ class IqapDualState:
         self.theta_phi = [list(map(float, row)) if v in has_edge else list(row)
                           for v, row in enumerate(inst.unary.costs)]
 
-    def copy(self) -> "IqapDualState":
-        dup = IqapDualState.__new__(IqapDualState)
-        dup.inst = self.inst
-        dup.beta = list(self.beta)
-        dup.theta_phi = [list(row) for row in self.theta_phi]
-        dup.phi = {key: list(vals) for key, vals in self.phi.items()}
-        return dup
-
     def potentials(self, v: int) -> list:
         """The label potential of each label of ``v``: 0 for the dummy,
         ``beta[lab]`` otherwise, in ``inst.unary.allowed[v]`` order."""
@@ -112,14 +103,6 @@ class IqapDualState:
         which is that cost itself.
         """
         return list(map(sub, self.theta_phi[v], self.potentials(v)))
-
-
-def reparam_pairwise(state: IqapDualState, u: int, v: int, k: int, l: int):
-    """Reparametrized pairwise cost of labeling ``u`` with ``k``, ``v`` with ``l``."""
-    base = state.inst.pairwise_cost(u, v, k, l)
-    iu = state.inst.unary.label_index(u, k)
-    iv = state.inst.unary.label_index(v, l)
-    return base - state.phi[(v, u)][iv] - state.phi[(u, v)][iu]
 
 
 def _row_minima(base: list, rows: tuple, trans: tuple | None,
@@ -241,24 +224,12 @@ def _handshake(state: IqapDualState, e, pot_u: list, pot_v: list) -> None:
         unary_v[l] += delta
 
 
-def mplp_pp_edge_update(state: IqapDualState, u: int, v: int) -> None:
-    """One handshake on edge (u, v): split min-marginals between endpoints.
-
-    Each side's update reads only the state before the handshake, so the
-    order of ``u`` and ``v`` does not matter.
-    """
-    edge = state.inst.edge_between(u, v)
-    if edge is None:
-        raise ValueError(f"no edge between vertices {u} and {v}")
-    _handshake(state, edge, state.potentials(edge.u),
-               state.potentials(edge.v))
-
-
 def mplp_pp_pass(state: IqapDualState, *, backward: bool = False) -> None:
-    """Apply the edge update once per edge, in ascending endpoint order.
+    """Apply the handshake once per edge, in ascending endpoint order.
 
-    ``backward`` adds a second sweep in reverse order.  A handshake leaves
-    ``beta`` alone, so the potential rows are built once per pass.
+    ``backward`` adds a second sweep in reverse order; ``bounds.run``
+    never asks for it.  A handshake leaves ``beta`` alone, so the
+    potential rows are built once per pass.
     """
     edges = state.inst.edges
     pots = [state.potentials(v) for v in range(state.inst.num_vertices)]
@@ -267,12 +238,6 @@ def mplp_pp_pass(state: IqapDualState, *, backward: bool = False) -> None:
     if backward:
         for e in reversed(edges):
             _handshake(state, e, pots[e.u], pots[e.v])
-
-
-def pairwise_minimum(state: IqapDualState, edge) -> float:
-    """Minimum reparametrized pairwise cost of ``edge`` over all label pairs."""
-    return _edge_minimum(state.phi[(edge.u, edge.v)],
-                         state.phi[(edge.v, edge.u)], edge, edge.rows_u)
 
 
 def _edge_minimum(out_u: list, out_v: list, edge, rows_u: tuple,

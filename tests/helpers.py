@@ -1,7 +1,9 @@
 """Shared builders for the test suite: the worked 5x5 example, seeded
 random instance generators, the benchmark's instance writers, an LP
-reference for bounds, a reference LAP solver, and reference line-by-line
-instance readers."""
+reference for bounds, a reference LAP solver, reference line-by-line
+instance readers, and references for what the package does not run: the
+primal half of the reduction's mapping, the per-edge message-passing
+rules, and instance writers."""
 
 import importlib.util
 import math
@@ -11,15 +13,24 @@ from pathlib import Path
 
 import pytest
 
-from qapbound import formats
+from qapbound import formats, wcsp
 from qapbound.model import (
     DUMMY,
+    FeasibilityError,
     IlapInstance,
     IqapInstance,
     LapDual,
     LapInstance,
+    Violation,
     _as_cost,
+    require_dual_feasible,
 )
+from qapbound.oracle import (
+    _labels_unused_somewhere,
+    _optimal_pairs,
+    brute_force_optimum,
+)
+from qapbound.reduction import _map_dual_unchecked, reduce_ilap_to_lap
 from qapbound.records import (
     ParseError,
     _cost_field,
@@ -455,3 +466,219 @@ def reference_parse_lap_file(text, *, tolerance=formats.DEFAULT_TOLERANCE):
         return IlapInstance(allowed, costs, nl, tolerance=tolerance)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+# ---------------------------------------------------------------------------
+# The primal half of the reduction's mapping.  The package maps only duals
+# back (inside ``solve_ilap``); these references state the paper's claim
+# that the mapping also carries primal optima, and relative-interior
+# membership, over to the original instance.  A primal vector ``mu`` maps a
+# vertex to a ``{label: mass}`` row.
+
+
+def lap_primal_feasible(inst, mu):
+    """Diagnose the first primal constraint ``mu`` violates beyond ``atol``.
+
+    Rows are keyed by vertices and sum to one.  Columns of a
+    ``LapInstance`` sum to one; those of an ``IlapInstance`` sum to at most
+    one, and its dummy column is free.
+    """
+    tol = inst.atol
+    for v in mu:
+        if v not in range(inst.num_vertices):
+            return Violation("dimension", f"mu has a row for {v!r}, "
+                             f"outside vertices 0..{inst.num_vertices - 1}")
+    square = isinstance(inst, LapInstance)
+    col = [0] * inst.num_labels
+    for v in range(inst.num_vertices):
+        row_sum = 0
+        for lab, value in mu.get(v, {}).items():
+            if not inst.allows(v, lab):
+                return Violation("disallowed",
+                                 f"mu[{v}][{lab}] set on a disallowed pair", v, lab)
+            if value < -tol:
+                return Violation("negative", f"mu[{v}][{lab}] = {value} < 0", v, lab)
+            row_sum += value
+            if lab != DUMMY:
+                col[lab] += value
+        if abs(row_sum - 1) > tol:
+            return Violation("row", f"mu row {v} sums to {row_sum}, expected 1", v)
+    for lab, s in enumerate(col):
+        if square and abs(s - 1) > tol:
+            return Violation("column", f"mu column {lab} sums to {s}, expected 1",
+                             None, lab)
+        if s > 1 + tol:
+            return Violation("column", f"mu column {lab} sums to {s} > 1",
+                             None, lab)
+    return None
+
+
+def map_dual(inst, dual_p):
+    """Fold a feasible reduced-instance dual back onto ``inst``, as
+    ``solve_ilap`` does without the check."""
+    require_dual_feasible(reduce_ilap_to_lap(inst), dual_p)
+    return _map_dual_unchecked(inst.num_vertices, inst.num_labels, dual_p)
+
+
+def map_primal(inst, mu_p):
+    """Fold a reduced-instance primal vector back onto ``inst``.
+
+    Non-dummy mass averages the two mirrored entries; dummy mass is the
+    vertex self-loop mass.  The paper shows that this preserves
+    feasibility, optimality and relative-interior membership.
+    """
+    viol = lap_primal_feasible(reduce_ilap_to_lap(inst), mu_p)
+    if viol is not None:
+        raise FeasibilityError(viol.message)
+    nv = inst.num_vertices
+    mu = {}
+    for v in range(nv):
+        row_p = mu_p.get(v, {})
+        row = {}
+        for lab in inst.allowed[v]:
+            if lab == DUMMY:
+                row[DUMMY] = row_p.get(v, 0)
+            else:
+                node = nv + lab
+                mirrored = mu_p.get(node, {}).get(v, 0)
+                row[lab] = (row_p.get(node, 0) + mirrored) / 2
+        mu[v] = row
+    return mu
+
+
+def minimally_assignable_pairs(inst):
+    """Pairs (vertex, label) realized by at least one optimal assignment."""
+    return _optimal_pairs(brute_force_optimum(inst)[1])
+
+
+def check_primal_relative_interior(inst, mu) -> bool:
+    """Whether ``mu`` lies in the relative interior of the primal optima.
+
+    The support of ``mu`` must be exactly the minimally assignable pairs;
+    for dummy-label instances a label's column mass must hit one exactly
+    when every optimal assignment uses that label.
+    """
+    if not isinstance(inst, (LapInstance, IlapInstance)):
+        raise TypeError("primal checks cover unary instances only")
+    viol = lap_primal_feasible(inst, mu)
+    if viol is not None:
+        raise FeasibilityError(viol.message)
+    _, optima = brute_force_optimum(inst)
+    atol = inst.atol
+    support = {(v, lab) for v, row in mu.items()
+               for lab, value in row.items() if value > atol}
+    if support != _optimal_pairs(optima):
+        return False
+    if isinstance(inst, LapInstance):
+        return True
+    col = [0] * inst.num_labels
+    for row in mu.values():
+        for lab, value in row.items():
+            if lab != DUMMY:
+                col[lab] += value
+    saturated = {lab for lab, s in enumerate(col) if s >= 1 - atol}
+    always_used = set(range(inst.num_labels)) - _labels_unused_somewhere(
+        optima, inst.num_labels)
+    return saturated == always_used
+
+
+# ---------------------------------------------------------------------------
+# Per-edge message passing: what ``wcsp.mplp_pp_pass`` and
+# ``bounds.dual_bound`` do inline, one edge or one cell at a time.
+
+
+def copy_state(state):
+    """An independent copy of an ``IqapDualState``, for paired steps."""
+    dup = wcsp.IqapDualState.__new__(wcsp.IqapDualState)
+    dup.inst = state.inst
+    dup.beta = list(state.beta)
+    dup.theta_phi = [list(row) for row in state.theta_phi]
+    dup.phi = {key: list(vals) for key, vals in state.phi.items()}
+    return dup
+
+
+def reparam_pairwise(state, u, v, k, l):
+    """Reparametrized pairwise cost of labeling ``u`` with ``k``, ``v`` with ``l``."""
+    base = state.inst.pairwise_cost(u, v, k, l)
+    iu = state.inst.unary.label_index(u, k)
+    iv = state.inst.unary.label_index(v, l)
+    return base - state.phi[(v, u)][iv] - state.phi[(u, v)][iu]
+
+
+def mplp_pp_edge_update(state, u, v):
+    """One handshake on edge (u, v), the step a pass takes per edge.
+
+    Each side's update reads only the state before the handshake, so the
+    order of ``u`` and ``v`` does not matter.
+    """
+    edge = state.inst.edge_between(u, v)
+    if edge is None:
+        raise ValueError(f"no edge between vertices {u} and {v}")
+    wcsp._handshake(state, edge, state.potentials(edge.u),
+                    state.potentials(edge.v))
+
+
+def pairwise_minimum(state, edge):
+    """Minimum reparametrized pairwise cost of ``edge`` over all label
+    pairs, through the kernel that ``dual_bound`` uses."""
+    return wcsp._edge_minimum(state.phi[(edge.u, edge.v)],
+                              state.phi[(edge.v, edge.u)], edge, edge.rows_u)
+
+
+# ---------------------------------------------------------------------------
+# Instance writers, for building test texts.
+
+
+def serialize_dd(inst):
+    """Render a quadratic instance in the graph-matching text format.
+
+    The format cannot express dummy costs (they are dropped; the round trip
+    is exact when they match the parser's default) nor pairwise cells that
+    involve the dummy label (those raise).
+    """
+    unary = inst.unary
+    ids = {}
+    a_lines = []
+    for v in range(unary.num_vertices):
+        for lab, cost in zip(unary.allowed[v], unary.costs[v]):
+            if lab == DUMMY:
+                continue
+            ids[(v, lab)] = len(ids)
+            a_lines.append(f"a {ids[(v, lab)]} {v} {lab} {cost}")
+    e_lines = []
+    for e in inst.edges:
+        for (k, l), cost in sorted(e.cells.items()):
+            if k == DUMMY or l == DUMMY:
+                raise ValueError(
+                    f"edge ({e.u}, {e.v}) prices the dummy label, which this "
+                    "format cannot express")
+            e_lines.append(f"e {ids[(e.u, k)]} {ids[(e.v, l)]} {cost}")
+    header = (f"p {unary.num_vertices} {unary.num_labels} "
+              f"{len(a_lines)} {len(e_lines)}")
+    return "\n".join([header, *a_lines, *e_lines]) + "\n"
+
+
+def serialize_lap_file(inst):
+    """Render a square or dummy-label instance in the assignment format.
+
+    The dummy label sorts first in each row, so a vertex's ``d`` line
+    comes before its ``a`` lines.
+    """
+    if isinstance(inst, LapInstance):
+        lines = [f"p lap {inst.num_vertices}"]
+    elif isinstance(inst, IlapInstance):
+        lines = [f"p ilap {inst.num_vertices} {inst.num_labels}"]
+    else:
+        raise TypeError("expected a LapInstance or IlapInstance")
+    for v in range(inst.num_vertices):
+        for lab, cost in zip(inst.allowed[v], inst.costs[v]):
+            lines.append(f"d {v} {cost}" if lab == DUMMY
+                         else f"a {v} {lab} {cost}")
+    return "\n".join(lines) + "\n"
+
+
+def qap_objective(flow, dist, perm):
+    """Flow/distance objective of a permutation."""
+    n = len(flow)
+    return sum(flow[u][v] * dist[perm[u]][perm[v]]
+               for u in range(n) for v in range(n))

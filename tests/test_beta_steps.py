@@ -11,7 +11,7 @@ from qapbound.oracle import brute_force_optimum
 from qapbound.reduction import solve_ilap
 from qapbound.wcsp import IqapDualState, mplp_pp_pass
 
-from helpers import random_iqap, seeded
+from helpers import copy_state, random_iqap, seeded
 
 
 def edgeless(allowed, costs, num_labels):
@@ -159,8 +159,8 @@ class TestExactUpdate:
             inst = random_iqap(rng)
             state = IqapDualState(inst)
             mplp_pp_pass(state)
-            bca_state = state.copy()
-            exact_state = state.copy()
+            bca_state = copy_state(state)
+            exact_state = copy_state(state)
             beta_bca_pass(bca_state)
             beta_exact_update(exact_state)
             atol = 1e-8 * (1 + inst.max_abs_cost)
@@ -174,8 +174,8 @@ class TestExactUpdate:
             inst = random_iqap(rng)
             state = IqapDualState(inst)
             mplp_pp_pass(state)
-            plain = state.copy()
-            interior = state.copy()
+            plain = copy_state(state)
+            interior = copy_state(state)
             beta_exact_update(plain, relative_interior=False)
             beta_exact_update(interior, relative_interior=True)
             atol = 1e-8 * (1 + inst.max_abs_cost)
@@ -212,6 +212,6 @@ class TestExactUpdateMatchesFreshInstance:
                                unary.num_labels, tolerance=unary.tolerance)
             for relative_interior in (False, True):
                 _, dual = solve_ilap(sub, relative_interior=relative_interior)
-                updated = state.copy()
+                updated = copy_state(state)
                 beta_exact_update(updated, relative_interior=relative_interior)
                 assert repr(updated.beta) == repr([min(b, 0) for b in dual.beta])

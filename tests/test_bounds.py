@@ -14,9 +14,9 @@ from qapbound.bounds import METHODS, BoundReport, SolverConfig, dual_bound, run
 from qapbound.formats import load_instance
 from qapbound.model import DUMMY, IlapInstance, IqapInstance
 from qapbound.oracle import brute_force_optimum
-from qapbound.wcsp import IqapDualState, mplp_pp_pass, pairwise_minimum
+from qapbound.wcsp import IqapDualState, mplp_pp_pass
 
-from helpers import random_iqap, seeded
+from helpers import copy_state, pairwise_minimum, random_iqap, seeded
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -177,8 +177,7 @@ class TestCertifiedBound:
         setattr(bounds, steps[method], recorded(original))
         try:
             report = run(inst, SolverConfig(
-                method=method, max_iterations=6, bound_improvement_epsilon=0,
-                backward_mplp_pass=backward))
+                method=method, max_iterations=6, bound_improvement_epsilon=0))
         finally:
             setattr(bounds, steps[method], original)
         scale = 1 + inst.max_abs_cost
@@ -348,7 +347,7 @@ class TestExactOnReachableStates:
             inst = random_iqap(rng)
             if rng.random() < 0.5:
                 inst = with_float_cells(inst, set(range(len(inst.edges))))
-            cases += [(inst, state.copy())
+            cases += [(inst, copy_state(state))
                       for state in self.states(inst, rng)]
         inst = random_iqap(seeded(157))
         zero = IqapDualState(inst)
@@ -466,17 +465,20 @@ class TestRun:
         assert report.final_bound == 0
 
     def test_backward_pass_stays_monotone_and_sound(self):
+        # ``run``'s loop for ``hung-ri``, each pass with its reverse sweep
         rng = seeded(113)
         for _ in range(10):
             inst = random_iqap(rng)
             value, _ = brute_force_optimum(inst)
             atol = 1e-8 * (1 + inst.max_abs_cost)
-            report = run(inst, SolverConfig(
-                method="hung-ri", max_iterations=8,
-                bound_improvement_epsilon=0.0, backward_mplp_pass=True))
-            t = report.bound_trajectory
+            state = IqapDualState(inst)
+            t = [dual_bound(inst, state)]
+            for _ in range(8):
+                mplp_pp_pass(state, backward=True)
+                beta_exact_update(state, relative_interior=True)
+                t.append(dual_bound(inst, state))
             assert all(b >= a - atol for a, b in zip(t, t[1:]))
-            assert report.final_bound <= value + atol
+            assert t[-1] <= value + atol
 
 
 class TestReport:

@@ -412,16 +412,16 @@ class TestBatch:
             by_instance.setdefault(row["instance"], []).append(row)
         for rows in by_instance.values():
             top = max(r["final_bound"] for r in rows)
+            threshold = min(BEST_BOUND_FACTOR * top, top / BEST_BOUND_FACTOR)
             for r in rows:
-                assert r["best"] == (r["final_bound"] >= BEST_BOUND_FACTOR * top)
-        # coordinate ascent stalls on the shared-label fixture
+                assert r["best"] == (r["final_bound"] >= threshold)
+        # coordinate ascent stalls on the shared-label fixture, and the
+        # exact steps that pass it are best although their bound is positive
         stall = {r["method"]: r for r in by_instance["tiny"]}
         assert stall["bca"]["final_bound"] == 0
         assert stall["hung"]["final_bound"] == 4
         assert not stall["bca"]["best"]
-        # the published tie rule assumes negative bounds: with a positive
-        # maximum even the winner fails the inflated threshold
-        assert not stall["hung"]["best"] and not stall["hung-ri"]["best"]
+        assert stall["hung"]["best"] and stall["hung-ri"]["best"]
 
     def test_group_csv(self, capsys):
         code, out, _ = run_cli(

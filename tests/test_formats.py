@@ -16,10 +16,7 @@ from qapbound.formats import (
     parse_dd,
     parse_lap_file,
     parse_qaplib,
-    qap_objective,
     qaplib_shift_constant,
-    serialize_dd,
-    serialize_lap_file,
     sniff_format,
 )
 from qapbound.bounds import SolverConfig, run
@@ -29,10 +26,13 @@ from qapbound.oracle import brute_force_optimum, search_space_size
 from helpers import (
     benchmark_generators,
     edge_layout,
+    qap_objective,
     random_iqap,
     reference_parse_dd,
     reference_parse_lap_file,
     seeded,
+    serialize_dd,
+    serialize_lap_file,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -78,12 +78,12 @@ e 0 1 7
         inst = parse_dd(text)
         assert inst.unary.cost(0, 0) == 1.5
         assert inst.unary.cost(1, 1) == -2
-        assert inst.unary.dummy_cost(0) == 0
+        assert inst.unary.cost(0, DUMMY) == 0
         assert inst.edges[0].cells == {(0, 1): 7}
 
     def test_dummy_cost_override(self):
         inst = parse_dd("p 1 1 1 0\na 0 0 0 5\n", dummy_cost=9)
-        assert inst.unary.dummy_cost(0) == 9
+        assert inst.unary.cost(0, DUMMY) == 9
 
     @pytest.mark.parametrize("text,match", [
         ("p 1 1\n", "header"),
@@ -216,8 +216,8 @@ class TestLapFormat:
         text = "p ilap 2 1\nd 0 5\na 0 0 1\na 1 0 2\n"
         inst = parse_lap_file(text)
         assert isinstance(inst, IlapInstance)
-        assert inst.dummy_cost(0) == 5
-        assert inst.dummy_cost(1) == 0
+        assert inst.cost(0, DUMMY) == 5
+        assert inst.cost(1, DUMMY) == 0
 
     def test_round_trip_both_kinds(self):
         lap = LapInstance([[0, 1], [0, 1]], [[1, 2], [3, 4]])
@@ -347,7 +347,7 @@ class TestConvertQaplib:
         assert shift == 1
         assert all(inst.unary.cost(v, lab) == -1
                    for v in range(2) for lab in range(2))
-        assert all(inst.unary.dummy_cost(v) == 0 for v in range(2))
+        assert all(inst.unary.cost(v, DUMMY) == 0 for v in range(2))
 
     def test_two_by_two_single_edge_doubles_distances(self):
         flow = [[0, 1], [1, 0]]

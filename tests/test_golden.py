@@ -11,6 +11,9 @@ turning into a float, or a last-digit float change, also fails.
 The ``bca`` trajectories and the final bounds on ``row_kinds_instance`` pin
 the message-passing sweep and bound evaluation (``wcsp``) the same way.
 They were recorded before the per-edge rows moved to their current layout.
+The ``bca`` pins with a backward sweep were recorded through ``run``'s
+former option; ``run`` no longer takes that sweep, so they replay its loop
+with ``mplp_pp_pass(backward=True)``.
 The three final bounds on ``row_kinds_instance`` were re-recorded when the
 final bound became the exact value of the final state rounded down to a
 float; each old value was a float sum that lay above that exact value.
@@ -29,12 +32,14 @@ from pathlib import Path
 
 import pytest
 
-from qapbound.bounds import SolverConfig, run
+from qapbound.beta_steps import beta_bca_pass
+from qapbound.bounds import SolverConfig, _bound_after_pass, dual_bound, run
 from qapbound.cli import main
 from qapbound.formats import load_instance
 from qapbound.lap import solve_lap
 from qapbound.model import DUMMY, IlapInstance, IqapInstance, LapInstance
 from qapbound.reduction import solve_ilap
+from qapbound.wcsp import IqapDualState, mplp_pp_pass
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -168,13 +173,28 @@ def test_exact_step_trajectory_is_pinned(name, method):
     assert repr(report.bound_trajectory) == TRAJECTORY_GOLDEN[(name, method)]
 
 
+def bca_with_backward_sweep(inst, iterations):
+    """The trajectory ``run`` records for ``bca`` at epsilon 0, with each
+    message pass followed by its reverse sweep."""
+    state = IqapDualState(inst)
+    trajectory = [dual_bound(inst, state)]
+    for _ in range(iterations):
+        mplp_pp_pass(state, backward=True)
+        beta_bca_pass(state)
+        trajectory.append(_bound_after_pass(state))
+    return trajectory
+
+
 @pytest.mark.parametrize("name, backward", sorted(BCA_GOLDEN))
 def test_bca_trajectory_is_pinned(name, backward):
-    config = SolverConfig(method="bca", max_iterations=20,
-                          bound_improvement_epsilon=0,
-                          backward_mplp_pass=backward)
-    report = run(load_fixture(name), config)
-    assert repr(report.bound_trajectory) == BCA_GOLDEN[(name, backward)]
+    inst = load_fixture(name)
+    if backward:
+        trajectory = bca_with_backward_sweep(inst, 20)
+    else:
+        config = SolverConfig(method="bca", max_iterations=20,
+                              bound_improvement_epsilon=0)
+        trajectory = run(inst, config).bound_trajectory
+    assert repr(trajectory) == BCA_GOLDEN[(name, backward)]
 
 
 @pytest.mark.parametrize("method", sorted(ROW_KINDS_GOLDEN))

@@ -232,18 +232,18 @@ class TestEqualitySubgraph:
         inst = example1_instance()
         subgraph = equality_subgraph(inst, example1_initial_dual())
         assert set(subgraph.edges()) == EXAMPLE1_INITIAL_ACTIVE
-        assert subgraph.num_edges == 13
+        assert len(list(subgraph.edges())) == 13
 
     def test_example_final_active_set(self):
         inst = example1_instance()
         subgraph = equality_subgraph(inst, example1_final_dual())
         assert set(subgraph.edges()) == EXAMPLE1_OPTIMAL_PAIRS
-        assert subgraph.num_edges == 9
+        assert len(list(subgraph.edges())) == 9
 
     def test_strict_slack_everywhere_gives_empty_subgraph(self):
         inst = example1_instance()
         dual = LapDual([min(cs) - 1 for cs in inst.costs], [0] * 5)
-        assert equality_subgraph(inst, dual).num_edges == 0
+        assert len(list(equality_subgraph(inst, dual).edges())) == 0
 
     def test_rejects_infeasible_dual(self):
         inst = example1_instance()

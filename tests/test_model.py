@@ -4,7 +4,7 @@ from types import MappingProxyType
 import pytest
 
 from qapbound.bounds import SolverConfig, dual_bound, run
-from qapbound.formats import convert_qaplib_to_iqap, serialize_dd
+from qapbound.formats import convert_qaplib_to_iqap
 from qapbound.model import (
     DUMMY,
     FeasibilityError,
@@ -17,10 +17,8 @@ from qapbound.model import (
     check_feasible,
     dual_feasible,
     dual_objective,
-    ilap_objective,
     iqap_objective,
     lap_objective,
-    lap_primal_feasible,
 )
 from qapbound.model import _as_cost, _normalize_costs
 from qapbound.oracle import brute_force_optimum
@@ -32,10 +30,12 @@ from helpers import (
     example1_initial_dual,
     example1_final_dual,
     example1_instance,
+    lap_primal_feasible,
     random_ilap,
     edge_layout,
     random_lap,
     seeded,
+    serialize_dd,
 )
 
 
@@ -121,7 +121,7 @@ class TestObjectives:
 
     def test_all_dummy_sums_dummy_costs(self):
         inst = IlapInstance([[DUMMY, 0], [DUMMY, 1]], [[2, 9], [5, 9]], 2)
-        assert ilap_objective(inst, [DUMMY, DUMMY]) == 7
+        assert lap_objective(inst, [DUMMY, DUMMY]) == 7
 
     def test_edgeless_iqap_matches_ilap(self):
         rng = seeded(11)
@@ -131,7 +131,7 @@ class TestObjectives:
             x = [row[-1] if len(set(row) - {DUMMY}) == len(row) - 1 else DUMMY
                  for row in core.allowed]
             x = [DUMMY] * core.num_vertices
-            assert iqap_objective(inst, x) == ilap_objective(core, x)
+            assert iqap_objective(inst, x) == lap_objective(core, x)
 
     def test_single_pairwise_term(self):
         core = IlapInstance([[DUMMY, 0], [DUMMY, 1]], [[0, 0], [0, 0]], 2)
@@ -422,9 +422,6 @@ class TestWithCosts:
         unary = IlapInstance([[DUMMY]], [[0]], 0)
         with pytest.raises(ValueError, match="non-negative"):
             unary.with_costs([[1]], tolerance=-1)
-
-    def test_objective_names_share_one_function(self):
-        assert ilap_objective is lap_objective
 
 
 def _per_cell_rule(costs):

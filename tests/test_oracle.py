@@ -11,21 +11,21 @@ from qapbound.model import (
     IqapInstance,
     LapDual,
     LapInstance,
-    lap_primal_feasible,
 )
 from qapbound.oracle import (
     GuardExceeded,
     _exact_optimum,
     brute_force_optimum,
     check_dual_relative_interior,
-    check_primal_relative_interior,
-    minimally_assignable_pairs,
     search_space_size,
 )
 
 from helpers import (
     EXAMPLE1_MATCHING,
     EXAMPLE1_OPTIMAL_PAIRS,
+    check_primal_relative_interior,
+    lap_primal_feasible,
+    minimally_assignable_pairs,
     example1_final_dual,
     example1_initial_dual,
     example1_instance,

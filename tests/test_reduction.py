@@ -17,27 +17,27 @@ from qapbound.model import (
     _half_cost,
     dual_feasible,
     dual_objective,
-    ilap_objective,
     lap_objective,
-    lap_primal_feasible,
 )
-from qapbound.oracle import (
-    brute_force_optimum,
-    check_dual_relative_interior,
-    check_primal_relative_interior,
-)
+from qapbound.oracle import brute_force_optimum, check_dual_relative_interior
 from qapbound.reduction import (
     decompose_assignment,
     lift_assignment,
     lift_dual,
-    map_dual,
-    map_primal,
     reduce_ilap_to_lap,
     solve_ilap,
 )
 from qapbound.relative_interior import shift_to_relative_interior
 
-from helpers import random_ilap, random_reduced_matching, seeded
+from helpers import (
+    check_primal_relative_interior,
+    lap_primal_feasible,
+    map_dual,
+    map_primal,
+    random_ilap,
+    random_reduced_matching,
+    seeded,
+)
 
 
 def example2_instance(rng=None):
@@ -106,7 +106,7 @@ class TestLiftAndDecompose:
         xp = lift_assignment(inst, x)
         assert xp == [5, 4, 2, 3, 1, 0, 6, 7, 8]
         reduced = reduce_ilap_to_lap(inst)
-        assert lap_objective(reduced, xp) == ilap_objective(inst, x)
+        assert lap_objective(reduced, xp) == lap_objective(inst, x)
         # involution
         assert all(xp[xp[node]] == node for node in range(len(xp)))
 
@@ -138,8 +138,8 @@ class TestLiftAndDecompose:
             xp = random_reduced_matching(rng, inst, reduced)
             x1, x2 = decompose_assignment(inst, xp)
             theta_p = lap_objective(reduced, xp)
-            theta_1 = ilap_objective(inst, x1)
-            theta_2 = ilap_objective(inst, x2)
+            theta_1 = lap_objective(inst, x1)
+            theta_2 = lap_objective(inst, x2)
             assert 2 * Fraction(theta_p) == theta_1 + theta_2
             assert min(theta_1, theta_2) <= theta_p
 
@@ -316,14 +316,14 @@ class TestSolveIlap:
         inst = IlapInstance([[DUMMY, 0]], [[1, 4]], 1)
         x, dual = solve_ilap(inst)
         assert x == [DUMMY]
-        assert ilap_objective(inst, x) == 1
+        assert lap_objective(inst, x) == 1
         assert dual.alpha == [1]
         assert dual.beta[0] <= min(0, 3)
 
     def test_zero_cost(self):
         inst = IlapInstance([[DUMMY, 0], [DUMMY, 0]], [[0, 0], [0, 0]], 1)
         x, _ = solve_ilap(inst)
-        assert ilap_objective(inst, x) == 0
+        assert lap_objective(inst, x) == 0
 
     def test_matches_enumeration(self):
         rng = seeded(61)
@@ -332,7 +332,7 @@ class TestSolveIlap:
             value, optima = brute_force_optimum(inst)
             for relative_interior in (False, True):
                 x, dual = solve_ilap(inst, relative_interior=relative_interior)
-                assert ilap_objective(inst, x) == value
+                assert lap_objective(inst, x) == value
                 assert dual_feasible(inst, dual) is None
                 assert abs(dual_objective(inst, dual) - value) <= inst.atol
 
@@ -351,15 +351,15 @@ class TestSolveIlap:
             seen = set()
             for xp in red_optima:
                 x1, x2 = decompose_assignment(inst, xp)
-                assert ilap_objective(inst, x1) == value
-                assert ilap_objective(inst, x2) == value
+                assert lap_objective(inst, x1) == value
+                assert lap_objective(inst, x2) == value
                 seen.add(tuple(xp))
             # a feasible non-optimal matching decomposes into a non-optimal part
             xp = random_reduced_matching(rng, inst, reduced)
             if tuple(xp) not in seen:
                 x1, x2 = decompose_assignment(inst, xp)
-                assert (ilap_objective(inst, x1) > value
-                        or ilap_objective(inst, x2) > value)
+                assert (lap_objective(inst, x1) > value
+                        or lap_objective(inst, x2) > value)
 
     def test_tie_prefers_first_decomposition(self):
         inst = IlapInstance([[DUMMY, 0], [DUMMY, 0]], [[0, 0], [0, 0]], 1)
@@ -423,7 +423,7 @@ def _constructed_reduction(inst):
     allowed, costs = [], []
     for v in range(nv):
         allowed.append([v] + [nv + lab for lab in inst.allowed[v] if lab != DUMMY])
-        costs.append([inst.dummy_cost(v)] + [
+        costs.append([inst.cost(v, DUMMY)] + [
             c / 2 if not isinstance(c, int) or c % 2 else c // 2
             for lab, c in zip(inst.allowed[v], inst.costs[v]) if lab != DUMMY])
     for lab in range(nl):

@@ -43,11 +43,15 @@ class TestBestBoundRule:
         flags = best_bound_flags({"bca": 0.0, "hung": -1.0})
         assert flags == {"bca": True, "hung": False}
 
-    def test_positive_maximum_marks_nothing(self):
-        # the published rule presumes negative bounds; a positive maximum
-        # inflates the threshold past every candidate
+    def test_positive_maximum_is_best_with_relative_tie(self):
+        # a positive maximum is itself best, and a bound within a relative
+        # 1e-10 below it ties; one just outside does not
         flags = best_bound_flags({"bca": 4.0, "hung": 2.0})
-        assert flags == {"bca": False, "hung": False}
+        assert flags == {"bca": True, "hung": False}
+        top = 2049.8
+        flags = best_bound_flags({
+            "bca": top, "hung": top * (1 - 5e-11), "hung-ri": top * (1 - 2e-10)})
+        assert flags == {"bca": True, "hung": True, "hung-ri": False}
 
 
 class TestMarkAndAggregate:

@@ -7,17 +7,16 @@ from qapbound.beta_steps import beta_bca_pass
 from qapbound.bounds import _scaled, dual_bound
 from qapbound.formats import augment_instance, load_instance, parse_dd
 from qapbound.model import DUMMY, IlapInstance, IqapInstance, iqap_objective
-from qapbound.wcsp import (
-    IqapDualState,
-    _row_minima,
-    _transposes,
-    mplp_pp_edge_update,
-    mplp_pp_pass,
-    pairwise_minimum,
-    reparam_pairwise,
-)
+from qapbound.wcsp import IqapDualState, _row_minima, _transposes, mplp_pp_pass
 
-from helpers import random_iqap, seeded
+from helpers import (
+    copy_state,
+    mplp_pp_edge_update,
+    pairwise_minimum,
+    random_iqap,
+    reparam_pairwise,
+    seeded,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -235,7 +234,7 @@ class TestEdgeUpdate:
                 mplp_pp_pass(state)
                 beta_bca_pass(state)
             backward = rng.random() < 0.5
-            passed = state.copy()
+            passed = copy_state(state)
             mplp_pp_pass(passed, backward=backward)
             order = list(inst.edges)
             if backward:
@@ -256,8 +255,8 @@ class TestEdgeUpdate:
             state = IqapDualState(inst)
             mplp_pp_pass(state)
             for e in inst.edges:
-                forward = state.copy()
-                reverse = state.copy()
+                forward = copy_state(state)
+                reverse = copy_state(state)
                 mplp_pp_edge_update(forward, e.u, e.v)
                 mplp_pp_edge_update(reverse, e.v, e.u)
                 assert forward.phi == reverse.phi
