@@ -7,40 +7,36 @@ A manifest is a JSON object::
       "defaults": {"max_iterations": 20, "time_limit": null,
                    "augment": false},
       "instances": [
-        {"path": "toy.dd", "group": "toy", "format": "auto",
-         "max_iterations": 5, "time_limit": 60, "augment": true}
+        {"path": "toy.dd", "group": "toy", "max_iterations": 5,
+         "time_limit": 60, "augment": true}
       ]
     }
 
 Instance paths are resolved relative to the manifest file.  Per-instance
 fields override the defaults, so per-group time limits are expressed by
 giving every instance of the group the same limit.  Entries may also set
-``tag`` (default: the file stem), ``tolerance``, ``dummy_cost`` and
-``epsilon``.  Any other key, a value of the wrong JSON type, an empty or
-repeating ``methods`` list, an unknown method, an empty ``instances`` list,
-or one tag twice in a group is an error.
-Every entry's format, tolerance and dummy cost are checked, and every job's
-``SolverConfig`` is built, before any job runs.  An error a job meets while
-it loads its file names that file.  Jobs run
-concurrently up to a worker cap (``QAPBOUND_WORKERS``, an integer, or the
-``workers`` argument, one worker by default); each worker owns one solver
-state, and rows are assembled deterministically after all jobs finish.
+``tag`` (default: the file stem), ``dummy_cost`` and ``epsilon``.  Any
+other key, a value of the wrong JSON type, an empty or repeating
+``methods`` list, an unknown method, an empty ``instances`` list, or one
+tag twice in a group is an error.  Each file's format is detected from its
+text, and every instance takes ``model.DEFAULT_TOLERANCE``.
+Every entry's dummy cost is checked, and every job's ``SolverConfig`` is
+built, before any job runs.  An error a job meets while it loads its file
+names that file.  Jobs run concurrently up to the ``workers`` argument
+(one by default); each worker owns one solver state, and rows are
+assembled deterministically after all jobs finish.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .bounds import DEFAULT_EPSILON, METHODS, SolverConfig, run
-from .formats import DEFAULT_DUMMY_COST, _check_format, load_instance
-from .model import (DEFAULT_TOLERANCE, IlapInstance, IqapInstance, _as_cost,
-                    _check_tolerance)
+from .formats import DEFAULT_DUMMY_COST, load_instance
+from .model import IlapInstance, IqapInstance, _as_cost
 from .results import InstanceResult, aggregate, mark_best_bounds
-
-WORKERS_ENV = "QAPBOUND_WORKERS"
 
 
 def _as_iqap(inst) -> IqapInstance:
@@ -54,9 +50,9 @@ def _as_iqap(inst) -> IqapInstance:
 
 def _run_job(job: dict) -> InstanceResult:
     try:
-        inst = _as_iqap(load_instance(
-            job["path"], fmt=job["format"], dummy_cost=job["dummy_cost"],
-            tolerance=job["tolerance"], augment=job["augment"]))
+        inst = _as_iqap(load_instance(job["path"],
+                                      dummy_cost=job["dummy_cost"],
+                                      augment=job["augment"]))
     except (OSError, ValueError) as exc:
         raise ValueError(f"instance {job['path']}: {exc}") from None
     report = run(inst, job["config"], instance_tag=job["tag"])
@@ -64,21 +60,8 @@ def _run_job(job: dict) -> InstanceResult:
                           **report.to_dict(include_trajectory=False))
 
 
-def default_workers() -> int:
-    value = os.environ.get(WORKERS_ENV)
-    if not value:
-        return 1
-    try:
-        return max(1, int(value))
-    except ValueError:
-        raise ValueError(
-            f"{WORKERS_ENV} must be an integer, got {value!r}") from None
-
-
 _DEFAULTS = {
-    "format": "auto",
     "augment": False,
-    "tolerance": DEFAULT_TOLERANCE,
     "dummy_cost": DEFAULT_DUMMY_COST,
     "time_limit": None,
     "max_iterations": None,
@@ -87,7 +70,7 @@ _DEFAULTS = {
 _ENTRY_KEYS = {*_DEFAULTS, "path", "group", "tag"}
 _TOP_LEVEL = {"methods": (list, "a list"), "defaults": (dict, "an object"),
               "instances": (list, "a list")}
-_STRING_KEYS = ("path", "group", "tag", "format")
+_STRING_KEYS = ("path", "group", "tag")
 _BUDGET_KEYS = ("time_limit", "max_iterations")
 
 
@@ -148,8 +131,6 @@ def load_manifest(path):
         if not instance_path.is_file():
             raise ValueError(f"instance file not found: {instance_path}")
         try:
-            _check_format(merged["format"])
-            _check_tolerance(merged["tolerance"])
             _as_cost(merged["dummy_cost"], "dummy_cost")
             configs = [SolverConfig(
                 method=method, time_limit=merged["time_limit"],
@@ -171,11 +152,10 @@ def load_manifest(path):
     return methods, jobs
 
 
-def run_batch(manifest_path, workers: int | None = None):
-    """Run the manifest grid; returns (methods, rows, group summaries)."""
+def run_batch(manifest_path, workers: int = 1):
+    """Run the manifest grid; returns (methods, rows, group summaries).
+    A ``workers`` count of 1 or less runs the jobs one after another."""
     methods, jobs = load_manifest(manifest_path)
-    if workers is None:
-        workers = default_workers()
     if workers > 1 and len(jobs) > 1:
         # The pool starts all its workers at the first submit, so never ask
         # for more than there are jobs.

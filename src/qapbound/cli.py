@@ -33,8 +33,8 @@ from .bounds import DEFAULT_EPSILON, METHODS, SolverConfig, run
 from .formats import (DEFAULT_DUMMY_COST, ParseError, augment_instance,
                       load_instance)
 from .model import (
-    DEFAULT_TOLERANCE,
     DUMMY,
+    DualInfeasibleError,
     IlapInstance,
     IqapInstance,
     LapInstance,
@@ -69,10 +69,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(args, *, augment: bool = False):
-    fmt = "qaplib" if getattr(args, "qaplib", False) else "auto"
     try:
-        return load_instance(args.input, fmt=fmt, dummy_cost=args.dummy_cost,
-                             tolerance=args.tolerance, augment=augment)
+        return load_instance(args.input, dummy_cost=args.dummy_cost,
+                             augment=augment)
     except (OSError, ParseError, ValueError) as exc:
         raise InputError(str(exc)) from exc
 
@@ -159,8 +158,11 @@ def _verify_unary(inst: LapInstance | IlapInstance) -> bool:
                 abs(objective - value) <= inst.atol, f"value {value}")
     ok &= _check("dual objective matches",
                  abs(dual_objective(inst, dual) - value) <= inst.atol)
-    ok &= _check("dual is in the relative interior",
-                 check_dual_relative_interior(inst, dual))
+    try:
+        interior, detail = check_dual_relative_interior(inst, dual), ""
+    except DualInfeasibleError as exc:
+        interior, detail = False, str(exc)
+    ok &= _check("dual is in the relative interior", interior, detail)
     if isinstance(inst, IlapInstance):
         lifted = lap_objective(reduce_ilap_to_lap(inst),
                                lift_assignment(inst, x))
@@ -230,14 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     # Flags of every subcommand that reads one instance file.
     instance = argparse.ArgumentParser(add_help=False)
     instance.add_argument("--input", required=True)
-    instance.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     instance.add_argument("--dummy-cost", type=float, default=DEFAULT_DUMMY_COST)
 
     solve = sub.add_parser("solve", parents=[instance],
                            help="run the bound solver on an instance")
     solve.add_argument("--method", choices=METHODS, default="hung-ri")
-    solve.add_argument("--qaplib", action="store_true",
-                       help="treat the input as a flow/distance benchmark file")
     solve.add_argument("--augment", action="store_true",
                        help="price shared-label collisions before solving")
     solve.add_argument("--time-limit", type=float, default=None, metavar="S")
@@ -261,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     batch = sub.add_parser("batch", help="run a manifest of benchmark jobs")
     batch.add_argument("--manifest", required=True)
-    batch.add_argument("--workers", type=int, default=None)
+    batch.add_argument("--workers", type=int, default=1)
     batch.add_argument("--output", choices=("json", "csv", "text"),
                        default="json")
     batch.add_argument("--rows", action="store_true",

@@ -31,14 +31,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .model import (
-    DEFAULT_TOLERANCE,
-    DUMMY,
-    IlapInstance,
-    IqapInstance,
-    LapInstance,
-    _as_cost,
-)
+from .model import DUMMY, IlapInstance, IqapInstance, LapInstance, _as_cost
 from .records import (
     ParseError,
     _cost_column,
@@ -57,14 +50,6 @@ from .records import (
 AUGMENT_VALUE = 10**7
 
 DEFAULT_DUMMY_COST = 0.0
-
-# The ``fmt`` values ``load_instance`` accepts; "auto" sniffs the text.
-_FORMATS = ("auto", "dd", "lap", "ilap", "qaplib")
-
-
-def _check_format(fmt) -> None:
-    if fmt not in _FORMATS:
-        raise ValueError(f"unknown format {fmt!r}")
 
 
 def _rows(num_vertices: int, pairs: dict, dummy_costs=None):
@@ -88,7 +73,6 @@ def _rows(num_vertices: int, pairs: dict, dummy_costs=None):
 
 
 def parse_dd(text: str, *, dummy_cost=DEFAULT_DUMMY_COST,
-             tolerance: float = DEFAULT_TOLERANCE,
              augment: bool = False) -> IqapInstance:
     """Parse the graph-matching text format into a quadratic instance.
 
@@ -205,7 +189,7 @@ def parse_dd(text: str, *, dummy_cost=DEFAULT_DUMMY_COST,
             header_line)
     allowed, costs = _rows(n0, unary, [dummy_cost] * n0)
     try:
-        core = IlapInstance(allowed, costs, n1, tolerance=tolerance)
+        core = IlapInstance(allowed, costs, n1)
         edges = [(u, v, cells) for (u, v), cells in edge_cells.items()]
         if augment:
             _augment_cells(core, edges)
@@ -218,7 +202,7 @@ def parse_dd(text: str, *, dummy_cost=DEFAULT_DUMMY_COST,
 # Square / dummy assignment format
 
 
-def parse_lap_file(text: str, *, tolerance: float = DEFAULT_TOLERANCE):
+def parse_lap_file(text: str):
     """Parse the square/dummy assignment format.
 
     Returns a ``LapInstance`` for a ``p lap`` header and an ``IlapInstance``
@@ -281,8 +265,8 @@ def parse_lap_file(text: str, *, tolerance: float = DEFAULT_TOLERANCE):
         nv, entries, None if square else [dummy.get(v, 0) for v in range(nv)])
     try:
         if square:
-            return LapInstance(allowed, costs, tolerance=tolerance)
-        return IlapInstance(allowed, costs, nl, tolerance=tolerance)
+            return LapInstance(allowed, costs)
+        return IlapInstance(allowed, costs, nl)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -379,7 +363,7 @@ def _edge_cells(flow, dist):
                 yield u, v, cells
 
 
-def convert_qaplib_to_iqap(flow, dist, *, tolerance: float = DEFAULT_TOLERANCE,
+def convert_qaplib_to_iqap(flow, dist, *,
                            augment: bool = False) -> IqapInstance:
     """Convert flow/distance matrices to a dummy-label quadratic instance.
 
@@ -404,7 +388,7 @@ def convert_qaplib_to_iqap(flow, dist, *, tolerance: float = DEFAULT_TOLERANCE,
     allowed = [[DUMMY] + list(range(n)) for _ in range(n)]
     costs = [[0] + [flow[v][v] * dist[lab][lab] - shift for lab in range(n)]
              for v in range(n)]
-    core = IlapInstance(allowed, costs, n, tolerance=tolerance)
+    core = IlapInstance(allowed, costs, n)
     if augment:
         _augment_cells(core, edges)
     return IqapInstance(core, edges)
@@ -477,21 +461,24 @@ def sniff_format(text: str) -> str:
 
 
 def load_instance(path, *, fmt: str = "auto", dummy_cost=DEFAULT_DUMMY_COST,
-                  tolerance: float = DEFAULT_TOLERANCE, augment: bool = False):
-    """Read an instance file; returns a LAP, ILAP, or IQAP instance."""
-    _check_format(fmt)
+                  augment: bool = False):
+    """Read an instance file; returns a LAP, ILAP, or IQAP instance.
+
+    ``fmt`` is "auto" (``sniff_format`` reads the text), "dd", "lap",
+    "ilap" or "qaplib".  The instance takes ``model.DEFAULT_TOLERANCE``.
+    """
+    if fmt not in ("auto", "dd", "lap", "ilap", "qaplib"):
+        raise ValueError(f"unknown format {fmt!r}")
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     if fmt == "auto":
         fmt = sniff_format(text)
     if fmt == "dd":
-        return parse_dd(text, dummy_cost=dummy_cost, tolerance=tolerance,
-                        augment=augment)
+        return parse_dd(text, dummy_cost=dummy_cost, augment=augment)
     if fmt == "qaplib":
         _, flow, dist = parse_qaplib(text)
-        return convert_qaplib_to_iqap(flow, dist, tolerance=tolerance,
-                                      augment=augment)
-    inst = parse_lap_file(text, tolerance=tolerance)
+        return convert_qaplib_to_iqap(flow, dist, augment=augment)
+    inst = parse_lap_file(text)
     if augment:
         raise ValueError("augmentation applies to quadratic instances only")
     return inst

@@ -121,10 +121,6 @@ class ExchangeDigraph:
     component_of: tuple[int, ...]
     has_incoming: tuple[bool, ...]
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self.adjacency)
-
     def edges(self):
         for u, vs in enumerate(self.adjacency):
             for v in vs:

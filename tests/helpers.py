@@ -330,7 +330,7 @@ def _reference_records(text):
 
 
 def reference_parse_dd(text, *, dummy_cost=formats.DEFAULT_DUMMY_COST,
-                       tolerance=formats.DEFAULT_TOLERANCE, augment=False):
+                       augment=False):
     """``formats.parse_dd`` as it was before it read ``a`` and ``e``
     records a block at a time: every record through the field rules, line
     by line.  The reader must return an equal instance or raise the same
@@ -403,7 +403,7 @@ def reference_parse_dd(text, *, dummy_cost=formats.DEFAULT_DUMMY_COST,
             header_line)
     allowed, costs = formats._rows(n0, unary, [dummy_cost] * n0)
     try:
-        core = IlapInstance(allowed, costs, n1, tolerance=tolerance)
+        core = IlapInstance(allowed, costs, n1)
         edges = [(u, v, cells) for (u, v), cells in edge_cells.items()]
         if augment:
             formats._augment_cells(core, edges)
@@ -412,7 +412,7 @@ def reference_parse_dd(text, *, dummy_cost=formats.DEFAULT_DUMMY_COST,
         raise ParseError(str(exc)) from exc
 
 
-def reference_parse_lap_file(text, *, tolerance=formats.DEFAULT_TOLERANCE):
+def reference_parse_lap_file(text):
     """``formats.parse_lap_file`` as it was before it read ``a`` records
     a block at a time, as ``reference_parse_dd`` is to ``parse_dd``."""
     header = None
@@ -462,8 +462,8 @@ def reference_parse_lap_file(text, *, tolerance=formats.DEFAULT_TOLERANCE):
         nv, entries, None if square else [dummy.get(v, 0) for v in range(nv)])
     try:
         if square:
-            return LapInstance(allowed, costs, tolerance=tolerance)
-        return IlapInstance(allowed, costs, nl, tolerance=tolerance)
+            return LapInstance(allowed, costs)
+        return IlapInstance(allowed, costs, nl)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -89,6 +89,13 @@ class TestCoordinateUpdate:
         with pytest.raises(ValueError):
             beta_coordinate_update(state, DUMMY)
 
+    @pytest.mark.parametrize("lab", [1, -2])
+    def test_label_out_of_range_rejected(self, lab):
+        state = IqapDualState(edgeless([[DUMMY, 0]], [[0, 0]], 1))
+        with pytest.raises(ValueError) as info:
+            beta_coordinate_update(state, lab)
+        assert str(info.value) == f"label {lab} out of range"
+
     def test_coordinate_optimality_and_interior(self):
         rng = seeded(43)
         for _ in range(40):

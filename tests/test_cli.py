@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qapbound import batch
+from qapbound import batch, cli
 from qapbound.cli import _lap_payload, _relative_interior_flag, main
 from qapbound.lap import solve_lap
 from qapbound.model import IlapDual, IlapInstance, LapDual, dual_objective
@@ -51,7 +51,7 @@ class TestSolve:
 
     def test_qaplib_input(self, capsys):
         code, out, _ = run_cli(
-            capsys, "solve", "--qaplib", "--method", "hung",
+            capsys, "solve", "--method", "hung",
             "--input", str(FIXTURES / "qap3.dat"), "--max-iters", "5")
         assert code == 0
         assert json.loads(out)["method"] == "hung"
@@ -60,8 +60,8 @@ class TestSolve:
                                                              capsys):
         path = tmp_path / "bad.dat"
         path.write_text("2\n0 1\n1 0\n0 zz\n3 0\n")
-        code, out, err = run_cli(capsys, "solve", "--qaplib", "--input",
-                                 str(path), "--max-iters", "1")
+        code, out, err = run_cli(capsys, "solve", "--input", str(path),
+                                 "--max-iters", "1")
         assert (code, out, err) == (
             1, "", "error: line 4: cost must be numeric, got 'zz'\n")
 
@@ -99,11 +99,9 @@ class TestSolve:
         (("--time-limit", "nan"), "time_limit must be finite and positive"),
         (("--time-limit", "inf"), "time_limit must be finite and positive"),
         (("--epsilon", "nan"), "bound_improvement_epsilon must be non-negative"),
-        (("--tolerance", "nan"), "tolerance must be finite and non-negative"),
-        (("--tolerance", "inf"), "tolerance must be finite and non-negative"),
         (("--dummy-cost", "nan"), "dummy cost: cost must be finite, got nan"),
     ], ids=["nan-time-limit", "infinite-time-limit", "nan-epsilon",
-            "nan-tolerance", "infinite-tolerance", "nan-dummy-cost"])
+            "nan-dummy-cost"])
     def test_non_finite_setting_is_input_error(self, capsys, setting, message):
         code, out, err = run_cli(
             capsys, "solve", "--method", "hung-ri",
@@ -122,6 +120,16 @@ class TestSolve:
     def test_unknown_flag_is_input_error(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--frobnicate")
         assert code == 1
+
+    @pytest.mark.parametrize("flag", [("--qaplib",), ("--tolerance", "0")])
+    def test_removed_flag_is_input_error(self, capsys, flag):
+        # Detection reads the format and every file read takes
+        # DEFAULT_TOLERANCE, so neither is a setting.
+        code, out, err = run_cli(
+            capsys, "solve", "--input", str(FIXTURES / "qap3.dat"),
+            "--max-iters", "1", *flag)
+        assert (code, out) == (1, "")
+        assert err == f"error: unrecognized arguments: {' '.join(flag)}\n"
 
 
 class TestIntegerValuedOutput:
@@ -211,16 +219,6 @@ class TestLap:
                                  "--dummy-cost", "3")
         assert (code, err) == (0, "")
         assert out == json.dumps(payload, indent=2) + "\n"
-
-    @pytest.mark.parametrize("name", ["example1.lap", "tiny.ilap"])
-    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
-    def test_non_finite_tolerance_is_input_error(self, capsys, name,
-                                                 tolerance):
-        code, out, err = run_cli(
-            capsys, "lap", "--input", str(FIXTURES / name),
-            "--tolerance", tolerance)
-        assert (code, out) == (1, "")
-        assert err == "error: tolerance must be finite and non-negative\n"
 
 
 def _decimal(inst):
@@ -322,14 +320,6 @@ class TestRecordBeforeHeader:
                                  *budget)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
-    def test_qaplib_flag_still_forces_the_format(self, tmp_path, capsys):
-        path = tmp_path / "a.dd"
-        path.write_text(_HEADERLESS[0][1])
-        code, _, err = run_cli(capsys, "solve", "--qaplib", "--input",
-                               str(path), "--max-iters", "1")
-        assert (code, err) == (
-            1, "error: line 1: size must be an integer, got 'a'\n")
-
 
 class TestVerify:
     @pytest.mark.parametrize("name", ["example1.lap", "tiny.ilap",
@@ -355,6 +345,29 @@ class TestVerify:
         assert code == 0
         assert "bound 1.0, optimum 1.0" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("name", ["example1.lap", "tiny.ilap"])
+    @pytest.mark.parametrize("delta, interior", [
+        (1, "FAIL (dual constraint violated at vertex 0, label "),
+        (-1, "FAIL\n"),
+    ], ids=["raised", "lowered"])
+    def test_shifted_potential_fails_verification(self, monkeypatch, capsys,
+                                                  name, delta, interior):
+        # A raised potential makes the dual infeasible, which the interior
+        # check reports as a failure, not as an escaping exception.
+        solve = cli._solve_interior
+
+        def shifted(inst):
+            x, dual = solve(inst)
+            return x, type(dual)([dual.alpha[0] + delta, *dual.alpha[1:]],
+                                 dual.beta)
+
+        monkeypatch.setattr(cli, "_solve_interior", shifted)
+        code, out, err = run_cli(capsys, "verify", "--input",
+                                 str(FIXTURES / name))
+        assert (code, err) == (2, "error: verification failed\n")
+        assert "dual objective matches: FAIL\n" in out
+        assert "dual is in the relative interior: " + interior in out
 
     @pytest.mark.parametrize("name, text, size", [
         ("big.dd", "p 7 7 49 0\n" + "".join(
@@ -452,7 +465,11 @@ class TestBatch:
         ({"defaults": {"max_iterations": 2},
           "instances": [{"path": "toy1.dd", "augmnet": True, "grup": "x"}]},
          "augmnet"),
-    ], ids=["top-level", "defaults", "instance"])
+        ({"defaults": {"tolerance": 1e-9},
+          "instances": [{"path": "toy1.dd"}]}, "tolerance"),
+        ({"instances": [{"path": "toy1.dd", "format": "dd"}]}, "format"),
+    ], ids=["top-level", "defaults", "instance", "removed-tolerance",
+            "removed-format"])
     def test_unknown_manifest_key_is_input_error(self, tmp_path, capsys,
                                                  manifest, key):
         for entry in manifest["instances"]:
@@ -471,7 +488,7 @@ class TestBatch:
         ("entry", "time_limit", float("nan")),
         ("entry", "max_iterations", True),
         ("defaults", "max_iterations", "2"),
-        ("defaults", "tolerance", "x"),
+        ("defaults", "dummy_cost", "x"),
         ("top", "defaults", []),
         ("top", "instances", 5),
         ("top", "instances", [5]),
@@ -479,7 +496,7 @@ class TestBatch:
     ])
     def test_wrong_manifest_type_is_input_error(self, tmp_path, monkeypatch,
                                                 capsys, where, key, value):
-        entry = {"path": str(FIXTURES / "qap3.dat"), "format": "qaplib"}
+        entry = {"path": str(FIXTURES / "qap3.dat")}
         manifest = {"methods": ["bca"], "defaults": {"max_iterations": 2},
                     "instances": [entry]}
         {"entry": entry, "defaults": manifest["defaults"],
@@ -493,9 +510,6 @@ class TestBatch:
         assert key in err
 
     @pytest.mark.parametrize("key, value, message", [
-        ("format", "qaplbi", "unknown format 'qaplbi'"),
-        ("tolerance", -1, "tolerance must be finite and non-negative"),
-        ("tolerance", float("inf"), "tolerance must be finite and non-negative"),
         ("dummy_cost", float("nan"), "dummy_cost: cost must be finite, got nan"),
     ])
     def test_bad_entry_setting_fails_before_any_job(
@@ -573,22 +587,13 @@ class TestBatch:
         assert "a/x.dd" in err and "b/x.dd" in err
         assert "'tag'" in err
 
-    def test_malformed_worker_count_is_input_error(self, monkeypatch, capsys):
-        monkeypatch.setenv(batch.WORKERS_ENV, "two")
-        monkeypatch.setattr(batch, "ProcessPoolExecutor", _no_pool)
-        code, out, err = run_cli(
-            capsys, "batch", "--manifest", str(FIXTURES / "manifest.json"))
-        assert code == 1
-        assert out == ""
-        assert err == "error: QAPBOUND_WORKERS must be an integer, got 'two'\n"
-
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_non_positive_worker_count_runs_sequentially(self, monkeypatch,
                                                          capsys, value):
-        monkeypatch.setenv(batch.WORKERS_ENV, value)
         monkeypatch.setattr(batch, "ProcessPoolExecutor", _no_pool)
         code, out, _ = run_cli(
-            capsys, "batch", "--manifest", str(FIXTURES / "manifest.json"))
+            capsys, "batch", "--manifest", str(FIXTURES / "manifest.json"),
+            "--workers", value)
         assert code == 0
         assert len(json.loads(out)["rows"]) == 15
 

@@ -20,7 +20,8 @@ from qapbound.formats import (
     sniff_format,
 )
 from qapbound.bounds import SolverConfig, run
-from qapbound.model import DUMMY, IlapInstance, IqapInstance, LapInstance
+from qapbound.model import (DEFAULT_TOLERANCE, DUMMY, IlapInstance,
+                            IqapInstance, LapInstance)
 from qapbound.oracle import brute_force_optimum, search_space_size
 
 from helpers import (
@@ -260,11 +261,6 @@ class TestLapFormat:
     ])
     def test_error_messages_and_lines(self, text, message, line):
         raises_parse_error(parse_lap_file, text, message, line)
-
-    def test_invalid_tolerance_is_a_parse_error(self):
-        raises_parse_error(parse_lap_file, "p ilap 1 1\n",
-                           "tolerance must be finite and non-negative", None,
-                           tolerance=-1)
 
     def test_serializing_a_quadratic_instance_is_a_type_error(self):
         inst = parse_dd("p 1 1 1 0\na 0 0 0 5\n")
@@ -565,6 +561,15 @@ class TestSniff:
         assert sniff_format("c x\ne 0 1 2\n") == "dd"
         assert sniff_format("d 0 4\n") == "ilap"
         assert sniff_format("x 1\n") == "qaplib"
+
+    def test_every_fixture_loads_with_the_default_tolerance(self):
+        for path in FIXTURES.iterdir():
+            if path.suffix in (".dd", ".lap", ".ilap", ".dat"):
+                assert load_instance(path).tolerance == DEFAULT_TOLERANCE
+
+    def test_unknown_format_name_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown format 'qaplbi'"):
+            load_instance(FIXTURES / "qap3.dat", fmt="qaplbi")
 
 
 class TestExactIntTokens:

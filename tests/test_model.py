@@ -61,6 +61,19 @@ class TestInstanceConstruction:
         with pytest.raises(ValueError, match="finite"):
             LapInstance([[0]], [[float("inf")]])
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: LapInstance([[0, 1], [1, 2]], [[0, 0], [0, 0]]),
+         "vertex 1: label 2 out of range"),
+        (lambda: LapInstance([[0], [DUMMY]], [[0], [0]]),
+         "vertex 1: label -1 out of range"),
+        (lambda: IlapInstance([[DUMMY, 1]], [[0, 0]], 1),
+         "vertex 0: label 1 out of range"),
+    ], ids=["lap-above", "lap-dummy", "ilap-above"])
+    def test_rejects_label_out_of_range(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
     def test_ilap_requires_dummy(self):
         with pytest.raises(ValueError, match="dummy"):
             IlapInstance([[0]], [[1]], 1)
@@ -145,6 +158,21 @@ class TestObjectives:
         for x in ([0, 1], [0, DUMMY], [DUMMY, 1], [DUMMY, DUMMY]):
             assert iqap_objective(a, x) == iqap_objective(b, x)
         assert a.pairwise_cost(1, 0, 1, 0) == 5
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, 2, 0, 1), "no edge between vertices 0 and 2"),
+        ((0, 1, 1, 1), "label 1 not allowed for vertex 0"),
+        ((1, 0, 1, 1), "label 1 not allowed for vertex 0"),
+        ((0, 1, 0, 0), "label 0 not allowed for vertex 1"),
+    ])
+    def test_pairwise_cost_rejects_a_missing_edge_or_label(self, args,
+                                                           message):
+        core = IlapInstance([[DUMMY, 0], [DUMMY, 1], [DUMMY]],
+                            [[0, 0], [0, 0], [0]], 2)
+        inst = IqapInstance(core, [(0, 1, {(0, 1): 5})])
+        with pytest.raises(ValueError) as info:
+            inst.pairwise_cost(*args)
+        assert str(info.value) == message
 
 
 class TestFeasibility:
@@ -244,6 +272,14 @@ class TestDuals:
         dual = example1_final_dual()
         assert dual_feasible(inst, dual) is None
         assert dual_objective(inst, dual) == 24
+
+    @pytest.mark.parametrize("dual", [LapDual([0] * 4, [0] * 5),
+                                      LapDual([0] * 5, [0] * 6)],
+                             ids=["alpha", "beta"])
+    def test_dual_objective_rejects_wrong_dimensions(self, dual):
+        with pytest.raises(ValueError) as info:
+            dual_objective(example1_instance(), dual)
+        assert str(info.value) == "dual dimensions do not match the instance"
 
     def test_zero_dual_infeasible_on_negative_costs(self):
         inst = LapInstance([[0]], [[-1]])

@@ -141,6 +141,12 @@ class TestDualInteriorCheck:
             check_dual_relative_interior(
                 example1_instance(), LapDual([10] * 5, [10] * 5))
 
+    def test_quadratic_instance_is_rejected(self):
+        inst = IqapInstance(IlapInstance([[DUMMY, 0]], [[0, 0]], 1), [])
+        with pytest.raises(TypeError) as info:
+            check_dual_relative_interior(inst, IlapDual([0], [0]))
+        assert str(info.value) == "dual checks cover unary instances only"
+
     def test_ilap_sign_strictness_matters(self):
         # unique optimum assigns the single label; its potential sits on a
         # segment of optimal duals, so the endpoint with zero potential is

@@ -108,7 +108,7 @@ class TestSolve:
             '}\n')
 
     def test_json_with_trajectory(self, capsys):
-        out = run_cli(capsys, "solve", "--qaplib", "--augment",
+        out = run_cli(capsys, "solve", "--augment",
                       "--method", "hung", "--input", FIXTURES / "qap3.dat",
                       "--max-iters", "4", "--epsilon", "0", "--trajectory")
         assert mask_json(out) == (

@@ -61,6 +61,24 @@ class TestExchangeDigraph:
         with pytest.raises(FeasibilityError):
             build_exchange_digraph(subgraph, [1, 0])
 
+    @pytest.mark.parametrize("x, message", [
+        ([0], "assignment has 1 entries, expected 2"),
+        ([1, 1], "assignment is not a perfect matching: label 1 reused or "
+                 "out of range"),
+        ([0, 2], "assignment is not a perfect matching: label 2 reused or "
+                 "out of range"),
+    ], ids=["wrong-length", "reused-label", "label-out-of-range"])
+    def test_rejects_an_assignment_that_is_no_perfect_matching(self, x,
+                                                              message):
+        with pytest.raises(FeasibilityError) as info:
+            build_exchange_digraph(EqualitySubgraph(((0, 1), (0, 1))), x)
+        assert str(info.value) == message
+        # every pair is tight under the zero dual
+        inst = LapInstance([[0, 1], [0, 1]], [[0, 0], [0, 0]])
+        with pytest.raises(FeasibilityError) as info:
+            shift_to_relative_interior(inst, LapDual([0, 0], [0, 0]), x)
+        assert str(info.value) == "inputs are not an optimal pair: " + message
+
 
 class TestPerfectlyMatchableEdges:
     def test_example_circled_set(self):
