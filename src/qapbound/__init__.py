@@ -9,8 +9,7 @@ for the common benchmark formats and a CLI.
 
 from .model import (DEFAULT_TOLERANCE, DUMMY, DualInfeasibleError,
                     FeasibilityError, IlapDual, IlapInstance, IqapInstance,
-                    LapDual, LapInstance, Violation, check_feasible,
-                    dual_feasible, dual_objective, iqap_objective,
+                    LapDual, LapInstance, dual_objective, iqap_objective,
                     lap_objective)
 from .lap import EqualitySubgraph, equality_subgraph, solve_lap
 from .relative_interior import (ExchangeDigraph, build_exchange_digraph,
@@ -30,8 +29,7 @@ from .formats import (DEFAULT_DUMMY_COST, augment_instance,
 # the submodules that the imports above bind as package attributes.
 __all__ = ("DEFAULT_TOLERANCE", "DUMMY", "DualInfeasibleError",
            "FeasibilityError", "IlapDual", "IlapInstance", "IqapInstance",
-           "LapDual", "LapInstance", "Violation", "check_feasible",
-           "dual_feasible", "dual_objective", "iqap_objective",
+           "LapDual", "LapInstance", "dual_objective", "iqap_objective",
            "lap_objective", "EqualitySubgraph", "equality_subgraph",
            "solve_lap", "ExchangeDigraph", "build_exchange_digraph",
            "perfectly_matchable_edges", "shift_to_relative_interior",

@@ -15,7 +15,8 @@ A manifest is a JSON object::
 Instance paths are resolved relative to the manifest file.  Per-instance
 fields override the defaults, so per-group time limits are expressed by
 giving every instance of the group the same limit.  Entries may also set
-``tag`` (default: the file stem), ``dummy_cost`` and ``epsilon``.  Any
+``tag`` (default: the file stem), ``dummy_cost`` (``.dd`` files only; on
+any other format the job fails when it loads the file) and ``epsilon``.  Any
 other key, a value of the wrong JSON type, an empty or repeating
 ``methods`` list, an unknown method, an empty ``instances`` list, or one
 tag twice in a group is an error.  Each file's format is detected from its
@@ -34,7 +35,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .bounds import DEFAULT_EPSILON, METHODS, SolverConfig, run
-from .formats import DEFAULT_DUMMY_COST, load_instance
+from .formats import load_instance
 from .model import IlapInstance, IqapInstance, _as_cost
 from .results import InstanceResult, aggregate, mark_best_bounds
 
@@ -62,7 +63,7 @@ def _run_job(job: dict) -> InstanceResult:
 
 _DEFAULTS = {
     "augment": False,
-    "dummy_cost": DEFAULT_DUMMY_COST,
+    "dummy_cost": None,
     "time_limit": None,
     "max_iterations": None,
     "epsilon": DEFAULT_EPSILON,
@@ -131,7 +132,8 @@ def load_manifest(path):
         if not instance_path.is_file():
             raise ValueError(f"instance file not found: {instance_path}")
         try:
-            _as_cost(merged["dummy_cost"], "dummy_cost")
+            if merged["dummy_cost"] is not None:
+                _as_cost(merged["dummy_cost"], "dummy_cost")
             configs = [SolverConfig(
                 method=method, time_limit=merged["time_limit"],
                 max_iterations=merged["max_iterations"],

@@ -30,8 +30,7 @@ import sys
 
 from .batch import _as_iqap, run_batch
 from .bounds import DEFAULT_EPSILON, METHODS, SolverConfig, run
-from .formats import (DEFAULT_DUMMY_COST, ParseError, augment_instance,
-                      load_instance)
+from .formats import ParseError, augment_instance, load_instance
 from .model import (
     DUMMY,
     DualInfeasibleError,
@@ -232,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     # Flags of every subcommand that reads one instance file.
     instance = argparse.ArgumentParser(add_help=False)
     instance.add_argument("--input", required=True)
-    instance.add_argument("--dummy-cost", type=float, default=DEFAULT_DUMMY_COST)
+    instance.add_argument("--dummy-cost", type=float, default=None,
+                          help="unary cost of the dummy label (.dd only)")
 
     solve = sub.add_parser("solve", parents=[instance],
                            help="run the bound solver on an instance")

@@ -29,6 +29,7 @@ whitespace-separated matrices (flow first, then distance).
 
 from __future__ import annotations
 
+import sys
 from itertools import islice
 
 from .model import DUMMY, IlapInstance, IqapInstance, LapInstance, _as_cost
@@ -378,6 +379,12 @@ def convert_qaplib_to_iqap(flow, dist, *,
     zero, so reported bounds carry an offset of minus ``n`` times the shift
     relative to the flow/distance objective.  ``augment`` builds the
     instance ``augment_instance`` would return, in one construction.
+
+    Every cost must lie in the float range, as every cost token of the
+    readers does.  Checking the shift and the unary costs covers the
+    cells too: no cell is larger in size than its map's peak, which is
+    below the shift.  (A NaN cell, from two overflowing float products
+    of opposite signs, is rejected by ``PairwiseEdge`` instead.)
     """
     n = len(flow)
     if any(len(row) != n for row in flow) or len(dist) != n or any(
@@ -388,6 +395,10 @@ def convert_qaplib_to_iqap(flow, dist, *,
     allowed = [[DUMMY] + list(range(n)) for _ in range(n)]
     costs = [[0] + [flow[v][v] * dist[lab][lab] - shift for lab in range(n)]
              for v in range(n)]
+    largest = max([shift, *[max(map(abs, row)) for row in costs]])
+    if not largest <= sys.float_info.max:  # also true for a NaN shift
+        raise ValueError("costs computed from flow and distance exceed "
+                         "the float range")
     core = IlapInstance(allowed, costs, n)
     if augment:
         _augment_cells(core, edges)
@@ -460,12 +471,14 @@ def sniff_format(text: str) -> str:
     return "qaplib"
 
 
-def load_instance(path, *, fmt: str = "auto", dummy_cost=DEFAULT_DUMMY_COST,
+def load_instance(path, *, fmt: str = "auto", dummy_cost=None,
                   augment: bool = False):
     """Read an instance file; returns a LAP, ILAP, or IQAP instance.
 
     ``fmt`` is "auto" (``sniff_format`` reads the text), "dd", "lap",
-    "ilap" or "qaplib".  The instance takes ``model.DEFAULT_TOLERANCE``.
+    "ilap" or "qaplib".  ``dummy_cost`` prices the dummy label of a ``.dd``
+    file (``DEFAULT_DUMMY_COST`` when None); the other formats price their
+    own, so giving one for them is an error.
     """
     if fmt not in ("auto", "dd", "lap", "ilap", "qaplib"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -474,7 +487,12 @@ def load_instance(path, *, fmt: str = "auto", dummy_cost=DEFAULT_DUMMY_COST,
     if fmt == "auto":
         fmt = sniff_format(text)
     if fmt == "dd":
+        if dummy_cost is None:
+            dummy_cost = DEFAULT_DUMMY_COST
         return parse_dd(text, dummy_cost=dummy_cost, augment=augment)
+    if dummy_cost is not None:
+        raise ValueError(f"dummy cost {dummy_cost!r} applies to dd files "
+                         f"only, not to format {fmt!r}")
     if fmt == "qaplib":
         _, flow, dist = parse_qaplib(text)
         return convert_qaplib_to_iqap(flow, dist, augment=augment)

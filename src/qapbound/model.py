@@ -43,10 +43,11 @@ flow pair one map, so the benchmark's QAPLIB instance builds 10 pairs of
 tables for its 189 edges.
 
 Every tolerance comparison in the package goes through the instance's
-``atol``: the relative knob ``tolerance`` (``DEFAULT_TOLERANCE`` unless
-given) scaled by ``1 + max_abs_cost``.  The knob is fixed when an instance
-is built, by its constructor or by ``with_costs``.  Whether a dual
-constraint is tight is exact on an integral instance (``_tight_slack``).
+``atol``, one window for every instance: ``DEFAULT_TOLERANCE`` scaled by
+``1 + max_abs_cost``.  Whether a dual constraint is tight is exact on an
+integral instance (``_tight_slack``).  ``require_feasible`` and
+``require_dual_feasible`` are the only constraint checks; each raises at
+the first violation it finds.
 """
 
 from __future__ import annotations
@@ -72,19 +73,6 @@ class FeasibilityError(ValueError):
 
 class DualInfeasibleError(ValueError):
     """A dual vector violates the dual constraints beyond tolerance."""
-
-
-@dataclass(frozen=True)
-class Violation:
-    """Diagnosis of the first violated constraint found by a check."""
-
-    kind: str
-    message: str
-    vertex: int | None = None
-    label: int | None = None
-
-    def __str__(self) -> str:
-        return self.message
 
 
 def _half_cost(c):
@@ -118,13 +106,6 @@ def _as_cost(value, where: str):
     if x.is_integer() and abs(x) <= 2.0**53:
         return int(x)
     return x
-
-
-def _check_tolerance(tolerance) -> float:
-    """The relative tolerance knob as a float, if finite and non-negative."""
-    if not (tolerance >= 0 and math.isfinite(tolerance)):
-        raise ValueError("tolerance must be finite and non-negative")
-    return float(tolerance)
 
 
 def _sort_rows(allowed, costs, num_labels: int, *, dummy_required: bool):
@@ -212,7 +193,7 @@ class _BaseInstance:
 
     An instance is a *structure* (vertex and label counts, the sorted
     ``allowed`` rows, the index tables built from them) plus *costs*
-    (``costs``, ``max_abs_cost``, ``integral``, ``tolerance``).
+    (``costs``, ``max_abs_cost``, ``integral``).
     ``with_costs`` makes a new instance that shares the structure of this
     one, including ``_structure_cache``.
     """
@@ -225,8 +206,8 @@ class _BaseInstance:
     _STRUCTURE = ("num_vertices", "num_labels", "allowed", "_index",
                   "vertices_for_label", "_structure_cache")
 
-    def _finish_init(self, costs, tolerance: float):
-        self._set_costs(costs, tolerance)
+    def _finish_init(self, costs):
+        self._set_costs(costs)
         self._index = tuple(
             {lab: i for i, lab in enumerate(row)} for row in self.allowed
         )
@@ -240,30 +221,28 @@ class _BaseInstance:
         # on first use and shared by every ``with_costs`` copy.
         self._structure_cache = {}
 
-    def _set_costs(self, costs, tolerance: float):
+    def _set_costs(self, costs):
         self.costs, self.max_abs_cost, self.integral = _normalize_costs(
             costs, self.allowed)
-        self.tolerance = _check_tolerance(tolerance)
 
-    def with_costs(self, costs, *, tolerance: float | None = None):
+    def with_costs(self, costs):
         """New instance over this structure with ``costs``.
 
         ``costs`` has one row per vertex, parallel to ``allowed``; it is
         checked and normalized exactly as by the constructor.  The structure
-        is shared, not rebuilt.  ``tolerance`` defaults to this instance's.
+        is shared, not rebuilt.
         """
         new = self._sharing_structure()
-        new._set_costs(costs, self.tolerance if tolerance is None else tolerance)
+        new._set_costs(costs)
         return new
 
-    def _with_normal_costs(self, rows: tuple, tolerance: float):
+    def _with_normal_costs(self, rows: tuple):
         """``with_costs`` for cost rows that are already normal: a tuple of
         tuples, parallel to ``allowed``, each cell an int or a float that
         ``_as_cost`` returns unchanged.  Nothing is checked."""
         new = self._sharing_structure()
         new.costs = rows
         new.max_abs_cost, new.integral = _cost_summary(rows)
-        new.tolerance = _check_tolerance(tolerance)
         return new
 
     def _sharing_structure(self):
@@ -274,7 +253,7 @@ class _BaseInstance:
 
     @property
     def atol(self) -> float:
-        return self.tolerance * (1 + self.max_abs_cost)
+        return DEFAULT_TOLERANCE * (1 + self.max_abs_cost)
 
     def allows(self, v: int, lab: int) -> bool:
         return lab in self._index[v]
@@ -290,13 +269,13 @@ class _BaseInstance:
 class LapInstance(_BaseInstance):
     """Square assignment instance: n vertices, n labels, bijective solutions."""
 
-    def __init__(self, allowed, costs, *, tolerance: float = DEFAULT_TOLERANCE):
+    def __init__(self, allowed, costs):
         n = len(allowed)
         self.num_vertices = n
         self.num_labels = n
         self.allowed, costs = _sort_rows(allowed, costs, n,
                                          dummy_required=False)
-        self._finish_init(costs, tolerance)
+        self._finish_init(costs)
 
     def __repr__(self):
         return f"LapInstance(n={self.num_vertices}, pairs={sum(map(len, self.allowed))})"
@@ -312,15 +291,14 @@ class IlapInstance(_BaseInstance):
     # This instance's reduction, memoized by ``reduction.reduce_ilap_to_lap``.
     _reduced = None
 
-    def __init__(self, allowed, costs, num_labels: int, *,
-                 tolerance: float = DEFAULT_TOLERANCE):
+    def __init__(self, allowed, costs, num_labels: int):
         if num_labels < 0:
             raise ValueError("num_labels must be non-negative")
         self.num_vertices = len(allowed)
         self.num_labels = num_labels
         self.allowed, costs = _sort_rows(allowed, costs, num_labels,
                                          dummy_required=True)
-        self._finish_init(costs, tolerance)
+        self._finish_init(costs)
 
     def scale_costs(self, factor: int) -> "IlapInstance":
         """New instance with every cost multiplied by ``factor``."""
@@ -523,12 +501,8 @@ class IqapInstance:
         return self.unary.num_labels
 
     @property
-    def tolerance(self) -> float:
-        return self.unary.tolerance
-
-    @property
     def atol(self) -> float:
-        return self.unary.tolerance * (1 + self.max_abs_cost)
+        return DEFAULT_TOLERANCE * (1 + self.max_abs_cost)
 
     def edge_between(self, u: int, v: int) -> PairwiseEdge | None:
         if u > v:
@@ -565,36 +539,24 @@ def unary_part(inst) -> _BaseInstance:
 # Assignments
 
 
-def check_feasible(inst, x: Assignment) -> Violation | None:
-    """Diagnose the first constraint ``x`` violates, or None if feasible."""
+def require_feasible(inst, x: Assignment) -> None:
+    """Raise ``FeasibilityError`` at the first constraint ``x`` violates."""
     unary = unary_part(inst)
     n = unary.num_vertices
     if len(x) != n:
-        return Violation("dimension",
-                         f"assignment has {len(x)} entries, expected {n}")
+        raise FeasibilityError(f"assignment has {len(x)} entries, expected {n}")
     for v, lab in enumerate(x):
         if not unary.allows(v, lab):
-            return Violation(
-                "disallowed",
-                f"vertex {v} takes label {lab}, not in its allowed set",
-                v, lab)
+            raise FeasibilityError(
+                f"vertex {v} takes label {lab}, not in its allowed set")
     seen: dict[int, int] = {}
     for v, lab in enumerate(x):
         if lab == DUMMY:
             continue
         if lab in seen:
-            return Violation(
-                "duplicate",
-                f"label {lab} assigned to both vertex {seen[lab]} and vertex {v}",
-                v, lab)
+            raise FeasibilityError(
+                f"label {lab} assigned to both vertex {seen[lab]} and vertex {v}")
         seen[lab] = v
-    return None
-
-
-def require_feasible(inst, x: Assignment) -> None:
-    viol = check_feasible(inst, x)
-    if viol is not None:
-        raise FeasibilityError(viol.message)
 
 
 def lap_objective(inst: LapInstance | IlapInstance, x: Assignment):
@@ -631,12 +593,10 @@ class IlapDual:
     beta: list
 
 
-def dual_feasible(inst, dual) -> Violation | None:
-    """Diagnose the first dual constraint violated beyond ``inst.atol``.
-
-    Dimension mismatches raise ValueError; constraint violations are
-    returned as a diagnosis.
-    """
+def require_dual_feasible(inst, dual) -> None:
+    """Raise ``DualInfeasibleError`` at the first dual constraint violated
+    beyond ``inst.atol``.  A dual of the wrong class or length raises
+    ``ValueError``."""
     unary = unary_part(inst)
     tol = inst.atol
     if len(dual.alpha) != unary.num_vertices:
@@ -653,23 +613,14 @@ def dual_feasible(inst, dual) -> Violation | None:
             raise ValueError("beta length does not match the non-dummy label count")
         for lab, b in enumerate(dual.beta):
             if b > tol:
-                return Violation("dual", f"beta[{lab}] = {b} exceeds zero", None, lab)
+                raise DualInfeasibleError(f"beta[{lab}] = {b} exceeds zero")
     for v, (labs, cs) in enumerate(zip(unary.allowed, unary.costs)):
         av = dual.alpha[v]
         for lab, c in zip(labs, cs):
             b = 0 if lab == DUMMY else dual.beta[lab]
             if c - av - b < -tol:
-                return Violation(
-                    "dual",
-                    f"dual constraint violated at vertex {v}, label {lab}",
-                    v, lab)
-    return None
-
-
-def require_dual_feasible(inst, dual) -> None:
-    viol = dual_feasible(inst, dual)
-    if viol is not None:
-        raise DualInfeasibleError(viol.message)
+                raise DualInfeasibleError(
+                    f"dual constraint violated at vertex {v}, label {lab}")
 
 
 def _tight_slack(inst):

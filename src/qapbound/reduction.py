@@ -65,7 +65,7 @@ class _Layout:
     """The reduced instance's structure for one ILAP structure.
 
     ``template`` carries the allowed rows and index tables of the square
-    instance (its costs and tolerance are placeholders); ``label_cells``
+    instance (its costs are placeholders); ``label_cells``
     lists, for each non-dummy label, the ``(vertex, position in
     allowed[vertex])`` of the original cell behind each cross cell of the
     label node's row.
@@ -119,7 +119,7 @@ def reduce_ilap_to_lap(inst: IlapInstance) -> LapInstance:
     rows = [(row[0], *map(_half_cost, row[1:])) for row in inst.costs]
     for cells in layout.label_cells:
         rows.append((*[rows[u][i] for u, i in cells], 0))
-    reduced = layout.template._with_normal_costs(tuple(rows), inst.tolerance)
+    reduced = layout.template._with_normal_costs(tuple(rows))
     inst._reduced = reduced
     return reduced
 

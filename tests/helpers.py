@@ -8,6 +8,8 @@ rules, and instance writers."""
 import importlib.util
 import math
 import random
+from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heappop, heappush
 from pathlib import Path
 
@@ -21,7 +23,6 @@ from qapbound.model import (
     IqapInstance,
     LapDual,
     LapInstance,
-    Violation,
     _as_cost,
     require_dual_feasible,
 )
@@ -66,9 +67,8 @@ EXAMPLE1_OPTIMAL_PAIRS = {
 }
 
 
-def example1_instance(tolerance=1e-9):
-    return LapInstance([list(range(5))] * 5, EXAMPLE1_COSTS,
-                       tolerance=tolerance)
+def example1_instance():
+    return LapInstance([list(range(5))] * 5, EXAMPLE1_COSTS)
 
 
 def example1_initial_dual():
@@ -79,7 +79,7 @@ def example1_final_dual():
     return LapDual([2, 3, 5, 4, 5], [0, 0, -1, 2, 4])
 
 
-def random_lap(rng, n, *, extra=0.35, lo=0, hi=9, tolerance=1e-9):
+def random_lap(rng, n, *, extra=0.35, lo=0, hi=9):
     """Random square instance with a planted perfect matching."""
     perm = list(range(n))
     rng.shuffle(perm)
@@ -93,11 +93,11 @@ def random_lap(rng, n, *, extra=0.35, lo=0, hi=9, tolerance=1e-9):
         labs = sorted(labs)
         allowed.append(labs)
         costs.append([rng.randint(lo, hi) for _ in labs])
-    return LapInstance(allowed, costs, tolerance=tolerance)
+    return LapInstance(allowed, costs)
 
 
 def random_ilap(rng, *, max_vertices=6, max_labels=6, allow=0.55,
-                lo=-5, hi=9, tolerance=1e-9):
+                lo=-5, hi=9):
     nv = rng.randint(1, max_vertices)
     nl = rng.randint(1, max_labels)
     allowed = []
@@ -106,7 +106,19 @@ def random_ilap(rng, *, max_vertices=6, max_labels=6, allow=0.55,
         labs = [DUMMY] + [lab for lab in range(nl) if rng.random() < allow]
         allowed.append(labs)
         costs.append([rng.randint(lo, hi) for _ in labs])
-    return IlapInstance(allowed, costs, nl, tolerance=tolerance)
+    return IlapInstance(allowed, costs, nl)
+
+
+def assert_exact_dual_feasible(inst, dual):
+    """The dual check with no window: every slack ``cost - alpha - beta``
+    of ``inst``, computed as a ``Fraction``, is ``>= 0`` (the dummy label
+    has potential 0)."""
+    assert len(dual.alpha) == inst.num_vertices
+    assert len(dual.beta) == inst.num_labels
+    for v, (labs, cs) in enumerate(zip(inst.allowed, inst.costs)):
+        for lab, c in zip(labs, cs):
+            b = 0 if lab == DUMMY else Fraction(dual.beta[lab])
+            assert Fraction(c) - Fraction(dual.alpha[v]) - b >= 0, (v, lab)
 
 
 def random_iqap(rng, *, max_vertices=5, max_labels=4, max_edges=6,
@@ -474,6 +486,16 @@ def reference_parse_lap_file(text):
 # that the mapping also carries primal optima, and relative-interior
 # membership, over to the original instance.  A primal vector ``mu`` maps a
 # vertex to a ``{label: mass}`` row.
+
+
+@dataclass(frozen=True)
+class Violation:
+    """The first primal constraint ``lap_primal_feasible`` finds violated."""
+
+    kind: str
+    message: str
+    vertex: int | None = None
+    label: int | None = None
 
 
 def lap_primal_feasible(inst, mu):

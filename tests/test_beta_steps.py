@@ -6,7 +6,8 @@ from qapbound.beta_steps import (
     beta_exact_update,
 )
 from qapbound.bounds import dual_bound
-from qapbound.model import DUMMY, IlapInstance, IqapInstance
+from qapbound.model import (DEFAULT_TOLERANCE, DUMMY, IlapInstance,
+                            IqapInstance)
 from qapbound.oracle import brute_force_optimum
 from qapbound.reduction import solve_ilap
 from qapbound.wcsp import IqapDualState, mplp_pp_pass
@@ -102,7 +103,7 @@ class TestCoordinateUpdate:
             inst = random_iqap(rng, max_vertices=4, max_labels=3)
             state = IqapDualState(inst)
             mplp_pp_pass(state)
-            eps = 10 * inst.tolerance * (1 + inst.max_abs_cost)
+            eps = 10 * DEFAULT_TOLERANCE * (1 + inst.max_abs_cost)
             for lab in range(inst.num_labels):
                 b1, b2 = coordinate_interval(state, lab)
                 beta_coordinate_update(state, lab)
@@ -216,7 +217,7 @@ class TestExactUpdateMatchesFreshInstance:
                 mplp_pp_pass(state)
             unary = inst.unary
             sub = IlapInstance(unary.allowed, state.theta_phi,
-                               unary.num_labels, tolerance=unary.tolerance)
+                               unary.num_labels)
             for relative_interior in (False, True):
                 _, dual = solve_ilap(sub, relative_interior=relative_interior)
                 updated = copy_state(state)

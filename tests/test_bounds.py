@@ -458,12 +458,6 @@ class TestRun:
             method="bca", time_limit=0.2, bound_improvement_epsilon=0.0))
         assert report.wall_time < 5.0
 
-    def test_tolerance_override(self):
-        inst = IqapInstance(IlapInstance([[DUMMY, 0]] * 2, [[0, 0]] * 2, 1,
-                                         tolerance=1e-6), [])
-        report = run(inst, SolverConfig(method="bca", max_iterations=1))
-        assert report.final_bound == 0
-
     def test_backward_pass_stays_monotone_and_sound(self):
         # ``run``'s loop for ``hung-ri``, each pass with its reverse sweep
         rng = seeded(113)

@@ -215,8 +215,8 @@ class TestLap:
     def test_payload_of_a_file(self, tmp_path, capsys, name, text, payload):
         path = tmp_path / name
         path.write_text(text)
-        code, out, err = run_cli(capsys, "lap", "--input", str(path),
-                                 "--dummy-cost", "3")
+        dummy = ("--dummy-cost", "3") if name.endswith(".dd") else ()
+        code, out, err = run_cli(capsys, "lap", "--input", str(path), *dummy)
         assert (code, err) == (0, "")
         assert out == json.dumps(payload, indent=2) + "\n"
 
@@ -319,6 +319,55 @@ class TestRecordBeforeHeader:
         code, out, err = run_cli(capsys, command, "--input", str(path),
                                  *budget)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+class TestDummyCostIsForDdFiles:
+    """Only a ``.dd`` file takes its dummy cost from the command line or
+    the manifest; every other format prices its own dummy label."""
+
+    @pytest.mark.parametrize("command", ["solve", "lap", "verify"])
+    @pytest.mark.parametrize("name, fmt", [("qap3.dat", "qaplib"),
+                                           ("tiny.ilap", "ilap")])
+    def test_other_format_is_input_error(self, capsys, command, name, fmt):
+        budget = ["--max-iters", "3"] if command == "solve" else []
+        code, out, err = run_cli(
+            capsys, command, "--input", str(FIXTURES / name),
+            "--dummy-cost", "5", *budget)
+        assert (code, out, err) == (
+            1, "", f"error: dummy cost 5.0 applies to dd files only, "
+                   f"not to format {fmt!r}\n")
+
+    def test_manifest_entry_on_other_format_is_input_error(
+            self, tmp_path, monkeypatch, capsys):
+        qap = FIXTURES / "qap3.dat"
+        manifest = {"methods": ["bca"], "defaults": {"max_iterations": 2},
+                    "instances": [{"path": str(qap), "dummy_cost": 5}]}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        monkeypatch.setattr(batch, "ProcessPoolExecutor", _no_pool)
+        code, out, err = run_cli(capsys, "batch", "--manifest", str(path))
+        assert (code, out) == (1, "")
+        assert err == (f"error: instance {qap.resolve()}: dummy cost 5 "
+                       f"applies to dd files only, not to format 'qaplib'\n")
+
+
+class TestQaplibCostRange:
+    """A QAPLIB file whose flow times distance costs leave the float range
+    is an input error, whether its entries are written as ints or floats."""
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("entry", [str(10**200), "1e200"],
+                             ids=["int", "float"])
+    def test_is_input_error(self, tmp_path, capsys, command, entry):
+        path = tmp_path / "big.dat"
+        path.write_text(f"2\n0 {entry}\n{entry} 0\n0 {entry}\n{entry} 0\n")
+        budget = ["--max-iters", "1"] if command == "solve" else []
+        code, out, err = run_cli(capsys, command, "--input", str(path),
+                                 *budget)
+        assert (code, out) == (1, "")
+        assert err == ("error: costs computed from flow and distance exceed "
+                       "the float range\n")
+        assert "Traceback" not in err
 
 
 class TestVerify:

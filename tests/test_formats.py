@@ -20,8 +20,7 @@ from qapbound.formats import (
     sniff_format,
 )
 from qapbound.bounds import SolverConfig, run
-from qapbound.model import (DEFAULT_TOLERANCE, DUMMY, IlapInstance,
-                            IqapInstance, LapInstance)
+from qapbound.model import DUMMY, IlapInstance, IqapInstance, LapInstance
 from qapbound.oracle import brute_force_optimum, search_space_size
 
 from helpers import (
@@ -561,11 +560,6 @@ class TestSniff:
         assert sniff_format("c x\ne 0 1 2\n") == "dd"
         assert sniff_format("d 0 4\n") == "ilap"
         assert sniff_format("x 1\n") == "qaplib"
-
-    def test_every_fixture_loads_with_the_default_tolerance(self):
-        for path in FIXTURES.iterdir():
-            if path.suffix in (".dd", ".lap", ".ilap", ".dat"):
-                assert load_instance(path).tolerance == DEFAULT_TOLERANCE
 
     def test_unknown_format_name_is_rejected(self):
         with pytest.raises(ValueError, match="unknown format 'qaplbi'"):

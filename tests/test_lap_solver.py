@@ -8,7 +8,6 @@ from qapbound.model import (
     IlapInstance,
     LapDual,
     LapInstance,
-    dual_feasible,
     dual_objective,
     lap_objective,
     require_dual_feasible,
@@ -20,6 +19,7 @@ from helpers import (
     EXAMPLE1_INITIAL_ACTIVE,
     EXAMPLE1_OPTIMAL_PAIRS,
     EXAMPLE1_VALUE,
+    assert_exact_dual_feasible,
     example1_final_dual,
     example1_initial_dual,
     example1_instance,
@@ -101,7 +101,7 @@ class TestSolveLap:
             x, dual = result
             solved += 1
             assert lap_objective(inst, x) == value
-            assert dual_feasible(inst, dual) is None
+            require_dual_feasible(inst, dual)
             assert dual_objective(inst, dual) == value
             # matched constraints are tight (exact: integer instance)
             for v, lab in enumerate(x):
@@ -144,7 +144,7 @@ class TestSolveLap:
             rows, cols = scipy_opt.linear_sum_assignment(np.array(matrix))
             expected = sum(matrix[r][c] for r, c in zip(rows, cols))
             assert lap_objective(inst, x) == pytest.approx(expected, abs=1e-9)
-            assert dual_feasible(inst, dual) is None
+            require_dual_feasible(inst, dual)
             assert dual_objective(inst, dual) == pytest.approx(expected, abs=1e-9)
 
     def test_integral_instances_keep_integer_potentials(self):
@@ -199,8 +199,7 @@ class TestScaleAgainstScipy:
         x, dual = solve_lap(inst)
         assert lap_objective(inst, x) == expected
         assert dual_objective(inst, dual) == expected
-        assert dual_feasible(inst.with_costs(inst.costs, tolerance=0),
-                             dual) is None
+        assert_exact_dual_feasible(inst, dual)
         for v, lab in enumerate(x):
             assert dual.alpha[v] + dual.beta[lab] == inst.cost(v, lab)
 
@@ -222,7 +221,7 @@ class TestScaleAgainstScipy:
         assert lap_objective(inst, x) == pytest.approx(expected, abs=inst.atol)
         assert dual_objective(inst, dual) == pytest.approx(expected,
                                                            abs=inst.atol)
-        assert dual_feasible(inst, dual) is None
+        require_dual_feasible(inst, dual)
         for v, lab in enumerate(x):
             assert dual.alpha[v] + dual.beta[lab] == pytest.approx(
                 inst.cost(v, lab), abs=inst.atol)
@@ -263,13 +262,16 @@ class TestEqualitySubgraph:
                                 k=rng.randint(1, min(2, len(alpha)))):
                 alpha[v] += rng.choice([2 * inst.atol, 1, 7])
             dual = LapDual(alpha, list(dual.beta))
-            want = dual_feasible(inst, dual)
-            if want is None:
+            try:
+                require_dual_feasible(inst, dual)
+            except DualInfeasibleError as err:
+                want = str(err)
+            else:
                 assert equality_subgraph(inst, dual) is not None
                 continue
             with pytest.raises(DualInfeasibleError) as got:
                 equality_subgraph(inst, dual)
-            assert str(got.value) == want.message
+            assert str(got.value) == want
             raised += 1
         assert raised > 100
 

@@ -6,7 +6,9 @@ import pytest
 from qapbound.bounds import SolverConfig, dual_bound, run
 from qapbound.formats import convert_qaplib_to_iqap
 from qapbound.model import (
+    DEFAULT_TOLERANCE,
     DUMMY,
+    DualInfeasibleError,
     FeasibilityError,
     IlapDual,
     IlapInstance,
@@ -14,14 +16,15 @@ from qapbound.model import (
     LapDual,
     LapInstance,
     PairwiseEdge,
-    check_feasible,
-    dual_feasible,
     dual_objective,
     iqap_objective,
     lap_objective,
+    require_dual_feasible,
+    require_feasible,
 )
 from qapbound.model import _as_cost, _normalize_costs
 from qapbound.oracle import brute_force_optimum
+from qapbound.reduction import reduce_ilap_to_lap
 from qapbound.wcsp import IqapDualState
 
 from helpers import (
@@ -82,13 +85,6 @@ class TestInstanceConstruction:
         with pytest.raises(ValueError, match="non-negative"):
             IlapInstance([[DUMMY]], [[0]], -1)
 
-    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
-    def test_rejects_non_finite_tolerance(self, tolerance):
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            LapInstance([[0]], [[1]], tolerance=tolerance)
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            LapInstance([[0]], [[1]]).with_costs([[1]], tolerance=tolerance)
-
     def test_ilap_sizes_unconstrained(self):
         inst = IlapInstance([[DUMMY, 0], [DUMMY]], [[1, 2], [0]], 7)
         assert inst.num_vertices == 2
@@ -109,8 +105,8 @@ class TestInstanceConstruction:
             IqapInstance(core, [(0, 1, {}), (1, 0, {})])
 
     def test_atol_scales_with_costs(self):
-        small = LapInstance([[0]], [[1]], tolerance=1e-9)
-        big = LapInstance([[0]], [[10**6]], tolerance=1e-9)
+        small = LapInstance([[0]], [[1]])
+        big = LapInstance([[0]], [[10**6]])
         assert big.atol > small.atol
         assert small.atol == pytest.approx(2e-9)
 
@@ -175,34 +171,40 @@ class TestObjectives:
         assert str(info.value) == message
 
 
+def _raised(check, *args):
+    """The type and message of the error ``check(*args)`` raises."""
+    with pytest.raises(ValueError) as info:
+        check(*args)
+    return type(info.value), str(info.value)
+
+
 class TestFeasibility:
     def test_lap_duplicate(self):
         inst = LapInstance([[0, 1], [0, 1]], [[0, 0], [0, 0]])
-        viol = check_feasible(inst, [1, 1])
-        assert viol is not None and viol.kind == "duplicate"
+        assert _raised(require_feasible, inst, [1, 1]) == (
+            FeasibilityError, "label 1 assigned to both vertex 0 and vertex 1")
 
     def test_two_dummies_fine(self):
         inst = IlapInstance([[DUMMY, 0], [DUMMY, 0]], [[0, 0], [0, 0]], 1)
-        assert check_feasible(inst, [DUMMY, DUMMY]) is None
+        require_feasible(inst, [DUMMY, DUMMY])
 
     def test_disallowed(self):
         inst = LapInstance([[0], [0, 1]], [[0], [0, 0]])
-        viol = check_feasible(inst, [1, 0])
-        assert viol is not None and viol.kind == "disallowed"
+        assert _raised(require_feasible, inst, [1, 0]) == (
+            FeasibilityError, "vertex 0 takes label 1, not in its allowed set")
 
     def test_dimension(self):
         inst = LapInstance([[0]], [[0]])
-        viol = check_feasible(inst, [0, 0])
-        assert viol is not None and viol.kind == "dimension"
+        assert _raised(require_feasible, inst, [0, 0]) == (
+            FeasibilityError, "assignment has 2 entries, expected 1")
 
     @pytest.mark.parametrize("x", [[DUMMY, 0], [DUMMY, DUMMY], [1, DUMMY]])
     def test_dummy_in_square_assignment_is_disallowed(self, x):
         inst = LapInstance([[0, 1], [0, 1]], [[0, 0], [0, 0]])
-        viol = check_feasible(inst, x)
         v = x.index(DUMMY)
-        assert (viol.kind, viol.message, viol.vertex, viol.label) == (
-            "disallowed", f"vertex {v} takes label -1, not in its allowed set",
-            v, DUMMY)
+        assert _raised(require_feasible, inst, x) == (
+            FeasibilityError,
+            f"vertex {v} takes label -1, not in its allowed set")
 
 
 PRIMAL_LAP = LapInstance([[0, 1], [1]], [[1, 2], [3]])
@@ -264,13 +266,13 @@ class TestDuals:
     def test_example_initial_dual(self):
         inst = example1_instance()
         dual = example1_initial_dual()
-        assert dual_feasible(inst, dual) is None
+        require_dual_feasible(inst, dual)
         assert dual_objective(inst, dual) == 24
 
     def test_example_final_dual(self):
         inst = example1_instance()
         dual = example1_final_dual()
-        assert dual_feasible(inst, dual) is None
+        require_dual_feasible(inst, dual)
         assert dual_objective(inst, dual) == 24
 
     @pytest.mark.parametrize("dual", [LapDual([0] * 4, [0] * 5),
@@ -283,18 +285,19 @@ class TestDuals:
 
     def test_zero_dual_infeasible_on_negative_costs(self):
         inst = LapInstance([[0]], [[-1]])
-        viol = dual_feasible(inst, LapDual([0], [0]))
-        assert viol is not None and viol.kind == "dual"
+        assert _raised(require_dual_feasible, inst, LapDual([0], [0])) == (
+            DualInfeasibleError,
+            "dual constraint violated at vertex 0, label 0")
 
     def test_dimension_mismatch_raises(self):
         inst = example1_instance()
-        with pytest.raises(ValueError):
-            dual_feasible(inst, LapDual([0], [0]))
+        assert _raised(require_dual_feasible, inst, LapDual([0], [0])) == (
+            ValueError, "alpha length does not match the vertex count")
 
     def test_ilap_beta_sign(self):
         inst = IlapInstance([[DUMMY, 0]], [[0, 5]], 1)
-        viol = dual_feasible(inst, IlapDual([0], [1.0]))
-        assert viol is not None and "exceeds zero" in viol.message
+        assert _raised(require_dual_feasible, inst, IlapDual([0], [1.0])) == (
+            DualInfeasibleError, "beta[0] = 1.0 exceeds zero")
 
     @pytest.mark.parametrize("inst, dual, message", [
         (DUAL_LAP, IlapDual([0, 0], [0, 0]),
@@ -315,34 +318,35 @@ class TestDuals:
          "beta length does not match the non-dummy label count"),
     ])
     def test_malformed_dual_messages(self, inst, dual, message):
-        with pytest.raises(ValueError) as info:
-            dual_feasible(inst, dual)
-        assert str(info.value) == message
+        assert _raised(require_dual_feasible, inst, dual) == (
+            ValueError, message)
 
     @pytest.mark.parametrize("inst, dual, expected", [
         (DUAL_LAP, LapDual([0, 0], [0, 0]), None),
         (DUAL_LAP, LapDual([0, 2], [0, 0]),
-         (1, 0, "dual constraint violated at vertex 1, label 0")),
+         (DualInfeasibleError,
+          "dual constraint violated at vertex 1, label 0")),
         (DUAL_ILAP, IlapDual([0, 0], [0, 0]), None),
         (DUAL_ILAP, IlapDual([0, 0], [-1, 0.5]),
-         (None, 1, "beta[1] = 0.5 exceeds zero")),
+         (DualInfeasibleError, "beta[1] = 0.5 exceeds zero")),
         # the sign rule is checked before any constraint
         (DUAL_ILAP, IlapDual([9, 0], [0, 0.5]),
-         (None, 1, "beta[1] = 0.5 exceeds zero")),
+         (DualInfeasibleError, "beta[1] = 0.5 exceeds zero")),
         (DUAL_ILAP, IlapDual([2, 0], [0, 0]),
-         (0, 0, "dual constraint violated at vertex 0, label 0")),
+         (DualInfeasibleError,
+          "dual constraint violated at vertex 0, label 0")),
         (DUAL_ILAP, IlapDual([0, 4], [0, 0]),
-         (1, DUMMY, "dual constraint violated at vertex 1, label -1")),
+         (DualInfeasibleError,
+          "dual constraint violated at vertex 1, label -1")),
         (DUAL_ILAP, IlapDual([4, 0], [0, 0]),
-         (0, DUMMY, "dual constraint violated at vertex 0, label -1")),
+         (DualInfeasibleError,
+          "dual constraint violated at vertex 0, label -1")),
     ])
     def test_violation_messages(self, inst, dual, expected):
-        viol = dual_feasible(inst, dual)
         if expected is None:
-            assert viol is None
+            require_dual_feasible(inst, dual)
         else:
-            assert viol.kind == "dual"
-            assert (viol.vertex, viol.label, viol.message) == expected
+            assert _raised(require_dual_feasible, inst, dual) == expected
 
     def test_weak_duality(self):
         rng = seeded(23)
@@ -362,8 +366,58 @@ class TestDuals:
                 beta.append(min(inst.cost(v, lab) - alpha[v] for v in vs)
                             - rng.randint(0, 3))
             dual = LapDual(alpha, beta)
-            assert dual_feasible(inst, dual) is None
+            require_dual_feasible(inst, dual)
             assert dual_objective(inst, dual) <= value + inst.atol
+
+
+CONTRACT_IQAP = IqapInstance(DUAL_ILAP, [(0, 1, {(0, 1): -7.5})])
+
+
+class TestCheckContract:
+    """The two checks raise at the first violation, each branch with its
+    own exception type and message, and judge every instance in one
+    window."""
+
+    @pytest.mark.parametrize("check, inst, arg, expected", [
+        (require_feasible, DUAL_LAP, [0],
+         (FeasibilityError, "assignment has 1 entries, expected 2")),
+        (require_feasible, DUAL_ILAP, [DUMMY, 0],
+         (FeasibilityError, "vertex 1 takes label 0, not in its allowed set")),
+        (require_feasible, CONTRACT_IQAP, [1, 1],
+         (FeasibilityError, "label 1 assigned to both vertex 0 and vertex 1")),
+        (require_dual_feasible, DUAL_LAP, IlapDual([0, 0], [0, 0]),
+         (ValueError, "expected a LapDual for a LapInstance")),
+        (require_dual_feasible, CONTRACT_IQAP, LapDual([0, 0], [0, 0]),
+         (ValueError, "expected an IlapDual for this instance")),
+        (require_dual_feasible, DUAL_ILAP, IlapDual([0], [0, 0]),
+         (ValueError, "alpha length does not match the vertex count")),
+        (require_dual_feasible, DUAL_LAP, LapDual([0, 0], [0, 0, 0]),
+         (ValueError, "beta length does not match the label count")),
+        (require_dual_feasible, DUAL_ILAP, IlapDual([0, 0], [0]),
+         (ValueError, "beta length does not match the non-dummy label count")),
+        (require_dual_feasible, CONTRACT_IQAP, IlapDual([0, 0], [0, 1e-3]),
+         (DualInfeasibleError, "beta[1] = 0.001 exceeds zero")),
+        (require_dual_feasible, CONTRACT_IQAP, IlapDual([0, 1.5], [0, 0]),
+         (DualInfeasibleError,
+          "dual constraint violated at vertex 1, label 1")),
+    ], ids=["dimension", "disallowed", "duplicate", "lap-dual-class",
+            "ilap-dual-class", "alpha-length", "lap-beta-length",
+            "ilap-beta-length", "positive-beta", "violated-constraint"])
+    def test_every_branch_raises_its_error(self, check, inst, arg, expected):
+        assert _raised(check, inst, arg) == expected
+
+    def test_one_window_for_every_instance(self):
+        lap = LapInstance([[0, 1], [0, 1]], [[1.5, -4.25], [3, 0]])
+        ilap = IlapInstance([[DUMMY, 0], [DUMMY, 0, 1]],
+                            [[0, 2.5], [1, -6, 0.125]], 2)
+        iqap = IqapInstance(ilap, [(0, 1, {(0, 1): -9.75})])
+        for inst in (lap, ilap, ilap.with_costs([[0, 11], [1, 2, 3.5]]),
+                     reduce_ilap_to_lap(ilap), iqap):
+            assert repr(inst.atol) == repr(
+                DEFAULT_TOLERANCE * (1 + inst.max_abs_cost))
+        assert iqap.max_abs_cost == 9.75 > ilap.max_abs_cost
+        assert not hasattr(lap, "tolerance")
+        assert not hasattr(iqap, "tolerance")
 
 
 def _cost_kinds(rng):
@@ -381,7 +435,7 @@ def _cost_kinds(rng):
 
 def _describe(inst):
     return (repr(inst.costs), repr(inst.max_abs_cost), inst.integral,
-            repr(inst.atol), inst.tolerance)
+            repr(inst.atol))
 
 
 class TestWithCosts:
@@ -391,11 +445,10 @@ class TestWithCosts:
     def test_matches_constructor(self):
         rng = seeded(307)
         for trial in range(200):
-            unary = random_ilap(rng, tolerance=rng.choice([0, 1e-9, 1e-6]))
+            unary = random_ilap(rng)
             rows = [[_cost_kinds(rng) for _ in labs] for labs in unary.allowed]
             new = unary.with_costs(rows)
-            ref = IlapInstance(unary.allowed, rows, unary.num_labels,
-                               tolerance=unary.tolerance)
+            ref = IlapInstance(unary.allowed, rows, unary.num_labels)
             assert _describe(new) == _describe(ref)
             for name in ("allowed", "_index", "vertices_for_label",
                          "_structure_cache"):
@@ -407,12 +460,13 @@ class TestWithCosts:
         for _ in range(100):
             lap = random_lap(rng, rng.randint(1, 7))
             rows = [[_cost_kinds(rng) for _ in labs] for labs in lap.allowed]
-            new = lap.with_costs(rows, tolerance=1e-6)
-            ref = LapInstance(lap.allowed, rows, tolerance=1e-6)
+            new = lap.with_costs(rows)
+            ref = LapInstance(lap.allowed, rows)
             assert _describe(new) == _describe(ref)
             assert new.allowed is lap.allowed
 
     def test_scale_and_tolerance_match_constructor(self):
+        # ``_describe`` covers the tolerance window ``atol``.
         rng = seeded(313)
         for _ in range(50):
             unary = random_ilap(rng)
@@ -420,12 +474,8 @@ class TestWithCosts:
                 [[_cost_kinds(rng) for _ in labs] for labs in unary.allowed])
             scaled = IlapInstance(
                 unary.allowed, [[2 * c for c in row] for row in unary.costs],
-                unary.num_labels, tolerance=unary.tolerance)
+                unary.num_labels)
             assert _describe(unary.scale_costs(2)) == _describe(scaled)
-            relaxed = IlapInstance(unary.allowed, unary.costs,
-                                   unary.num_labels, tolerance=1e-3)
-            assert (_describe(unary.with_costs(unary.costs, tolerance=1e-3))
-                    == _describe(relaxed))
 
     @pytest.mark.parametrize("bad, error", [
         (float("nan"), ValueError),
@@ -453,11 +503,6 @@ class TestWithCosts:
         with pytest.raises(ValueError) as ref:
             IlapInstance(unary.allowed, rows, 2)
         assert str(new.value) == str(ref.value)
-
-    def test_negative_tolerance_rejected(self):
-        unary = IlapInstance([[DUMMY]], [[0]], 0)
-        with pytest.raises(ValueError, match="non-negative"):
-            unary.with_costs([[1]], tolerance=-1)
 
 
 def _per_cell_rule(costs):

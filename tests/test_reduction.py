@@ -15,9 +15,9 @@ from qapbound.model import (
     LapInstance,
     _as_cost,
     _half_cost,
-    dual_feasible,
     dual_objective,
     lap_objective,
+    require_dual_feasible,
 )
 from qapbound.oracle import brute_force_optimum, check_dual_relative_interior
 from qapbound.reduction import (
@@ -30,6 +30,7 @@ from qapbound.reduction import (
 from qapbound.relative_interior import shift_to_relative_interior
 
 from helpers import (
+    assert_exact_dual_feasible,
     check_primal_relative_interior,
     lap_primal_feasible,
     map_dual,
@@ -175,7 +176,7 @@ class TestMapDual:
             reduced = reduce_ilap_to_lap(inst)
             xp, dual_p = solve_lap(reduced)
             dual = map_dual(inst, dual_p)
-            assert dual_feasible(inst, dual) is None
+            require_dual_feasible(inst, dual)
             assert max(dual.beta, default=0) <= inst.atol
             assert abs(dual_objective(inst, dual)
                        - dual_objective(reduced, dual_p)) <= inst.atol
@@ -211,11 +212,10 @@ class TestLiftDual:
             nv = inst.num_vertices
             reduced = reduce_ilap_to_lap(inst)
             # halving is exact on these costs, so feasibility holds exactly
-            exact = reduced.with_costs(reduced.costs, tolerance=0)
             for relative_interior in (False, True):
                 _, dual = solve_ilap(inst, relative_interior=relative_interior)
                 lifted = lift_dual(inst, dual)
-                assert dual_feasible(exact, lifted) is None
+                assert_exact_dual_feasible(reduced, lifted)
                 folded = map_dual(inst, lifted)
                 assert (folded.alpha, folded.beta) == (dual.alpha, dual.beta)
                 assert (sum(map(Fraction, (*lifted.alpha, *lifted.beta)))
@@ -333,7 +333,7 @@ class TestSolveIlap:
             for relative_interior in (False, True):
                 x, dual = solve_ilap(inst, relative_interior=relative_interior)
                 assert lap_objective(inst, x) == value
-                assert dual_feasible(inst, dual) is None
+                require_dual_feasible(inst, dual)
                 assert abs(dual_objective(inst, dual) - value) <= inst.atol
 
     def test_reduced_optimum_iff_both_parts_optimal(self):
@@ -432,7 +432,7 @@ def _constructed_reduction(inst):
         costs.append([c / 2 if not isinstance(c, int) or c % 2 else c // 2
                       for c in (inst.cost(u, lab) for u in vertices)]
                      + [0 if inst.integral else 0.0])
-    return LapInstance(allowed, costs, tolerance=inst.tolerance)
+    return LapInstance(allowed, costs)
 
 
 class TestReducedLayout:
@@ -441,11 +441,9 @@ class TestReducedLayout:
     def test_matches_constructed_instance(self):
         rng = seeded(331)
         for trial in range(150):
-            inst = random_ilap(rng, tolerance=rng.choice([0, 1e-9, 1e-6]))
+            inst = random_ilap(rng)
             if trial % 3 == 1:
                 inst = inst.with_costs([[c / 2 for c in row] for row in inst.costs])
-            elif trial % 3 == 2:
-                inst = inst.with_costs(inst.costs, tolerance=1e-6)
             for _ in range(3):
                 lap = reduce_ilap_to_lap(inst)
                 ref = _constructed_reduction(inst)
@@ -503,10 +501,3 @@ class TestReducedLayout:
         assert reduce_ilap_to_lap(again) is not reduce_ilap_to_lap(inst)
         assert reduce_ilap_to_lap(again).allowed is \
             reduce_ilap_to_lap(inst).allowed
-
-    def test_layout_follows_the_tolerance_of_each_instance(self):
-        inst = random_ilap(seeded(347))
-        reduce_ilap_to_lap(inst)
-        relaxed = inst.with_costs(inst.costs, tolerance=1e-3)
-        assert reduce_ilap_to_lap(relaxed).tolerance == 1e-3
-        assert reduce_ilap_to_lap(inst).tolerance == inst.tolerance
