@@ -11,9 +11,8 @@ from .model import (DEFAULT_TOLERANCE, DUMMY, DualInfeasibleError,
                     FeasibilityError, IlapDual, IlapInstance, IqapInstance,
                     LapDual, LapInstance, dual_objective, iqap_objective,
                     lap_objective)
-from .lap import EqualitySubgraph, equality_subgraph, solve_lap
-from .relative_interior import (ExchangeDigraph, build_exchange_digraph,
-                                perfectly_matchable_edges,
+from .lap import equality_subgraph, solve_lap
+from .relative_interior import (perfectly_matchable_edges,
                                 shift_to_relative_interior)
 from .reduction import (decompose_assignment, lift_assignment, lift_dual,
                         reduce_ilap_to_lap, solve_ilap)
@@ -30,8 +29,7 @@ from .formats import (DEFAULT_DUMMY_COST, augment_instance,
 __all__ = ("DEFAULT_TOLERANCE", "DUMMY", "DualInfeasibleError",
            "FeasibilityError", "IlapDual", "IlapInstance", "IqapInstance",
            "LapDual", "LapInstance", "dual_objective", "iqap_objective",
-           "lap_objective", "EqualitySubgraph", "equality_subgraph",
-           "solve_lap", "ExchangeDigraph", "build_exchange_digraph",
+           "lap_objective", "equality_subgraph", "solve_lap",
            "perfectly_matchable_edges", "shift_to_relative_interior",
            "decompose_assignment", "lift_assignment", "lift_dual",
            "reduce_ilap_to_lap", "solve_ilap", "IqapDualState", "mplp_pp_pass",

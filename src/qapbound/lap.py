@@ -19,7 +19,6 @@ constraints is exact, not just tight up to tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import repeat
 from operator import lt
@@ -29,31 +28,11 @@ from .model import LapDual, LapInstance, _tight_slack, require_dual_feasible
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class EqualitySubgraph:
-    """Bipartite graph of dual constraints that hold with equality.
-
-    ``adjacency[v]`` is the sorted tuple of labels whose constraint at vertex
-    ``v`` is tight (see ``model._tight_slack``).
-    """
-
-    adjacency: tuple[tuple[int, ...], ...]
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.adjacency)
-
-    def contains(self, v: int, lab: int) -> bool:
-        return lab in self.adjacency[v]
-
-    def edges(self):
-        for v, labs in enumerate(self.adjacency):
-            for lab in labs:
-                yield (v, lab)
-
-
-def equality_subgraph(inst: LapInstance, dual: LapDual) -> EqualitySubgraph:
-    """Edges whose dual constraint is tight (see ``model._tight_slack``).
+def equality_subgraph(inst: LapInstance,
+                      dual: LapDual) -> tuple[tuple[int, ...], ...]:
+    """Labels whose dual constraint is tight (see ``model._tight_slack``),
+    as one sorted tuple per vertex: ``rows[v]`` holds the labels ``lab``
+    with ``(v, lab)`` in the tight-edge subgraph.
 
     Rejects duals that are infeasible beyond tolerance, since the set of
     tight constraints is not meaningful for them.  One list of slacks per
@@ -70,14 +49,13 @@ def equality_subgraph(inst: LapInstance, dual: LapDual) -> EqualitySubgraph:
     floor = repeat(-inst.atol)
     tight = _tight_slack(inst)
     beta = dual.beta
-    adjacency = []
+    rows = []
     for labs, cs, av in zip(inst.allowed, inst.costs, dual.alpha):
         slack = [c - av - beta[lab] for lab, c in zip(labs, cs)]
         if any(map(lt, slack, floor)):
             require_dual_feasible(inst, dual)
-        adjacency.append(tuple([lab for lab, s in zip(labs, slack)
-                                if s <= tight]))
-    return EqualitySubgraph(tuple(adjacency))
+        rows.append(tuple([lab for lab, s in zip(labs, slack) if s <= tight]))
+    return tuple(rows)
 
 
 def solve_lap(inst: LapInstance):

@@ -48,11 +48,16 @@ Every tolerance comparison in the package goes through the instance's
 integral instance (``_tight_slack``).  ``require_feasible`` and
 ``require_dual_feasible`` are the only constraint checks; each raises at
 the first violation it finds.
+
+Every constructor checks the cost range once (``_check_cost_range``): each
+vertex's largest absolute cost plus each edge's must sum to at most
+``_MAX_COST_SUM``, so that the solver's sums stay finite.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -60,6 +65,10 @@ from typing import Iterable, Mapping, Sequence
 DUMMY = -1
 
 DEFAULT_TOLERANCE = 1e-9
+
+# The most that an instance's cost maxima, one per vertex and one per edge,
+# may sum to.  Below it every sum the solver forms stays finite.
+_MAX_COST_SUM = sys.float_info.max / 4
 
 # Sort key of a ``(column, cost)`` row cell.
 _COST = itemgetter(1)
@@ -188,6 +197,33 @@ def _cost_summary(rows) -> tuple:
     return max_abs, integral
 
 
+def _check_cost_range(unary, edge_maxima=()) -> None:
+    """Raise ``ValueError`` unless the largest absolute cost of each vertex
+    of ``unary`` and ``edge_maxima``, those of the edges, sum to at most
+    ``_MAX_COST_SUM``.
+
+    ``num_vertices * max_abs_cost`` stands in for the vertices' sum first,
+    so only an instance near the limit has its rows read.
+    """
+    edges = _float_sum(edge_maxima)
+    rows_at_most = unary.num_vertices * unary.max_abs_cost
+    if _float_sum([edges, rows_at_most]) <= _MAX_COST_SUM:
+        return
+    rows = [max(map(abs, row)) for row in unary.costs]
+    if _float_sum([edges, *rows]) > _MAX_COST_SUM:
+        raise ValueError(
+            "costs too large: the largest absolute costs of the vertices "
+            f"and edges must sum to at most {_MAX_COST_SUM!r}")
+
+
+def _float_sum(values) -> float:
+    """Sum of non-negative ``values`` in floats, ``inf`` on overflow."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
 class _BaseInstance:
     """Shared helpers for the two unary instance classes.
 
@@ -208,6 +244,7 @@ class _BaseInstance:
 
     def _finish_init(self, costs):
         self._set_costs(costs)
+        _check_cost_range(self)
         self._index = tuple(
             {lab: i for i, lab in enumerate(row)} for row in self.allowed
         )
@@ -488,8 +525,9 @@ class IqapInstance:
             self._edge_by_pair[edge.u, edge.v] = edge
         self.edges = tuple(sorted(self._edge_by_pair.values(),
                                   key=lambda e: (e.u, e.v)))
-        pair_max = max((e.max_abs_cost for e in self.edges), default=0)
-        self.max_abs_cost = max(unary.max_abs_cost, pair_max)
+        edge_maxima = [e.max_abs_cost for e in self.edges]
+        self.max_abs_cost = max([unary.max_abs_cost, *edge_maxima])
+        _check_cost_range(unary, edge_maxima)
         self.integral = unary.integral and all(e.integral for e in self.edges)
 
     @property

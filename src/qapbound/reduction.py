@@ -256,5 +256,6 @@ def _relative_interior_flag(inst: LapInstance | IlapInstance, dual,
         dual = lift_dual(base, dual)
         x = lift_assignment(base, x)
         inst = reduce_ilap_to_lap(base)
-    subgraph = equality_subgraph(inst, dual)
-    return set(subgraph.edges()) == perfectly_matchable_edges(subgraph, x)
+    rows = equality_subgraph(inst, dual)
+    # The matchable edges are tight edges, so equal counts mean equal sets.
+    return len(perfectly_matchable_edges(rows, x)) == sum(map(len, rows))

@@ -14,9 +14,7 @@ pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .lap import EqualitySubgraph, equality_subgraph
+from .lap import equality_subgraph
 from .model import (Assignment, FeasibilityError, LapDual, LapInstance,
                     _half_cost, _tight_slack)
 
@@ -82,90 +80,64 @@ def _tarjan_components(adjacency):
     return components, component_of
 
 
-def _check_matching_in_subgraph(subgraph: EqualitySubgraph, x: Assignment):
-    n = subgraph.num_vertices
+def _exchange_adjacency(rows, x: Assignment):
+    """Exchange digraph of the tight ``rows`` and a matching ``x`` in them.
+
+    There is an edge (u, v) exactly when u != v and ``x[v]`` is in
+    ``rows[u]``, i.e. u could take v's label without leaving the tight
+    edges.  Returns ``(adjacency, xinv)``: the successors of each vertex,
+    and the vertex ``x`` matches to each label.  Raises ``FeasibilityError``
+    unless ``x`` is a perfect matching inside ``rows``.
+    """
+    n = len(rows)
     if len(x) != n:
         raise FeasibilityError(
             f"assignment has {len(x)} entries, expected {n}")
-    seen = [False] * n
+    xinv = [-1] * n
     for v, lab in enumerate(x):
-        if not (0 <= lab < n) or seen[lab]:
+        if not (0 <= lab < n) or xinv[lab] >= 0:
             raise FeasibilityError(
                 f"assignment is not a perfect matching: label {lab} reused or out of range")
-        seen[lab] = True
-        if not subgraph.contains(v, lab):
+        xinv[lab] = v
+        if lab not in rows[v]:
             raise FeasibilityError(
                 f"matched edge ({v}, {lab}) is missing from the tight-edge subgraph")
+    adjacency = [[xinv[lab] for lab in labs if lab != x[u]]
+                 for u, labs in enumerate(rows)]
+    return adjacency, xinv
 
 
-def _inverse(x: Assignment) -> list[int]:
-    inv = [0] * len(x)
-    for v, lab in enumerate(x):
-        inv[lab] = v
-    return inv
+def _condense(rows, x: Assignment):
+    """Condensation of the exchange digraph of ``rows`` and ``x``.
 
-
-@dataclass(frozen=True)
-class ExchangeDigraph:
-    """Directed graph on vertices encoding label exchanges along tight edges.
-
-    There is an edge (u, v) exactly when u != v and the pair (u, x[v]) is in
-    the tight-edge subgraph, i.e. u could take v's label without leaving it.
-    ``components`` lists the strongly connected components in a topological
-    order of the condensation and ``component_of`` is consistent with it;
-    ``has_incoming[i]`` flags components with incoming condensation edges.
+    Returns ``(components, component_of, has_incoming, xinv)``: the strongly
+    connected components in a topological order of the condensation, the
+    component of each vertex, a flag per component that has incoming
+    condensation edges, and the vertex ``x`` matches to each label.
     """
-
-    adjacency: tuple[tuple[int, ...], ...]
-    components: tuple[tuple[int, ...], ...]
-    component_of: tuple[int, ...]
-    has_incoming: tuple[bool, ...]
-
-    def edges(self):
-        for u, vs in enumerate(self.adjacency):
-            for v in vs:
-                yield (u, v)
-
-
-def build_exchange_digraph(subgraph: EqualitySubgraph,
-                           x: Assignment) -> ExchangeDigraph:
-    """Materialized exchange digraph with its condensation data."""
-    _check_matching_in_subgraph(subgraph, x)
-    n = subgraph.num_vertices
-    xinv = _inverse(x)
-    adjacency = tuple(
-        tuple(xinv[lab] for lab in subgraph.adjacency[u] if lab != x[u])
-        for u in range(n))
+    adjacency, xinv = _exchange_adjacency(rows, x)
     components, component_of = _tarjan_components(adjacency)
     has_incoming = [False] * len(components)
-    for u in range(n):
+    for u, vs in enumerate(adjacency):
         cu = component_of[u]
-        for v in adjacency[u]:
+        for v in vs:
             if component_of[v] != cu:
                 has_incoming[component_of[v]] = True
-    return ExchangeDigraph(adjacency,
-                           tuple(tuple(c) for c in components),
-                           tuple(component_of), tuple(has_incoming))
+    return components, component_of, has_incoming, xinv
 
 
-def perfectly_matchable_edges(subgraph: EqualitySubgraph,
-                              x: Assignment) -> set[tuple[int, int]]:
-    """Edges of ``subgraph`` contained in at least one perfect matching.
+def perfectly_matchable_edges(rows, x: Assignment) -> set[tuple[int, int]]:
+    """Tight edges contained in at least one perfect matching.
 
-    An edge (v, lab) qualifies exactly when it is matched by ``x`` or its
-    exchange-digraph counterpart stays inside one strongly connected
-    component (and hence lies on a directed cycle).
+    ``rows`` are tight rows as ``lap.equality_subgraph`` returns them and
+    ``x`` a perfect matching inside them.  An edge (v, lab) qualifies
+    exactly when v and the vertex ``x`` matches to ``lab`` share a strongly
+    connected component of the exchange digraph: the edge is then matched
+    by ``x`` or lies on a directed cycle.
     """
-    digraph = build_exchange_digraph(subgraph, x)
-    xinv = _inverse(x)
-    comp = digraph.component_of
-    result = set()
-    for v, labs in enumerate(subgraph.adjacency):
-        cv = comp[v]
-        for lab in labs:
-            if lab == x[v] or comp[xinv[lab]] == cv:
-                result.add((v, lab))
-    return result
+    _, component_of, _, xinv = _condense(rows, x)
+    return {(v, lab) for v, labs in enumerate(rows) for lab in labs
+            if component_of[xinv[lab]] == component_of[v]}
 
 
 def shift_to_relative_interior(inst: LapInstance, dual: LapDual,
@@ -180,27 +152,27 @@ def shift_to_relative_interior(inst: LapInstance, dual: LapDual,
     optimal assignment tight.  ``delta_log``, when given, collects the slack
     value spread at each processed component, in processing order.
 
-    The components swept are those of ``build_exchange_digraph`` on the
-    ``equality_subgraph`` of ``dual``.
+    The components swept are those of the exchange digraph of ``x`` in
+    the ``equality_subgraph`` rows of ``dual``.
 
-    The per-component slack is computed from the already-updated potentials,
-    and it is floored at twice the largest slack that counts as tight
-    (``model._tight_slack``) so removed edges clear the tightness test.  On
-    an integral instance that floor is 0: its slacks are exact, as long as
-    the halved slacks are (up to about 2**50).
+    The per-component slack is the least slack of an edge leaving the
+    component, computed from the already-updated potentials, or 1 when no
+    edge leaves it.  Either is floored at twice the largest slack that
+    counts as tight (``model._tight_slack``) so removed edges clear the
+    tightness test.  On an integral instance that floor is 0: its slacks
+    are exact, as long as the halved slacks are (up to about 2**50).
     """
-    subgraph = equality_subgraph(inst, dual)
+    rows = equality_subgraph(inst, dual)
     try:
-        digraph = build_exchange_digraph(subgraph, x)
+        components, _, has_incoming, _ = _condense(rows, x)
     except FeasibilityError as exc:
         raise FeasibilityError(
             f"inputs are not an optimal pair: {exc}") from exc
     alpha = list(dual.alpha)
     beta = list(dual.beta)
     floor = 2 * _tight_slack(inst)
-    components = digraph.components
     for ci in range(len(components) - 1, -1, -1):
-        if not digraph.has_incoming[ci]:
+        if not has_incoming[ci]:
             continue
         comp = components[ci]
         comp_labels = {x[v] for v in comp}
@@ -213,12 +185,9 @@ def shift_to_relative_interior(inst: LapInstance, dual: LapDual,
                 s = c - av - beta[lab]
                 if slack is None or s < slack:
                     slack = s
-        if slack is None:
-            delta = 1
-        elif slack < floor:
+        delta = 1 if slack is None else slack
+        if delta < floor:
             delta = floor
-        else:
-            delta = slack
         half = _half_cost(delta)
         for v in comp:
             alpha[v] += half

@@ -79,6 +79,12 @@ def example1_final_dual():
     return LapDual([2, 3, 5, 4, 5], [0, 0, -1, 2, 4])
 
 
+def tight_pairs(rows):
+    """The ``(vertex, label)`` pairs of tight rows, as ``equality_subgraph``
+    returns them."""
+    return {(v, lab) for v, labs in enumerate(rows) for lab in labs}
+
+
 def random_lap(rng, n, *, extra=0.35, lo=0, hi=9):
     """Random square instance with a planted perfect matching."""
     perm = list(range(n))

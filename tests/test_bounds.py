@@ -12,11 +12,14 @@ from qapbound import bounds
 from qapbound.beta_steps import beta_bca_pass, beta_exact_update
 from qapbound.bounds import METHODS, BoundReport, SolverConfig, dual_bound, run
 from qapbound.formats import load_instance
-from qapbound.model import DUMMY, IlapInstance, IqapInstance
+from qapbound.model import (DUMMY, IlapInstance, IqapInstance, LapInstance,
+                            _MAX_COST_SUM, dual_objective, lap_objective)
 from qapbound.oracle import brute_force_optimum
+from qapbound.reduction import _relative_interior_flag, _solve_interior
 from qapbound.wcsp import IqapDualState, mplp_pp_pass
 
-from helpers import copy_state, pairwise_minimum, random_iqap, seeded
+from helpers import (copy_state, pairwise_minimum, random_ilap, random_iqap,
+                     random_lap, seeded)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -487,3 +490,88 @@ class TestReport:
     def test_trajectory_can_be_omitted(self):
         report = BoundReport(instance="x", method="bca", final_bound=0.0)
         assert "bound_trajectory" not in report.to_dict(include_trajectory=False)
+
+
+def _cost_sum(unary, edges=()):
+    """The model's cost-range sum: each vertex's largest absolute cost plus
+    each edge's."""
+    return math.fsum([*(max(map(abs, row)) for row in unary.costs),
+                      *(e.max_abs_cost for e in edges)])
+
+
+def _scaled_to_the_cost_limit(inst):
+    """``inst`` with every cost scaled so that its cost-range sum is just
+    below ``model._MAX_COST_SUM`` (None for an all-zero instance)."""
+    unary = inst.unary if isinstance(inst, IqapInstance) else inst
+    edges = inst.edges if isinstance(inst, IqapInstance) else ()
+    total = _cost_sum(unary, edges)
+    if total == 0:
+        return None
+    # The margin covers the rounding of each product.
+    f = _MAX_COST_SUM / total * (1 - 2.0**-50)
+    costs = [[c * f for c in row] for row in unary.costs]
+    if isinstance(inst, LapInstance):
+        return LapInstance(unary.allowed, costs)
+    core = IlapInstance(unary.allowed, costs, unary.num_labels)
+    if not isinstance(inst, IqapInstance):
+        return core
+    return IqapInstance(core, [
+        (e.u, e.v, {key: c * f for key, c in e.cells.items()})
+        for e in edges])
+
+
+def _finite(values):
+    return all(math.isfinite(x) for x in values)
+
+
+class TestCostRange:
+    def test_every_output_is_finite_at_the_limit(self):
+        # Instances of 1-4 vertices with their costs scaled to the largest
+        # cost-range sum the model takes: every LAP and ILAP solves to a
+        # finite assignment value and relative-interior dual, whose check
+        # runs without raising, and every IQAP keeps a finite bound,
+        # trajectory and dual state through 50 iterations of each method.
+        rng = seeded(2901)
+        counts = {LapInstance: 0, IlapInstance: 0, IqapInstance: 0}
+        while min(counts.values()) < 50:
+            kind = rng.choice(list(counts))
+            if counts[kind] >= 50:
+                continue
+            if kind is LapInstance:
+                inst = random_lap(rng, rng.randint(1, 4), lo=-9, hi=9)
+            elif kind is IlapInstance:
+                inst = random_ilap(rng, max_vertices=4, max_labels=4)
+            else:
+                inst = random_iqap(rng, max_vertices=4, max_labels=3)
+            inst = _scaled_to_the_cost_limit(inst)
+            if inst is None:
+                continue
+            counts[kind] += 1
+            if kind is not IqapInstance:
+                solved = _solve_interior(inst)
+                if solved is None:
+                    continue
+                x, dual = solved
+                assert math.isfinite(lap_objective(inst, x))
+                assert _finite(dual.alpha) and _finite(dual.beta)
+                assert math.isfinite(dual_objective(inst, dual))
+                _relative_interior_flag(inst, dual, x)  # must not raise
+                continue
+            for method in METHODS:
+                report = run(inst, SolverConfig(
+                    method=method, max_iterations=50,
+                    bound_improvement_epsilon=0))
+                assert math.isfinite(report.final_bound)
+                assert _finite(report.bound_trajectory)
+                state = IqapDualState(inst)
+                for _ in range(50):
+                    mplp_pp_pass(state)
+                    if method == "bca":
+                        beta_bca_pass(state)
+                    else:
+                        beta_exact_update(
+                            state, relative_interior=method == "hung-ri")
+                assert _finite(state.beta)
+                assert all(_finite(row) for row in state.theta_phi)
+                assert all(_finite(msg) for msg in state.phi.values())
+                assert math.isfinite(dual_bound(inst, state))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from qapbound import batch, cli
+from qapbound.bounds import METHODS
 from qapbound.cli import _lap_payload, _relative_interior_flag, main
 from qapbound.lap import solve_lap
 from qapbound.model import IlapDual, IlapInstance, LapDual, dual_objective
@@ -368,6 +369,37 @@ class TestQaplibCostRange:
         assert err == ("error: costs computed from flow and distance exceed "
                        "the float range\n")
         assert "Traceback" not in err
+
+
+# Files whose costs are each finite but whose sums leave the float range.
+BIG_COST_FILES = {
+    "big.dd": ("p 2 2 4 1\na 0 0 0 1.7e308\na 1 0 1 -1.7e308\n"
+               "a 2 1 0 1.7e308\na 3 1 1 -1.7e308\ne 0 3 -1.7e308\n"),
+    "big.lap": ("p lap 2\na 0 0 1.7e308\na 0 1 1.7e308\n"
+                "a 1 0 1.7e308\na 1 1 1.7e308\n"),
+    "big.ilap": ("p ilap 2 2\nd 0 0\nd 1 0\na 0 0 1.7e308\n"
+                 "a 0 1 -1.7e308\na 1 0 -1.7e308\na 1 1 1.7e308\n"),
+}
+
+
+class TestCostSumRange:
+    """A file whose costs sum past the model's cost range is an input
+    error for every command, not a traceback or a non-finite output."""
+
+    @pytest.mark.parametrize("argv", [
+        *(["solve", "--method", m, "--max-iters", "3"] for m in METHODS),
+        ["lap", "--output", "json"], ["verify"],
+    ], ids=[*(f"solve-{m}" for m in METHODS), "lap", "verify"])
+    @pytest.mark.parametrize("name", sorted(BIG_COST_FILES))
+    def test_is_input_error(self, tmp_path, capsys, name, argv):
+        path = tmp_path / name
+        path.write_text(BIG_COST_FILES[name])
+        code, out, err = run_cli(capsys, *argv, "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: costs too large: the largest absolute costs of the "
+            "vertices and edges must sum to at most "
+            f"{sys.float_info.max / 4!r}\n")
 
 
 class TestVerify:

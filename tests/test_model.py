@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -22,7 +23,7 @@ from qapbound.model import (
     require_dual_feasible,
     require_feasible,
 )
-from qapbound.model import _as_cost, _normalize_costs
+from qapbound.model import _MAX_COST_SUM, _as_cost, _normalize_costs
 from qapbound.oracle import brute_force_optimum
 from qapbound.reduction import reduce_ilap_to_lap
 from qapbound.wcsp import IqapDualState
@@ -109,6 +110,63 @@ class TestInstanceConstruction:
         big = LapInstance([[0]], [[10**6]])
         assert big.atol > small.atol
         assert small.atol == pytest.approx(2e-9)
+
+
+_LIMIT = _MAX_COST_SUM
+_ABOVE = math.nextafter(_LIMIT, math.inf)
+
+
+def _lap(*row_maxima):
+    """A square instance whose row ``v`` holds ``row_maxima[v]`` and 0."""
+    n = len(row_maxima)
+    return LapInstance([[0, 1] if n > 1 else [0]] * n,
+                       [[m, 0] if n > 1 else [m] for m in row_maxima])
+
+
+def _ilap(*row_maxima):
+    return IlapInstance([[DUMMY]] * len(row_maxima),
+                        [[m] for m in row_maxima], 0)
+
+
+def _iqap(unary_max, edge_max):
+    core = IlapInstance([[DUMMY, 0], [DUMMY, 0]],
+                        [[0, unary_max], [0, 0]], 1)
+    return IqapInstance(core, [(0, 1, {(0, DUMMY): -edge_max})])
+
+
+class TestCostRange:
+    """Each vertex's largest absolute cost plus each edge's may sum to at
+    most ``_MAX_COST_SUM``, checked once by each constructor."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: _lap(_LIMIT / 2, -_LIMIT / 2),
+        # ``num_vertices * max_abs_cost`` is above the limit, the sum is not
+        lambda: _lap(_LIMIT / 2, _LIMIT / 4, -_LIMIT / 4),
+        lambda: _ilap(-_LIMIT, 0),
+        lambda: _iqap(_LIMIT / 2, _LIMIT / 2),
+        lambda: _iqap(0, _LIMIT),
+    ], ids=["lap", "lap-rows-below-n-times-max", "ilap", "iqap", "iqap-edge"])
+    def test_sum_at_the_limit_is_taken(self, build):
+        build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: _lap(_ABOVE / 2, -_LIMIT / 2),
+        lambda: _lap(1.7e308, 1.7e308),
+        lambda: _lap(10**400, 1),
+        lambda: _ilap(_ABOVE, 0),
+        lambda: _ilap(-10**400),
+        lambda: _iqap(_LIMIT / 2, _ABOVE / 2),
+        lambda: _iqap(0, _ABOVE),
+        lambda: _iqap(_LIMIT / 2, 1.7e308),
+    ], ids=["lap", "lap-overflowing-sum", "lap-big-int", "ilap",
+            "ilap-big-int", "iqap", "iqap-edge", "iqap-overflowing-sum"])
+    def test_sum_above_the_limit_is_rejected(self, build):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert type(info.value) is ValueError
+        assert str(info.value) == (
+            "costs too large: the largest absolute costs of the vertices "
+            f"and edges must sum to at most {_LIMIT!r}")
 
 
 class TestObjectives:

@@ -2,16 +2,18 @@ import time
 
 import pytest
 
-from qapbound.lap import EqualitySubgraph, equality_subgraph, solve_lap
+from qapbound.lap import equality_subgraph, solve_lap
 from qapbound.model import (
     DualInfeasibleError,
     FeasibilityError,
     LapDual,
     LapInstance,
     dual_objective,
+    require_dual_feasible,
 )
 from qapbound.relative_interior import (
-    build_exchange_digraph,
+    _condense,
+    _exchange_adjacency,
     perfectly_matchable_edges,
     shift_to_relative_interior,
 )
@@ -24,75 +26,80 @@ from helpers import (
     minimally_assignable_pairs,
     random_lap,
     seeded,
+    tight_pairs,
 )
 
 
-def example1_subgraph():
-    inst = example1_instance()
-    return inst, equality_subgraph(inst, example1_initial_dual())
+def example1_rows():
+    return equality_subgraph(example1_instance(), example1_initial_dual())
 
 
 class TestExchangeDigraph:
     def test_example_edges_and_cycles(self):
-        _, subgraph = example1_subgraph()
-        digraph = build_exchange_digraph(subgraph, EXAMPLE1_MATCHING)
-        assert set(digraph.edges()) == {
+        adjacency, _ = _exchange_adjacency(example1_rows(), EXAMPLE1_MATCHING)
+        edges = tight_pairs(adjacency)
+        assert edges == {
             (0, 1), (0, 3), (0, 4), (1, 3), (3, 1), (2, 4), (4, 2), (3, 4)}
-        cycle_edges = {(u, v) for (u, v) in digraph.edges()
-                       if (v, u) in set(digraph.edges())}
+        cycle_edges = {(u, v) for (u, v) in edges if (v, u) in edges}
         assert cycle_edges == {(1, 3), (3, 1), (2, 4), (4, 2)}
 
     def test_example_condensation(self):
-        _, subgraph = example1_subgraph()
-        digraph = build_exchange_digraph(subgraph, EXAMPLE1_MATCHING)
-        assert [set(c) for c in digraph.components] == [{0}, {1, 3}, {2, 4}]
-        assert digraph.has_incoming == (False, True, True)
+        components, _, has_incoming, _ = _condense(example1_rows(),
+                                                   EXAMPLE1_MATCHING)
+        assert [set(c) for c in components] == [{0}, {1, 3}, {2, 4}]
+        assert has_incoming == [False, True, True]
 
     def test_matching_only_subgraph(self):
         x = [2, 0, 1]
-        subgraph = EqualitySubgraph(((2,), (0,), (1,)))
-        digraph = build_exchange_digraph(subgraph, x)
-        assert all(not adj for adj in digraph.adjacency)
-        assert len(digraph.components) == 3
-        assert digraph.has_incoming == (False, False, False)
+        rows = ((2,), (0,), (1,))
+        adjacency, _ = _exchange_adjacency(rows, x)
+        assert all(not adj for adj in adjacency)
+        components, _, has_incoming, _ = _condense(rows, x)
+        assert len(components) == 3
+        assert has_incoming == [False, False, False]
 
     def test_rejects_matching_outside_subgraph(self):
-        subgraph = EqualitySubgraph(((0,), (1,)))
         with pytest.raises(FeasibilityError):
-            build_exchange_digraph(subgraph, [1, 0])
+            _exchange_adjacency(((0,), (1,)), [1, 0])
 
-    @pytest.mark.parametrize("x, message", [
-        ([0], "assignment has 1 entries, expected 2"),
-        ([1, 1], "assignment is not a perfect matching: label 1 reused or "
-                 "out of range"),
-        ([0, 2], "assignment is not a perfect matching: label 2 reused or "
-                 "out of range"),
-    ], ids=["wrong-length", "reused-label", "label-out-of-range"])
-    def test_rejects_an_assignment_that_is_no_perfect_matching(self, x,
-                                                              message):
+    # Under the zero dual every pair of ``[[0, 0], [0, 0]]`` is tight, and
+    # only the diagonal of ``[[0, 1], [1, 0]]``.
+    @pytest.mark.parametrize("costs, x, message", [
+        ([[0, 0], [0, 0]], [0], "assignment has 1 entries, expected 2"),
+        ([[0, 0], [0, 0]], [1, 1],
+         "assignment is not a perfect matching: label 1 reused or "
+         "out of range"),
+        ([[0, 0], [0, 0]], [0, 2],
+         "assignment is not a perfect matching: label 2 reused or "
+         "out of range"),
+        ([[0, 1], [1, 0]], [1, 0],
+         "matched edge (0, 1) is missing from the tight-edge subgraph"),
+    ], ids=["wrong-length", "reused-label", "label-out-of-range",
+            "matched-edge-not-tight"])
+    def test_rejects_an_assignment_that_is_no_perfect_matching(self, costs,
+                                                              x, message):
+        inst = LapInstance([[0, 1], [0, 1]], costs)
+        dual = LapDual([0, 0], [0, 0])
         with pytest.raises(FeasibilityError) as info:
-            build_exchange_digraph(EqualitySubgraph(((0, 1), (0, 1))), x)
+            perfectly_matchable_edges(equality_subgraph(inst, dual), x)
         assert str(info.value) == message
-        # every pair is tight under the zero dual
-        inst = LapInstance([[0, 1], [0, 1]], [[0, 0], [0, 0]])
         with pytest.raises(FeasibilityError) as info:
-            shift_to_relative_interior(inst, LapDual([0, 0], [0, 0]), x)
+            shift_to_relative_interior(inst, dual, x)
         assert str(info.value) == "inputs are not an optimal pair: " + message
 
 
 class TestPerfectlyMatchableEdges:
     def test_example_circled_set(self):
-        _, subgraph = example1_subgraph()
         assert perfectly_matchable_edges(
-            subgraph, EXAMPLE1_MATCHING) == EXAMPLE1_OPTIMAL_PAIRS
+            example1_rows(), EXAMPLE1_MATCHING) == EXAMPLE1_OPTIMAL_PAIRS
 
     def test_matching_only(self):
-        subgraph = EqualitySubgraph(((1,), (0,)))
-        assert perfectly_matchable_edges(subgraph, [1, 0]) == {(0, 1), (1, 0)}
+        assert perfectly_matchable_edges(((1,), (0,)), [1, 0]) == {
+            (0, 1), (1, 0)}
 
     def test_complete_bipartite_all_matchable(self):
-        subgraph = EqualitySubgraph(tuple((0, 1, 2) for _ in range(3)))
-        pm = perfectly_matchable_edges(subgraph, [0, 1, 2])
+        rows = tuple((0, 1, 2) for _ in range(3))
+        pm = perfectly_matchable_edges(rows, [0, 1, 2])
         assert pm == {(v, lab) for v in range(3) for lab in range(3)}
         # cross-checked against enumeration on an all-zero instance
         zero = LapInstance([[0, 1, 2]] * 3, [[0, 0, 0]] * 3)
@@ -142,6 +149,24 @@ class TestShift:
                                  r"label 0$"):
             shift_to_relative_interior(inst, dual, EXAMPLE1_MATCHING)
 
+    def test_component_without_leaving_edge_takes_the_floor(self):
+        # Costs near 1e17: the window is near 2e8, so a slack of 1 is lost
+        # to rounding.  Component {3} (vertex 3, label 1) has no edge
+        # leaving it and must still be shifted by the floor, twice the
+        # window, or the tight edge (1, 1) into it goes below zero when
+        # component {1} takes the floor next.
+        f = 2.247116418577893e16
+        inst = LapInstance(
+            [[0, 3], [1, 2], [1, 2, 3], [1]],
+            [[c * f for c in row]
+             for row in [[-8, -7], [-3, -2], [0, -7, 3], [-2]]])
+        x, dual = solve_lap(inst)
+        log = []
+        shifted = shift_to_relative_interior(inst, dual, x, delta_log=log)
+        assert log == [2 * inst.atol] * 2
+        require_dual_feasible(inst, shifted)
+        assert dual_objective(inst, shifted) == dual_objective(inst, dual)
+
     def test_random_instances_active_set_matches_enumeration(self):
         rng = seeded(55)
         done = 0
@@ -155,25 +180,21 @@ class TestShift:
             log = []
             shifted = shift_to_relative_interior(inst, dual, x, delta_log=log)
             assert all(d > 0 for d in log)
-            before = set(equality_subgraph(inst, dual).edges())
-            after = set(equality_subgraph(inst, shifted).edges())
+            rows = equality_subgraph(inst, dual)
+            before = tight_pairs(rows)
+            after = tight_pairs(equality_subgraph(inst, shifted))
             assert after <= before
             # removed edges cross component boundaries of the exchange digraph
-            digraph = build_exchange_digraph(
-                equality_subgraph(inst, dual), x)
-            xinv = [0] * 6
-            for v, lab in enumerate(x):
-                xinv[lab] = v
+            _, component_of, _, xinv = _condense(rows, x)
             for (v, lab) in before - after:
-                assert digraph.component_of[v] != digraph.component_of[xinv[lab]]
+                assert component_of[v] != component_of[xinv[lab]]
             # objective preserved, characterization, enumeration agreement
             assert dual_objective(inst, shifted) == dual_objective(inst, dual)
-            assert after == perfectly_matchable_edges(
-                equality_subgraph(inst, dual), x)
+            assert after == perfectly_matchable_edges(rows, x)
             assert after == minimally_assignable_pairs(inst)
             # idempotence on the tight-edge set
             again = shift_to_relative_interior(inst, shifted, x)
-            assert set(equality_subgraph(inst, again).edges()) == after
+            assert tight_pairs(equality_subgraph(inst, again)) == after
 
 
     def test_large_single_cycle(self):
@@ -188,9 +209,9 @@ class TestShift:
         out = shift_to_relative_interior(inst, dual, x)
         assert time.perf_counter() - start < 2.0
         assert out.alpha == [0] * n and out.beta == [0] * n
-        subgraph = equality_subgraph(inst, out)
-        assert len(list(subgraph.edges())) == 2 * n
-        assert perfectly_matchable_edges(subgraph, x) == set(subgraph.edges())
+        rows = equality_subgraph(inst, out)
+        assert sum(map(len, rows)) == 2 * n
+        assert perfectly_matchable_edges(rows, x) == tight_pairs(rows)
 
 
 def _timed(fn):
