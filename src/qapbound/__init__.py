@@ -7,10 +7,9 @@ that lower-bounds quadratic assignment objectives, together with readers
 for the common benchmark formats and a CLI.
 """
 
-from .model import (DEFAULT_TOLERANCE, DUMMY, DualInfeasibleError,
-                    FeasibilityError, IlapDual, IlapInstance, IqapInstance,
-                    LapDual, LapInstance, dual_objective, iqap_objective,
-                    lap_objective)
+from .model import (DEFAULT_TOLERANCE, DUMMY, Dual, DualInfeasibleError,
+                    FeasibilityError, IlapInstance, IqapInstance, LapInstance,
+                    dual_objective, iqap_objective, lap_objective)
 from .lap import equality_subgraph, solve_lap
 from .relative_interior import (perfectly_matchable_edges,
                                 shift_to_relative_interior)
@@ -26,12 +25,12 @@ from .formats import (DEFAULT_DUMMY_COST, augment_instance,
 
 # The public names, listed so that ``from qapbound import *`` binds none of
 # the submodules that the imports above bind as package attributes.
-__all__ = ("DEFAULT_TOLERANCE", "DUMMY", "DualInfeasibleError",
-           "FeasibilityError", "IlapDual", "IlapInstance", "IqapInstance",
-           "LapDual", "LapInstance", "dual_objective", "iqap_objective",
-           "lap_objective", "equality_subgraph", "solve_lap",
-           "perfectly_matchable_edges", "shift_to_relative_interior",
-           "decompose_assignment", "lift_assignment", "lift_dual",
+__all__ = ("DEFAULT_TOLERANCE", "DUMMY", "Dual", "DualInfeasibleError",
+           "FeasibilityError", "IlapInstance", "IqapInstance", "LapInstance",
+           "dual_objective", "iqap_objective", "lap_objective",
+           "equality_subgraph", "solve_lap", "perfectly_matchable_edges",
+           "shift_to_relative_interior", "decompose_assignment",
+           "lift_assignment", "lift_dual",
            "reduce_ilap_to_lap", "solve_ilap", "IqapDualState", "mplp_pp_pass",
            "beta_bca_pass", "beta_coordinate_update", "beta_exact_update",
            "DEFAULT_EPSILON", "METHODS", "BoundReport", "SolverConfig",

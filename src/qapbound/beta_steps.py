@@ -15,7 +15,7 @@ improve it:
 
 from __future__ import annotations
 
-from .model import DUMMY
+from .model import DUMMY, _label_potentials
 from .reduction import solve_ilap
 from .wcsp import IqapDualState
 
@@ -33,7 +33,7 @@ def beta_coordinate_update(state: IqapDualState, lab: int) -> None:
     inst = state.inst.unary
     if not (0 <= lab < inst.num_labels):
         raise ValueError(f"label {lab} out of range")
-    beta = state.beta
+    pot = _label_potentials(state.beta)
     b1 = b2 = None
     for v in inst.vertices_for_label[lab]:
         row_labs = inst.allowed[v]
@@ -44,7 +44,7 @@ def beta_coordinate_update(state: IqapDualState, lab: int) -> None:
             if lab2 == lab:
                 own = cost
                 continue
-            value = cost if lab2 == DUMMY else cost - beta[lab2]
+            value = cost - pot[lab2]
             if alt is None or value < alt:
                 alt = value
         t = own - alt  # alt exists: the dummy is always an alternative
@@ -56,7 +56,7 @@ def beta_coordinate_update(state: IqapDualState, lab: int) -> None:
         b1 = b2 = 0
     elif b2 is None:
         b2 = 0
-    beta[lab] = (min(b1, 0) + min(b2, 0)) / 2
+    state.beta[lab] = (min(b1, 0) + min(b2, 0)) / 2
 
 
 def beta_bca_pass(state: IqapDualState) -> None:

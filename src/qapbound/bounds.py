@@ -36,10 +36,10 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from itertools import chain
-from operator import add
+from operator import add, sub
 
 from .beta_steps import beta_bca_pass, beta_exact_update
-from .model import DUMMY, IqapInstance
+from .model import IqapInstance, _label_potentials
 from .wcsp import IqapDualState, _edge_minimum, mplp_pp_pass
 
 METHODS = ("bca", "hung", "hung-ri")
@@ -130,11 +130,10 @@ def dual_bound(inst: IqapInstance, state: IqapDualState) -> float:
         else:
             total += _edge_minimum(out_u, out_v, e,
                                    _scaled_rows(e.rows_u, scale))
-    beta = _scaled([min(b, 0) for b in state.beta], scale)
-    total += sum(beta)
+    pot = _label_potentials(_scaled([min(b, 0) for b in state.beta], scale))
+    total += sum(pot)
     for labs, row in zip(unary.allowed, sums):
-        total += min([c if lab == DUMMY else c - beta[lab]
-                      for lab, c in zip(labs, row)])
+        total += min(map(sub, row, map(pot.__getitem__, labs)))
     return _round_down(total, scale) if scale else total
 
 
@@ -192,15 +191,18 @@ def _round_down(num: int, den: int) -> float:
 
 
 def _bound_after_pass(state: IqapDualState) -> float:
-    """The bound of ``state`` without its edge terms.
+    """The bound of ``state`` without its edge terms: ``sum(beta)`` plus,
+    per vertex, the least of its reparametrized unaries minus the label
+    potentials (``model._label_potentials``, 0 for the dummy).
 
     After a full ``mplp_pp_pass`` each edge's cheapest reparametrized cell
     is 0 in exact arithmetic, and the label step does not touch messages,
     so this float value is the bound up to rounding.
     """
     total = sum(state.beta)
-    for v in range(state.inst.num_vertices):
-        total += min(state.tilde(v))
+    pot = _label_potentials(state.beta)
+    for labs, row in zip(state.inst.unary.allowed, state.theta_phi):
+        total += min(map(sub, row, map(pot.__getitem__, labs)))
     return total
 
 

@@ -7,7 +7,8 @@ Subcommands:
 * ``lap``: solve a single square or dummy-label instance exactly, print the
   assignment, value, dual, and a relative-interior self-check flag.
 * ``verify``: cross-check the solvers against exhaustive enumeration on a
-  small instance.
+  small instance; above the enumeration guard, check the certificate of a
+  square or dummy-label instance.
 * ``batch``: run a method-by-instance grid from a manifest and print the
   result table.
 
@@ -34,6 +35,7 @@ from .formats import ParseError, augment_instance, load_instance
 from .model import (
     DUMMY,
     DualInfeasibleError,
+    FeasibilityError,
     IlapInstance,
     IqapInstance,
     LapInstance,
@@ -43,6 +45,7 @@ from .model import (
 from .oracle import (
     _exact_optimum,
     brute_force_optimum,
+    certificate_checks,
     check_dual_relative_interior,
     search_space_size,
     SEARCH_SPACE_GUARD,
@@ -170,6 +173,25 @@ def _verify_unary(inst: LapInstance | IlapInstance) -> bool:
     return ok
 
 
+def _verify_certificate(inst: LapInstance | IlapInstance) -> bool | None:
+    """Check the certificate of ``_solve_interior`` without enumeration;
+    None for a square instance without a perfect matching."""
+    solved = _solve_interior(inst)
+    if solved is None:
+        return None
+    x, dual = solved
+    ok = True
+    for name, passed, detail in certificate_checks(inst, x, dual):
+        ok &= _check(name, passed, detail)
+    try:
+        interior, detail = _relative_interior_flag(inst, dual, x), ""
+    except (DualInfeasibleError, FeasibilityError) as exc:
+        interior, detail = False, str(exc)
+    ok &= _check("exchange digraph puts every tight edge on an optimum",
+                 interior, detail)
+    return ok
+
+
 def _verify_iqap(inst: IqapInstance) -> bool:
     value, optima = brute_force_optimum(inst)
     # compared exactly: the certified bound may exceed the float-summed value
@@ -194,11 +216,15 @@ def _verify_iqap(inst: IqapInstance) -> bool:
 def _cmd_verify(args) -> int:
     inst = _load(args)
     size = search_space_size(inst)
-    if size > SEARCH_SPACE_GUARD:
+    ok = None
+    if size <= SEARCH_SPACE_GUARD:
+        ok = _verify_iqap(inst) if isinstance(inst, IqapInstance) else _verify_unary(inst)
+    elif not isinstance(inst, IqapInstance):
+        ok = _verify_certificate(inst)
+    if ok is None:
         print(f"skipped: search space of {size} assignments exceeds "
               f"the enumeration guard of {SEARCH_SPACE_GUARD}")
         return 0
-    ok = _verify_iqap(inst) if isinstance(inst, IqapInstance) else _verify_unary(inst)
     if not ok:
         raise CheckFailure("verification failed")
     print("all checks passed")

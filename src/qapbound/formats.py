@@ -37,6 +37,7 @@ from .records import (
     ParseError,
     _cost_column,
     _cost_field,
+    _heads,
     _index_column,
     _index_field,
     _int_field,
@@ -44,8 +45,8 @@ from .records import (
     _pair_block,
     _pair_record,
     _read_records,
+    _records,
     _slices,
-    _tokenize,
 )
 
 AUGMENT_VALUE = 10**7
@@ -86,55 +87,58 @@ def parse_dd(text: str, *, dummy_cost=DEFAULT_DUMMY_COST,
     unary: dict[tuple[int, int], float] = {}
     edge_cells: dict[tuple[int, int], dict] = {}
 
-    def line_rule(line, tokens):
+    def line_rule(numbered):
         nonlocal header, header_line
-        kind = tokens[0]
-        if kind == "p":
-            if header is not None:
-                raise ParseError("duplicate header", line)
-            if len(tokens) != 5:
-                raise ParseError("header must be 'p N0 N1 A E'", line)
-            header = tuple(_int_field(t, "header field", line) for t in tokens[1:])
-            if any(v < 0 for v in header):
-                raise ParseError("header counts must be non-negative", line)
-            header_line = line
-        elif kind == "a":
-            if header is None:
-                raise ParseError("assignment record before header", line)
-            if len(tokens) != 5:
-                raise ParseError("assignment record must be 'a id vertex label cost'", line)
-            rec_id = _index_field(tokens[1], "assignment id", header[2], line)
-            if rec_id in records:
-                raise ParseError(f"duplicate assignment id {rec_id}", line)
-            records[rec_id] = _pair_record(tokens[2:], header[0], header[1],
-                                           unary, line)
-        elif kind == "e":
-            if header is None:
-                raise ParseError("edge record before header", line)
-            if len(tokens) != 4:
-                raise ParseError("edge record must be 'e id1 id2 cost'", line)
-            id1 = _int_field(tokens[1], "assignment id", line)
-            id2 = _int_field(tokens[2], "assignment id", line)
-            cost = _cost_field(tokens[3], line)
-            if id1 not in records or id2 not in records:
-                missing = id1 if id1 not in records else id2
-                raise ParseError(f"edge references unknown assignment id {missing}", line)
-            u, k = records[id1]
-            v, l = records[id2]
-            if u == v:
-                raise ParseError(
-                    f"edge connects two assignments of vertex {u}", line)
-            if u > v:
-                u, v, k, l = v, u, l, k
-            # ids map one to one onto (vertex, label) pairs
-            cells = edge_cells.setdefault((u, v), {})
-            if (k, l) in cells:
-                raise ParseError(
-                    f"duplicate edge between assignment ids {min(id1, id2)} "
-                    f"and {max(id1, id2)}", line)
-            cells[(k, l)] = cost
-        else:
-            raise ParseError(f"unknown record type {kind!r}", line)
+        for line, tokens in numbered:
+            kind = tokens[0]
+            if kind == "p":
+                if header is not None:
+                    raise ParseError("duplicate header", line)
+                if len(tokens) != 5:
+                    raise ParseError("header must be 'p N0 N1 A E'", line)
+                header = tuple(_int_field(t, "header field", line) for t in tokens[1:])
+                if any(v < 0 for v in header):
+                    raise ParseError("header counts must be non-negative", line)
+                header_line = line
+            elif kind == "a":
+                if header is None:
+                    raise ParseError("assignment record before header", line)
+                if len(tokens) != 5:
+                    raise ParseError(
+                        "assignment record must be 'a id vertex label cost'", line)
+                rec_id = _index_field(tokens[1], "assignment id", header[2], line)
+                if rec_id in records:
+                    raise ParseError(f"duplicate assignment id {rec_id}", line)
+                records[rec_id] = _pair_record(tokens[2:], header[0], header[1],
+                                               unary, line)
+            elif kind == "e":
+                if header is None:
+                    raise ParseError("edge record before header", line)
+                if len(tokens) != 4:
+                    raise ParseError("edge record must be 'e id1 id2 cost'", line)
+                id1 = _int_field(tokens[1], "assignment id", line)
+                id2 = _int_field(tokens[2], "assignment id", line)
+                cost = _cost_field(tokens[3], line)
+                if id1 not in records or id2 not in records:
+                    missing = id1 if id1 not in records else id2
+                    raise ParseError(
+                        f"edge references unknown assignment id {missing}", line)
+                u, k = records[id1]
+                v, l = records[id2]
+                if u == v:
+                    raise ParseError(
+                        f"edge connects two assignments of vertex {u}", line)
+                if u > v:
+                    u, v, k, l = v, u, l, k
+                # ids map one to one onto (vertex, label) pairs
+                cells = edge_cells.setdefault((u, v), {})
+                if (k, l) in cells:
+                    raise ParseError(
+                        f"duplicate edge between assignment ids {min(id1, id2)} "
+                        f"and {max(id1, id2)}", line)
+                cells[(k, l)] = cost
+            else:
+                raise ParseError(f"unknown record type {kind!r}", line)
 
     def assignment_block(ids, vertices, labels, costs):
         if header is None:
@@ -213,43 +217,44 @@ def parse_lap_file(text: str):
     dummy: dict[int, float] = {}
     entries: dict[tuple[int, int], float] = {}
 
-    def line_rule(line, tokens):
+    def line_rule(numbered):
         nonlocal header
-        kind = tokens[0]
-        if kind == "p":
-            if header is not None:
-                raise ParseError("duplicate header", line)
-            if len(tokens) >= 2 and tokens[1] == "lap":
+        for line, tokens in numbered:
+            kind = tokens[0]
+            if kind == "p":
+                if header is not None:
+                    raise ParseError("duplicate header", line)
+                if len(tokens) >= 2 and tokens[1] == "lap":
+                    if len(tokens) != 3:
+                        raise ParseError("header must be 'p lap n'", line)
+                    n = _int_field(tokens[2], "size", line)
+                    header = ("lap", n, n)
+                elif len(tokens) >= 2 and tokens[1] == "ilap":
+                    if len(tokens) != 4:
+                        raise ParseError("header must be 'p ilap nv nl'", line)
+                    header = ("ilap", _int_field(tokens[2], "vertex count", line),
+                              _int_field(tokens[3], "label count", line))
+                else:
+                    raise ParseError("header must start 'p lap' or 'p ilap'", line)
+                if min(header[1:]) < 0:
+                    raise ParseError("header counts must be non-negative", line)
+            elif kind == "d":
+                if header is None or header[0] != "ilap":
+                    raise ParseError("dummy record outside an ilap file", line)
                 if len(tokens) != 3:
-                    raise ParseError("header must be 'p lap n'", line)
-                n = _int_field(tokens[2], "size", line)
-                header = ("lap", n, n)
-            elif len(tokens) >= 2 and tokens[1] == "ilap":
+                    raise ParseError("dummy record must be 'd vertex cost'", line)
+                v = _index_field(tokens[1], "vertex", header[1], line)
+                if v in dummy:
+                    raise ParseError(f"duplicate dummy record for vertex {v}", line)
+                dummy[v] = _cost_field(tokens[2], line)
+            elif kind == "a":
+                if header is None:
+                    raise ParseError("assignment record before header", line)
                 if len(tokens) != 4:
-                    raise ParseError("header must be 'p ilap nv nl'", line)
-                header = ("ilap", _int_field(tokens[2], "vertex count", line),
-                          _int_field(tokens[3], "label count", line))
+                    raise ParseError("record must be 'a vertex label cost'", line)
+                _pair_record(tokens[1:], header[1], header[2], entries, line)
             else:
-                raise ParseError("header must start 'p lap' or 'p ilap'", line)
-            if min(header[1:]) < 0:
-                raise ParseError("header counts must be non-negative", line)
-        elif kind == "d":
-            if header is None or header[0] != "ilap":
-                raise ParseError("dummy record outside an ilap file", line)
-            if len(tokens) != 3:
-                raise ParseError("dummy record must be 'd vertex cost'", line)
-            v = _index_field(tokens[1], "vertex", header[1], line)
-            if v in dummy:
-                raise ParseError(f"duplicate dummy record for vertex {v}", line)
-            dummy[v] = _cost_field(tokens[2], line)
-        elif kind == "a":
-            if header is None:
-                raise ParseError("assignment record before header", line)
-            if len(tokens) != 4:
-                raise ParseError("record must be 'a vertex label cost'", line)
-            _pair_record(tokens[1:], header[1], header[2], entries, line)
-        else:
-            raise ParseError(f"unknown record type {kind!r}", line)
+                raise ParseError(f"unknown record type {kind!r}", line)
 
     def assignment_block(vertices, labels, costs):
         if header is None:
@@ -462,7 +467,7 @@ def sniff_format(text: str) -> str:
     to the ``.ilap`` one.  Anything else, such as a QAPLIB size, is QAPLIB.
     """
     for first, lines in _slices(text):
-        for _, tokens in _tokenize(lines, first):
+        for _, tokens in _records(lines, _heads(lines), first):
             if tokens[0] == "p":
                 if len(tokens) >= 2 and tokens[1] in ("lap", "ilap"):
                     return tokens[1]

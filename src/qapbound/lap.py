@@ -23,13 +23,13 @@ from heapq import heappop, heappush
 from itertools import repeat
 from operator import lt
 
-from .model import LapDual, LapInstance, _tight_slack, require_dual_feasible
+from .model import Dual, LapInstance, _tight_slack, require_dual_feasible
 
 INF = math.inf
 
 
 def equality_subgraph(inst: LapInstance,
-                      dual: LapDual) -> tuple[tuple[int, ...], ...]:
+                      dual: Dual) -> tuple[tuple[int, ...], ...]:
     """Labels whose dual constraint is tight (see ``model._tight_slack``),
     as one sorted tuple per vertex: ``rows[v]`` holds the labels ``lab``
     with ``(v, lab)`` in the tight-edge subgraph.
@@ -37,15 +37,14 @@ def equality_subgraph(inst: LapInstance,
     Rejects duals that are infeasible beyond tolerance, since the set of
     tight constraints is not meaningful for them.  One list of slacks per
     row serves both the feasibility check and the tight labels; a dual of
-    the wrong kind or length, or a row with a violated constraint, is
-    handed to ``require_dual_feasible``, which raises its own error.  The
-    instance must be square: a dummy-label instance raises ``ValueError``.
+    the wrong length, or a row with a violated constraint, is handed to
+    ``require_dual_feasible``, which raises its own error.  The instance
+    must be square: a dummy-label instance raises ``ValueError``.
     """
-    if not (isinstance(inst, LapInstance) and isinstance(dual, LapDual)
-            and len(dual.alpha) == inst.num_vertices
+    if not (isinstance(inst, LapInstance) and len(dual.alpha) == inst.num_vertices
             and len(dual.beta) == inst.num_labels):
         require_dual_feasible(inst, dual)
-        raise ValueError("expected a LapInstance and a LapDual")
+        raise ValueError("expected a LapInstance")
     floor = repeat(-inst.atol)
     tight = _tight_slack(inst)
     beta = dual.beta
@@ -87,7 +86,7 @@ def solve_lap(inst: LapInstance):
     """
     n = inst.num_vertices
     if n == 0:
-        return [], LapDual([], [])
+        return [], Dual([], [])
     alpha = [min(cs) for cs in inst.costs]
     zero = 0 if inst.integral else 0.0
     beta = [zero] * n
@@ -161,4 +160,4 @@ def solve_lap(inst: LapInstance):
                 break
             lab = next_lab
 
-    return match_label, LapDual(alpha, beta)
+    return match_label, Dual(alpha, beta)

@@ -62,6 +62,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
+# The dummy label.  It is -1 so that it indexes the last entry of a list:
+# ``_label_potentials`` appends the dummy's potential, 0, to ``beta``.
 DUMMY = -1
 
 DEFAULT_TOLERANCE = 1e-9
@@ -616,47 +618,45 @@ def iqap_objective(inst: IqapInstance, x: Assignment):
 
 
 @dataclass
-class LapDual:
-    """Vertex potentials ``alpha`` and label potentials ``beta``."""
+class Dual:
+    """Vertex potentials ``alpha`` and label potentials ``beta``, one per
+    non-dummy label.  The instance decides which constraints apply: on a
+    dummy-label instance ``beta`` is non-positive and the dummy's potential
+    is 0 (see ``_label_potentials``)."""
 
     alpha: list
     beta: list
 
 
-@dataclass
-class IlapDual:
-    """Vertex potentials and non-positive potentials for non-dummy labels."""
-
-    alpha: list
-    beta: list
+def _label_potentials(beta) -> list:
+    """``beta`` with the dummy label's potential, 0, appended, so that every
+    label of an allowed row, ``DUMMY`` included, indexes its potential."""
+    return [*beta, 0]
 
 
 def require_dual_feasible(inst, dual) -> None:
     """Raise ``DualInfeasibleError`` at the first dual constraint violated
-    beyond ``inst.atol``.  A dual of the wrong class or length raises
-    ``ValueError``."""
+    beyond ``inst.atol``: on a dummy-label instance the sign of each
+    ``beta`` first, then every allowed pair.  A dual of the wrong length
+    raises ``ValueError``."""
     unary = unary_part(inst)
     tol = inst.atol
+    square = isinstance(unary, LapInstance)
     if len(dual.alpha) != unary.num_vertices:
         raise ValueError("alpha length does not match the vertex count")
-    if isinstance(unary, LapInstance):
-        if not isinstance(dual, LapDual):
-            raise ValueError("expected a LapDual for a LapInstance")
-        if len(dual.beta) != unary.num_labels:
-            raise ValueError("beta length does not match the label count")
-    else:
-        if not isinstance(dual, IlapDual):
-            raise ValueError("expected an IlapDual for this instance")
-        if len(dual.beta) != unary.num_labels:
-            raise ValueError("beta length does not match the non-dummy label count")
+    if len(dual.beta) != unary.num_labels:
+        raise ValueError(
+            "beta length does not match the label count" if square else
+            "beta length does not match the non-dummy label count")
+    if not square:
         for lab, b in enumerate(dual.beta):
             if b > tol:
                 raise DualInfeasibleError(f"beta[{lab}] = {b} exceeds zero")
+    pot = _label_potentials(dual.beta)
     for v, (labs, cs) in enumerate(zip(unary.allowed, unary.costs)):
         av = dual.alpha[v]
         for lab, c in zip(labs, cs):
-            b = 0 if lab == DUMMY else dual.beta[lab]
-            if c - av - b < -tol:
+            if c - av - pot[lab] < -tol:
                 raise DualInfeasibleError(
                     f"dual constraint violated at vertex {v}, label {lab}")
 

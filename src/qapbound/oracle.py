@@ -1,10 +1,11 @@
-"""Exhaustive reference implementations for small instances.
+"""Reference checks of the solvers, for the tests and the ``verify`` command.
 
-Everything here enumerates the full assignment space and exists only to
-cross-check the solvers in tests and in the ``verify`` command.  The code
-deliberately shares nothing with the solver modules: it uses only the data
-model, including its feasibility checks and ``unary_part``, and it refuses
-instances whose raw search space exceeds the guard.
+The enumerations cover the full assignment space, so they refuse instances
+whose raw search space exceeds the guard.  ``certificate_checks`` checks an
+assignment and a dual of a LAP or ILAP against each other at any size,
+exactly on integral input.  The code deliberately shares nothing with the
+solver modules: it uses only the data model, including its feasibility
+checks and ``unary_part``.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ from fractions import Fraction
 
 from .model import (
     DUMMY,
+    FeasibilityError,
     IlapInstance,
     IqapInstance,
     LapInstance,
     _tight_slack,
     require_dual_feasible,
+    require_feasible,
     unary_part,
 )
 
@@ -175,3 +178,61 @@ def check_dual_relative_interior(inst, dual) -> bool:
     tight = _tight_slack(inst)
     zero_beta = {lab for lab, b in enumerate(dual.beta) if b >= -tight}
     return zero_beta == _labels_unused_somewhere(optima, inst.num_labels)
+
+
+def certificate_checks(inst, x, dual) -> list[tuple[str, bool, str]]:
+    """Whether assignment ``x`` and ``dual`` prove each other optimal for
+    the LAP or ILAP ``inst``, without enumeration: ``x`` is feasible,
+    ``dual`` is feasible, and the dual objective equals the value of ``x``.
+    Returns one ``(check, ok, detail)`` per check.
+
+    Every number is read as a ``Fraction``, and a constraint or the equality
+    holds within ``_tight_slack(inst)``: exactly on an integral instance,
+    whose ``atol`` can exceed 1 and would hide a violation of one half, and
+    within ``atol`` on a float one.
+    """
+    window = Fraction(_tight_slack(inst))
+    try:
+        require_feasible(inst, x)
+    except FeasibilityError as exc:
+        value, primal = None, (False, str(exc))
+    else:
+        value = sum(Fraction(inst.cost(v, lab)) for v, lab in enumerate(x))
+        primal = (True, "")
+    objective = sum(map(Fraction, [*dual.alpha, *dual.beta]))
+    if value is None:
+        equal = (False, "no value to compare")
+    else:
+        equal = (abs(objective - value) <= window,
+                 f"value {_shown(value)}, dual objective {_shown(objective)}")
+    return [("assignment is feasible", *primal),
+            ("dual is feasible", *_dual_violation(inst, dual, window)),
+            ("dual objective equals the assignment's value", *equal)]
+
+
+def _dual_violation(inst, dual, window: Fraction) -> tuple[bool, str]:
+    """``(ok, detail)`` of the dual constraints of ``inst`` within
+    ``window``: a non-positive ``beta`` on a dummy-label instance, and at
+    each allowed pair a slack of at least ``-window``, the dummy's
+    potential being 0."""
+    if (len(dual.alpha) != inst.num_vertices
+            or len(dual.beta) != inst.num_labels):
+        return False, "dual dimensions do not match the instance"
+    beta = list(map(Fraction, dual.beta))
+    if isinstance(inst, IlapInstance):
+        for lab, b in enumerate(beta):
+            if b > window:
+                return False, f"beta[{lab}] = {_shown(b)} exceeds zero"
+    for v, (labs, cs) in enumerate(zip(inst.allowed, inst.costs)):
+        av = Fraction(dual.alpha[v])
+        for lab, c in zip(labs, cs):
+            slack = Fraction(c) - av - (0 if lab == DUMMY else beta[lab])
+            if slack < -window:
+                return False, (f"constraint at vertex {v}, label {lab} "
+                               f"violated by {_shown(-slack)}")
+    return True, ""
+
+
+def _shown(q: Fraction) -> str:
+    """``q`` as an int when it is one, else as its nearest float."""
+    return str(q.numerator if q.denominator == 1 else float(q))

@@ -1,11 +1,11 @@
 """Reading the records of instance text, for the readers in ``formats``.
 
-``_read_records`` gives each run of records of one letter to a reader's
-block rule, a block of lines at a time, and every other record, or a block
-with a fault, to its line rule.  Every number a line rule reads goes
-through a field rule, whose errors name the token's line; a block rule
-reads whole columns through the column forms of the same rules, which
-name nothing.
+``_read_records`` gives each run of records of one letter that spans at
+least ``_MIN_RUN`` lines to a reader's block rule, a block of lines at a
+time, and every other record, or a block with a fault, to its line rule.
+Every number a line rule reads goes through a field rule, whose errors
+name the token's line; a block rule reads whole columns through the
+column forms of the same rules, which name nothing.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from itertools import compress, count
 
 from .model import _as_cost
 
@@ -32,9 +33,9 @@ class ParseError(ValueError):
 _FIRST_SLICE = 1 << 12
 _SLICE = 1 << 16
 _BLOCK = 512
-# Runs in the string of line heads: an ``a`` or ``e`` run takes the comment
-# and blank lines inside and after it, and any other run is read by line.
-_RUNS = re.compile(r"a[ac]*|e[ec]*|[^ae]+")
+# The fewest lines a run of ``a`` or ``e`` records must span to be read in
+# blocks; a shorter run costs less by line than a block's set-up.
+_MIN_RUN = 8
 
 
 def _slices(text: str):
@@ -51,30 +52,43 @@ def _slices(text: str):
         start, size = end, min(2 * size, _SLICE)
 
 
-def _tokenize(lines, first: int):
-    """Yield (line number, tokens) for the non-empty, non-comment lines of
-    ``lines``, the first of which is line ``first``."""
-    for number, raw in enumerate(lines, first):
-        tokens = raw.split()
-        if tokens and not tokens[0].startswith("c"):
-            yield number, tokens
+def _heads(lines) -> str:
+    """The first character of each line; a blank line reads as a comment."""
+    return "".join([raw.lstrip()[:1] or "c" for raw in lines])
+
+
+def _records(lines, heads: str, first: int):
+    """``(line number, tokens)`` for each record of ``lines``, the first of
+    which is line ``first``: every line whose head is not ``c``.  The
+    pipeline runs in C, with no Python frame per line."""
+    numbered = zip(count(first), map(str.split, lines))
+    if "c" not in heads:
+        return numbered
+    return compress(numbered, map("c".__ne__, heads))
 
 
 def _read_records(text: str, line_rule, block_rules: dict) -> None:
     """Read the records of ``text`` in file order.
 
-    A run of records whose letter is in ``block_rules``, a ``letter ->
-    (width, rule)`` map, is read in blocks of at most ``_BLOCK`` lines:
-    ``rule`` gets the block's token columns after the letter, one list per
-    field.  A rule raises ``ValueError`` on any fault, having changed
-    nothing, and the block is then re-read through ``line_rule(line,
-    tokens)``, which reads every other record too; so the first fault in
-    file order raises its line's message.
+    A run of at least ``_MIN_RUN`` lines of records whose letter is in
+    ``block_rules``, a ``letter -> (width, rule)`` map, is read in blocks
+    of at most ``_BLOCK`` lines: ``rule`` gets the block's token columns
+    after the letter, one list per field.  A rule raises ``ValueError`` on
+    any fault, having changed nothing, and the block is then re-read
+    through ``line_rule``, which reads every other record too; so the
+    first fault in file order raises its line's message.  ``line_rule``
+    takes the ``(line number, tokens)`` pairs of ``_records``, every record
+    between two such runs at once, so short runs cost one call, not one
+    per line.
     """
     for first, lines in _slices(text):
-        # The first character of each line; a blank line reads as a comment.
-        heads = "".join([raw.lstrip()[:1] or "c" for raw in lines])
-        for run in _RUNS.finditer(heads):
+        heads = _heads(lines)
+        done = 0
+        # A run takes the comment and blank lines inside and after it.
+        more = _MIN_RUN - 1
+        for run in re.finditer(rf"a[ac]{{{more},}}|e[ec]{{{more},}}", heads):
+            line_rule(_records(lines[done:run.start()],
+                               heads[done:run.start()], first + done))
             letter = heads[run.start()]
             width, rule = block_rules.get(letter, (0, None))
             for start in range(run.start(), run.end(), _BLOCK):
@@ -82,8 +96,10 @@ def _read_records(text: str, line_rule, block_rules: dict) -> None:
                 block = lines[start:stop]
                 if rule is None or not _read_block(
                         letter, width, rule, block, heads[start:stop]):
-                    for line, tokens in _tokenize(block, first + start):
-                        line_rule(line, tokens)
+                    line_rule(_records(block, heads[start:stop],
+                                       first + start))
+            done = run.end()
+        line_rule(_records(lines[done:], heads[done:], first + done))
 
 
 def _read_block(letter: str, width: int, rule, lines, heads: str) -> bool:

@@ -50,9 +50,8 @@ from .lap import equality_subgraph, solve_lap
 from .model import (
     DUMMY,
     Assignment,
-    IlapDual,
+    Dual,
     IlapInstance,
-    LapDual,
     LapInstance,
     _half_cost,
     require_feasible,
@@ -158,7 +157,7 @@ def decompose_assignment(inst: IlapInstance, xp: Assignment):
     return x1, x2
 
 
-def lift_dual(inst: IlapInstance, dual: IlapDual) -> LapDual:
+def lift_dual(inst: IlapInstance, dual: Dual) -> Dual:
     """Mirror a dual of ``inst`` into the reduced instance.
 
     Each node gets half of its vertex's or label's potential on both sides,
@@ -170,17 +169,17 @@ def lift_dual(inst: IlapInstance, dual: IlapDual) -> LapDual:
     if len(dual.alpha) != inst.num_vertices or len(dual.beta) != inst.num_labels:
         raise ValueError("dual dimensions do not match the instance")
     halves = [_half_cost(p) for p in (*dual.alpha, *dual.beta)]
-    return LapDual(halves, list(halves))
+    return Dual(halves, list(halves))
 
 
-def _map_dual_unchecked(nv: int, nl: int, dual_p: LapDual) -> IlapDual:
+def _map_dual_unchecked(nv: int, nl: int, dual_p: Dual) -> Dual:
     """Fold a reduced-instance dual back onto ``nv`` vertices and ``nl``
     labels: each gets the sum of its node's two potentials.  Feasibility,
     optimality and relative-interior membership carry over; nothing is
     checked."""
     alpha = [dual_p.alpha[v] + dual_p.beta[v] for v in range(nv)]
     beta = [dual_p.alpha[nv + lab] + dual_p.beta[nv + lab] for lab in range(nl)]
-    return IlapDual(alpha, beta)
+    return Dual(alpha, beta)
 
 
 def _exact_base(inst: IlapInstance):
@@ -219,7 +218,7 @@ def solve_ilap(inst: IlapInstance, *, relative_interior: bool = False):
         dual_p = shift_to_relative_interior(reduced, dual_p, xp)
     dual = _map_dual_unchecked(inst.num_vertices, inst.num_labels, dual_p)
     if doubled:
-        dual = IlapDual([_half_cost(a) for a in dual.alpha],
+        dual = Dual([_half_cost(a) for a in dual.alpha],
                         [_half_cost(b) for b in dual.beta])
     # ``base`` has ``inst``'s structure, so it decomposes ``xp`` the same
     # way, and its reduction is already memoized.
@@ -251,7 +250,7 @@ def _relative_interior_flag(inst: LapInstance | IlapInstance, dual,
     if isinstance(inst, IlapInstance):
         base, doubled = _exact_base(inst)
         if doubled:
-            dual = IlapDual([2 * a for a in dual.alpha],
+            dual = Dual([2 * a for a in dual.alpha],
                             [2 * b for b in dual.beta])
         dual = lift_dual(base, dual)
         x = lift_assignment(base, x)

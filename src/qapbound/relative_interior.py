@@ -15,7 +15,7 @@ pairs.
 from __future__ import annotations
 
 from .lap import equality_subgraph
-from .model import (Assignment, FeasibilityError, LapDual, LapInstance,
+from .model import (Assignment, Dual, FeasibilityError, LapInstance,
                     _half_cost, _tight_slack)
 
 
@@ -140,9 +140,9 @@ def perfectly_matchable_edges(rows, x: Assignment) -> set[tuple[int, int]]:
             if component_of[xinv[lab]] == component_of[v]}
 
 
-def shift_to_relative_interior(inst: LapInstance, dual: LapDual,
+def shift_to_relative_interior(inst: LapInstance, dual: Dual,
                                x: Assignment, *,
-                               delta_log: list | None = None) -> LapDual:
+                               delta_log: list | None = None) -> Dual:
     """Move an optimal dual into the relative interior of the optimal set.
 
     ``dual`` must be dual optimal and ``x`` an optimal assignment, which is
@@ -195,4 +195,4 @@ def shift_to_relative_interior(inst: LapInstance, dual: LapDual,
             beta[lab] -= half
         if delta_log is not None:
             delta_log.append(delta)
-    return LapDual(alpha, beta)
+    return Dual(alpha, beta)

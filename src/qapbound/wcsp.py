@@ -33,8 +33,8 @@ cheapest column is answered by that column: no stored cell can undercut
 it.  So the scan reads the transposed table's entry for that column, the
 rows that store it, and visits only those (about three in ten on
 graph-matching edges).  A pass builds the label potential of each label
-once, as one row per vertex, and a handshake subtracts that row from the
-cached unaries.
+once, as one row per vertex read from ``model._label_potentials`` (so the
+dummy's is 0), and a handshake subtracts that row from the cached unaries.
 
 Each row's stored cells are kept in ascending cost order, so the scan of a
 row stops at its first cell whose cost plus the cheapest column is not below
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from operator import sub
 
-from .model import DUMMY, IqapInstance
+from .model import IqapInstance, _label_potentials
 
 _INF = float("inf")
 
@@ -88,21 +88,6 @@ class IqapDualState:
         has_edge = {v for v, _ in self.phi}
         self.theta_phi = [list(map(float, row)) if v in has_edge else list(row)
                           for v, row in enumerate(inst.unary.costs)]
-
-    def potentials(self, v: int) -> list:
-        """The label potential of each label of ``v``: 0 for the dummy,
-        ``beta[lab]`` otherwise, in ``inst.unary.allowed[v]`` order."""
-        beta = self.beta
-        return [0 if lab == DUMMY else beta[lab]
-                for lab in self.inst.unary.allowed[v]]
-
-    def tilde(self, v: int) -> list:
-        """Reparametrized unary of ``v`` minus its ``potentials``.
-
-        The dummy label's entry is its reparametrized cost minus int 0,
-        which is that cost itself.
-        """
-        return list(map(sub, self.theta_phi[v], self.potentials(v)))
 
 
 def _row_minima(base: list, rows: tuple, trans: tuple | None,
@@ -200,8 +185,8 @@ def _transposes(edge) -> tuple:
 
 
 def _handshake(state: IqapDualState, e, pot_u: list, pot_v: list) -> None:
-    """Edge update on ``e``, with the label potentials of ``e.u`` and of
-    ``e.v`` given as ``IqapDualState.potentials`` rows."""
+    """Edge update on ``e``, with the label potential of each label of
+    ``e.u`` and of ``e.v`` given as rows parallel to their allowed rows."""
     u, v = e.u, e.v
     phi_uv = state.phi[(u, v)]
     phi_vu = state.phi[(v, u)]
@@ -232,7 +217,8 @@ def mplp_pp_pass(state: IqapDualState, *, backward: bool = False) -> None:
     potential rows are built once per pass.
     """
     edges = state.inst.edges
-    pots = [state.potentials(v) for v in range(state.inst.num_vertices)]
+    pot = _label_potentials(state.beta)
+    pots = [list(map(pot.__getitem__, labs)) for labs in state.inst.unary.allowed]
     for e in edges:
         _handshake(state, e, pots[e.u], pots[e.v])
     if backward:

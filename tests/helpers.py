@@ -18,12 +18,13 @@ import pytest
 from qapbound import formats, wcsp
 from qapbound.model import (
     DUMMY,
+    Dual,
     FeasibilityError,
     IlapInstance,
     IqapInstance,
-    LapDual,
     LapInstance,
     _as_cost,
+    _label_potentials,
     require_dual_feasible,
 )
 from qapbound.oracle import (
@@ -72,11 +73,11 @@ def example1_instance():
 
 
 def example1_initial_dual():
-    return LapDual([2, 2, 3, 3, 3], [1, 1, 1, 4, 4])
+    return Dual([2, 2, 3, 3, 3], [1, 1, 1, 4, 4])
 
 
 def example1_final_dual():
-    return LapDual([2, 3, 5, 4, 5], [0, 0, -1, 2, 4])
+    return Dual([2, 3, 5, 4, 5], [0, 0, -1, 2, 4])
 
 
 def tight_pairs(rows):
@@ -283,7 +284,7 @@ def reference_solve_lap(inst):
     solver must return a ``repr``-identical result."""
     n = inst.num_vertices
     if n == 0:
-        return [], LapDual([], [])
+        return [], Dual([], [])
     alpha = [min(cs) for cs in inst.costs]
     zero = 0 if inst.integral else 0.0
     beta = [zero] * n
@@ -335,7 +336,7 @@ def reference_solve_lap(inst):
             if u == start:
                 break
             lab = next_lab
-    return match_label, LapDual(alpha, beta)
+    return match_label, Dual(alpha, beta)
 
 
 def _reference_records(text):
@@ -642,8 +643,10 @@ def mplp_pp_edge_update(state, u, v):
     edge = state.inst.edge_between(u, v)
     if edge is None:
         raise ValueError(f"no edge between vertices {u} and {v}")
-    wcsp._handshake(state, edge, state.potentials(edge.u),
-                    state.potentials(edge.v))
+    pot = _label_potentials(state.beta)
+    labels = state.inst.unary.allowed
+    wcsp._handshake(state, edge, [pot[lab] for lab in labels[edge.u]],
+                    [pot[lab] for lab in labels[edge.v]])
 
 
 def pairwise_minimum(state, edge):

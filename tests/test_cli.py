@@ -11,8 +11,10 @@ from qapbound import batch, cli
 from qapbound.bounds import METHODS
 from qapbound.cli import _lap_payload, _relative_interior_flag, main
 from qapbound.lap import solve_lap
-from qapbound.model import IlapDual, IlapInstance, LapDual, dual_objective
-from qapbound.oracle import brute_force_optimum, check_dual_relative_interior
+from qapbound.formats import load_instance
+from qapbound.model import Dual, IlapInstance, dual_objective
+from qapbound.oracle import (SEARCH_SPACE_GUARD, brute_force_optimum,
+                             check_dual_relative_interior, search_space_size)
 from qapbound.reduction import solve_ilap
 from qapbound.relative_interior import shift_to_relative_interior
 from qapbound.results import BEST_BOUND_FACTOR
@@ -284,8 +286,7 @@ class TestLapPayload:
             inst = inst.with_costs([[base + c for c in row]
                                     for row in inst.costs])
             payload = _lap_payload(inst)
-            kind = IlapDual if isinstance(inst, IlapInstance) else LapDual
-            dual = kind(payload["alpha"], payload["beta"])
+            dual = Dual(payload["alpha"], payload["beta"])
             assert payload["relative_interior"] is True
             assert check_dual_relative_interior(inst, dual)
 
@@ -454,8 +455,9 @@ class TestVerify:
         ("big.dd", "p 7 7 49 0\n" + "".join(
             f"a {7 * v + lab} {v} {lab} 1\n"
             for v in range(7) for lab in range(7)), 8**7),
-        ("big.lap", "p lap 9\n" + "".join(
-            f"a {v} {lab} 1\n" for v in range(9) for lab in range(9)), 9**9),
+        # square, but label 8 is allowed nowhere: no perfect matching
+        ("unmatched.lap", "p lap 9\n" + "".join(
+            f"a {v} {lab} 1\n" for v in range(9) for lab in range(8)), 8**9),
     ])
     def test_above_the_guard_is_skipped(self, tmp_path, capsys, name, text,
                                         size):
@@ -465,6 +467,52 @@ class TestVerify:
         assert (code, out, err) == (
             0, f"skipped: search space of {size} assignments exceeds the "
                "enumeration guard of 1000000\n", "")
+
+    @pytest.mark.parametrize("name", ["big.lap", "above_guard.lap",
+                                      "above_guard.ilap"])
+    def test_above_the_guard_the_certificate_is_checked(self, tmp_path, capsys,
+                                                        name):
+        path = FIXTURES / name
+        if name == "big.lap":
+            path = tmp_path / name
+            path.write_text("p lap 9\n" + "".join(
+                f"a {v} {lab} 1\n" for v in range(9) for lab in range(9)))
+        assert search_space_size(load_instance(path)) > SEARCH_SPACE_GUARD
+        code, out, err = run_cli(capsys, "verify", "--input", str(path))
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert [line.split(": ")[0] for line in lines] == [
+            "assignment is feasible", "dual is feasible",
+            "dual objective equals the assignment's value",
+            "exchange digraph puts every tight edge on an optimum",
+            "all checks passed"]
+        assert all(line.split(": ")[1].startswith("ok") for line in lines[:-1])
+
+    @pytest.mark.parametrize("name", ["above_guard.lap", "above_guard.ilap"])
+    @pytest.mark.parametrize("delta", [0.5, -0.5], ids=["raised", "lowered"])
+    def test_nudged_certificate_fails_above_the_guard(self, monkeypatch, capsys,
+                                                      name, delta):
+        # Costs near 1e9 put ``atol`` near 1, so only an exact check sees a
+        # vertex potential moved by one half.
+        path = FIXTURES / name
+        inst = load_instance(path)
+        assert inst.integral and inst.atol > 2 * abs(delta)
+        solve = cli._solve_interior
+
+        def nudged(inst):
+            x, dual = solve(inst)
+            return x, type(dual)([dual.alpha[0] + delta, *dual.alpha[1:]],
+                                 dual.beta)
+
+        monkeypatch.setattr(cli, "_solve_interior", nudged)
+        code, out, err = run_cli(capsys, "verify", "--input", str(path))
+        assert (code, err) == (2, "error: verification failed\n")
+        assert "assignment is feasible: ok\n" in out
+        assert "dual objective equals the assignment's value: FAIL (" in out
+        # vertex 0 is tight at its own label, so raising its potential
+        # breaks a constraint of vertex 0
+        assert ("dual is feasible: FAIL (constraint at vertex 0, label "
+                if delta > 0 else "dual is feasible: ok\n") in out
 
 
 def _no_pool(*args, **kwargs):

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -809,19 +810,37 @@ def _lap_texts(count, seed):
         yield _render(rng, records, crlf=rng.random() < 0.3)
 
 
-# Block and slice sizes of the reader: its own, and small ones that put
-# block and slice ends all over short texts.
-_READER_SIZES = [None, (3, 16, 64)]
+# Block, slice and shortest-run sizes of the reader: its own, and small
+# ones that put block and slice ends all over short texts and read runs
+# of two lines in blocks.
+_READER_SIZES = [None, (3, 16, 64, 2)]
+
+
+def _lines_read_by_line(text):
+    """Line numbers of the records of ``text`` outside every run of ``a``
+    or ``e`` lines, with the comment and blank lines after each, that spans
+    at least ``records._MIN_RUN`` lines of one slice of the text."""
+    out = set()
+    for first, lines in records._slices(text):
+        heads = "".join([raw.lstrip()[:1] or "c" for raw in lines])
+        blocked = set()
+        for run in re.finditer(r"a[ac]*|e[ec]*", heads):
+            if len(run.group()) >= records._MIN_RUN:
+                blocked.update(range(*run.span()))
+        out.update(first + i for i, head in enumerate(heads)
+                   if head != "c" and i not in blocked)
+    return out
 
 
 class TestBlockReader:
     @pytest.fixture(params=_READER_SIZES, ids=["default-sizes", "small-sizes"])
     def sizes(self, request, monkeypatch):
         if request.param is not None:
-            block, first, size = request.param
+            block, first, size, min_run = request.param
             monkeypatch.setattr(records, "_BLOCK", block)
             monkeypatch.setattr(records, "_FIRST_SLICE", first)
             monkeypatch.setattr(records, "_SLICE", size)
+            monkeypatch.setattr(records, "_MIN_RUN", min_run)
 
     def test_dd_texts_read_as_the_line_reader_reads_them(self, sizes):
         outcomes = set()
@@ -859,20 +878,25 @@ class TestBlockReader:
         assert outcomes == {"ok", "error"}
 
     def test_valid_records_skip_the_field_rules(self, sizes, monkeypatch):
-        # The line rules of ``parse_dd`` read through these names; its
-        # block rules read through the column rules.
-        calls = []
+        # The line rules of ``parse_dd`` read through these names, the line
+        # number last; its block rules read through the column rules.  So
+        # a record in a run of at least ``_MIN_RUN`` lines reaches none of
+        # them, and the header and the records of shorter runs do.
+        lines = set()
         for name in ("_int_field", "_index_field", "_cost_field", "_pair_record"):
             rule = getattr(formats, name)
-            monkeypatch.setattr(formats, name, lambda *args, rule=rule, name=name:
-                                calls.append(name) or rule(*args))
+            monkeypatch.setattr(formats, name, lambda *args, rule=rule:
+                                lines.add(args[-1]) or rule(*args))
         rng = seeded(271)
+        by_line = 0
         for long in [True] + [False] * 40:
             text = _render(rng, _dd_records(rng, long), crlf=rng.random() < 0.5)
             parse_dd(text)
-            # the header's four counts only
-            assert calls == ["_int_field"] * 4
-            calls.clear()
+            assert lines == _lines_read_by_line(text)
+            by_line += len(lines)
+            lines.clear()
+        # the header of each text, and more
+        assert by_line > 41
 
     def test_augmented_read_matches(self):
         rng = seeded(269)

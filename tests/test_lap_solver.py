@@ -3,10 +3,9 @@ import pytest
 from qapbound.lap import equality_subgraph, solve_lap
 from qapbound.model import (
     DUMMY,
+    Dual,
     DualInfeasibleError,
-    IlapDual,
     IlapInstance,
-    LapDual,
     LapInstance,
     dual_objective,
     lap_objective,
@@ -242,13 +241,13 @@ class TestEqualitySubgraph:
 
     def test_strict_slack_everywhere_gives_empty_subgraph(self):
         inst = example1_instance()
-        dual = LapDual([min(cs) - 1 for cs in inst.costs], [0] * 5)
+        dual = Dual([min(cs) - 1 for cs in inst.costs], [0] * 5)
         assert equality_subgraph(inst, dual) == ((),) * 5
 
     def test_rejects_infeasible_dual(self):
         inst = example1_instance()
         with pytest.raises(DualInfeasibleError):
-            equality_subgraph(inst, LapDual([100] * 5, [0] * 5))
+            equality_subgraph(inst, Dual([100] * 5, [0] * 5))
 
     def test_raises_the_error_of_require_dual_feasible(self):
         # Duals violated in one row or several, by a little more than the
@@ -262,7 +261,7 @@ class TestEqualitySubgraph:
             for v in rng.sample(range(len(alpha)),
                                 k=rng.randint(1, min(2, len(alpha)))):
                 alpha[v] += rng.choice([2 * inst.atol, 1, 7])
-            dual = LapDual(alpha, list(dual.beta))
+            dual = Dual(alpha, list(dual.beta))
             try:
                 require_dual_feasible(inst, dual)
             except DualInfeasibleError as err:
@@ -277,10 +276,9 @@ class TestEqualitySubgraph:
         assert raised > 100
 
     @pytest.mark.parametrize("dual", [
-        LapDual([0] * 4, [0] * 5),
-        LapDual([0] * 5, [0] * 6),
-        LapDual([0] * 5, []),
-        IlapDual([0] * 5, [0] * 5),
+        Dual([0] * 4, [0] * 5),
+        Dual([0] * 5, [0] * 6),
+        Dual([0] * 5, []),
     ])
     def test_rejects_a_dual_of_the_wrong_kind_or_length(self, dual):
         inst = example1_instance()
@@ -294,7 +292,7 @@ class TestEqualitySubgraph:
     def test_rejects_a_dummy_label_instance(self):
         inst = IlapInstance([[DUMMY, 0]], [[0, 1]], 1)
         with pytest.raises(ValueError, match="LapInstance"):
-            equality_subgraph(inst, IlapDual([0], [0]))
+            equality_subgraph(inst, Dual([0], [0]))
 
     def test_tight_labels_match_a_scan_of_every_cell(self):
         # Feasible duals whose slacks land on, just inside and just outside
@@ -308,7 +306,7 @@ class TestEqualitySubgraph:
             atol = inst.atol
             alpha = [a - rng.choice([0, atol / 2, atol, 2 * atol, 1])
                      for a in dual.alpha]
-            dual = LapDual(alpha, list(dual.beta))
+            dual = Dual(alpha, list(dual.beta))
             # An integral instance's tight test is exact.
             tight = 0 if inst.integral else atol
             want = tuple(

@@ -9,12 +9,11 @@ from qapbound.formats import convert_qaplib_to_iqap
 from qapbound.model import (
     DEFAULT_TOLERANCE,
     DUMMY,
+    Dual,
     DualInfeasibleError,
     FeasibilityError,
-    IlapDual,
     IlapInstance,
     IqapInstance,
-    LapDual,
     LapInstance,
     PairwiseEdge,
     dual_objective,
@@ -333,8 +332,8 @@ class TestDuals:
         require_dual_feasible(inst, dual)
         assert dual_objective(inst, dual) == 24
 
-    @pytest.mark.parametrize("dual", [LapDual([0] * 4, [0] * 5),
-                                      LapDual([0] * 5, [0] * 6)],
+    @pytest.mark.parametrize("dual", [Dual([0] * 4, [0] * 5),
+                                      Dual([0] * 5, [0] * 6)],
                              ids=["alpha", "beta"])
     def test_dual_objective_rejects_wrong_dimensions(self, dual):
         with pytest.raises(ValueError) as info:
@@ -343,36 +342,36 @@ class TestDuals:
 
     def test_zero_dual_infeasible_on_negative_costs(self):
         inst = LapInstance([[0]], [[-1]])
-        assert _raised(require_dual_feasible, inst, LapDual([0], [0])) == (
+        assert _raised(require_dual_feasible, inst, Dual([0], [0])) == (
             DualInfeasibleError,
             "dual constraint violated at vertex 0, label 0")
 
     def test_dimension_mismatch_raises(self):
         inst = example1_instance()
-        assert _raised(require_dual_feasible, inst, LapDual([0], [0])) == (
+        assert _raised(require_dual_feasible, inst, Dual([0], [0])) == (
             ValueError, "alpha length does not match the vertex count")
 
     def test_ilap_beta_sign(self):
         inst = IlapInstance([[DUMMY, 0]], [[0, 5]], 1)
-        assert _raised(require_dual_feasible, inst, IlapDual([0], [1.0])) == (
+        assert _raised(require_dual_feasible, inst, Dual([0], [1.0])) == (
             DualInfeasibleError, "beta[0] = 1.0 exceeds zero")
 
     @pytest.mark.parametrize("inst, dual, message", [
-        (DUAL_LAP, IlapDual([0, 0], [0, 0]),
-         "expected a LapDual for a LapInstance"),
-        (DUAL_LAP, IlapDual([0, 0], [0]),
-         "expected a LapDual for a LapInstance"),
-        (DUAL_LAP, LapDual([0], [0, 0]),
-         "alpha length does not match the vertex count"),
-        (DUAL_LAP, IlapDual([0], [0]),
-         "alpha length does not match the vertex count"),
-        (DUAL_LAP, LapDual([0, 0], [0]),
+        (DUAL_LAP, Dual([0, 0], [0, 0, 0]),
          "beta length does not match the label count"),
-        (DUAL_ILAP, LapDual([0, 0], [0, 0]),
-         "expected an IlapDual for this instance"),
-        (DUAL_ILAP, IlapDual([0, 0, 0], [0, 0]),
+        (DUAL_LAP, Dual([0, 0], [0]),
+         "beta length does not match the label count"),
+        (DUAL_LAP, Dual([0], [0, 0]),
          "alpha length does not match the vertex count"),
-        (DUAL_ILAP, IlapDual([0, 0], [5, 5, 5]),
+        (DUAL_LAP, Dual([0], [0]),
+         "alpha length does not match the vertex count"),
+        (DUAL_LAP, Dual([0, 0], [0]),
+         "beta length does not match the label count"),
+        (DUAL_ILAP, Dual([0, 0], [0]),
+         "beta length does not match the non-dummy label count"),
+        (DUAL_ILAP, Dual([0, 0, 0], [0, 0]),
+         "alpha length does not match the vertex count"),
+        (DUAL_ILAP, Dual([0, 0], [5, 5, 5]),
          "beta length does not match the non-dummy label count"),
     ])
     def test_malformed_dual_messages(self, inst, dual, message):
@@ -380,23 +379,30 @@ class TestDuals:
             ValueError, message)
 
     @pytest.mark.parametrize("inst, dual, expected", [
-        (DUAL_LAP, LapDual([0, 0], [0, 0]), None),
-        (DUAL_LAP, LapDual([0, 2], [0, 0]),
+        (DUAL_LAP, Dual([0, 0], [0, 0]), None),
+        (DUAL_LAP, Dual([0, 2], [0, 0]),
          (DualInfeasibleError,
           "dual constraint violated at vertex 1, label 0")),
-        (DUAL_ILAP, IlapDual([0, 0], [0, 0]), None),
-        (DUAL_ILAP, IlapDual([0, 0], [-1, 0.5]),
+        (DUAL_ILAP, Dual([0, 0], [0, 0]), None),
+        (DUAL_ILAP, Dual([0, 0], [-1, 0.5]),
          (DualInfeasibleError, "beta[1] = 0.5 exceeds zero")),
         # the sign rule is checked before any constraint
-        (DUAL_ILAP, IlapDual([9, 0], [0, 0.5]),
+        (DUAL_ILAP, Dual([9, 0], [0, 0.5]),
          (DualInfeasibleError, "beta[1] = 0.5 exceeds zero")),
-        (DUAL_ILAP, IlapDual([2, 0], [0, 0]),
+        (DUAL_ILAP, Dual([2, 0], [0, 0]),
          (DualInfeasibleError,
           "dual constraint violated at vertex 0, label 0")),
-        (DUAL_ILAP, IlapDual([0, 4], [0, 0]),
+        (DUAL_ILAP, Dual([0, 4], [0, 0]),
          (DualInfeasibleError,
           "dual constraint violated at vertex 1, label -1")),
-        (DUAL_ILAP, IlapDual([4, 0], [0, 0]),
+        (DUAL_ILAP, Dual([4, 0], [0, 0]),
+         (DualInfeasibleError,
+          "dual constraint violated at vertex 0, label -1")),
+        # ``model._label_potentials``: each label reads its own ``beta``
+        # (the labels' slacks are 0 only at -2), and the dummy reads 0,
+        # not ``beta[-1]`` (which would give it a slack of 0, not -1)
+        (DUAL_ILAP, Dual([3, 3], [-2, -2]), None),
+        (DUAL_ILAP, Dual([4, 0], [-3, -1]),
          (DualInfeasibleError,
           "dual constraint violated at vertex 0, label -1")),
     ])
@@ -423,7 +429,7 @@ class TestDuals:
                     continue
                 beta.append(min(inst.cost(v, lab) - alpha[v] for v in vs)
                             - rng.randint(0, 3))
-            dual = LapDual(alpha, beta)
+            dual = Dual(alpha, beta)
             require_dual_feasible(inst, dual)
             assert dual_objective(inst, dual) <= value + inst.atol
 
@@ -443,24 +449,20 @@ class TestCheckContract:
          (FeasibilityError, "vertex 1 takes label 0, not in its allowed set")),
         (require_feasible, CONTRACT_IQAP, [1, 1],
          (FeasibilityError, "label 1 assigned to both vertex 0 and vertex 1")),
-        (require_dual_feasible, DUAL_LAP, IlapDual([0, 0], [0, 0]),
-         (ValueError, "expected a LapDual for a LapInstance")),
-        (require_dual_feasible, CONTRACT_IQAP, LapDual([0, 0], [0, 0]),
-         (ValueError, "expected an IlapDual for this instance")),
-        (require_dual_feasible, DUAL_ILAP, IlapDual([0], [0, 0]),
+        (require_dual_feasible, DUAL_ILAP, Dual([0], [0, 0]),
          (ValueError, "alpha length does not match the vertex count")),
-        (require_dual_feasible, DUAL_LAP, LapDual([0, 0], [0, 0, 0]),
+        (require_dual_feasible, DUAL_LAP, Dual([0, 0], [0, 0, 0]),
          (ValueError, "beta length does not match the label count")),
-        (require_dual_feasible, DUAL_ILAP, IlapDual([0, 0], [0]),
+        (require_dual_feasible, DUAL_ILAP, Dual([0, 0], [0]),
          (ValueError, "beta length does not match the non-dummy label count")),
-        (require_dual_feasible, CONTRACT_IQAP, IlapDual([0, 0], [0, 1e-3]),
+        (require_dual_feasible, CONTRACT_IQAP, Dual([0, 0], [0, 1e-3]),
          (DualInfeasibleError, "beta[1] = 0.001 exceeds zero")),
-        (require_dual_feasible, CONTRACT_IQAP, IlapDual([0, 1.5], [0, 0]),
+        (require_dual_feasible, CONTRACT_IQAP, Dual([0, 1.5], [0, 0]),
          (DualInfeasibleError,
           "dual constraint violated at vertex 1, label 1")),
-    ], ids=["dimension", "disallowed", "duplicate", "lap-dual-class",
-            "ilap-dual-class", "alpha-length", "lap-beta-length",
-            "ilap-beta-length", "positive-beta", "violated-constraint"])
+    ], ids=["dimension", "disallowed", "duplicate", "alpha-length",
+            "lap-beta-length", "ilap-beta-length", "positive-beta",
+            "violated-constraint"])
     def test_every_branch_raises_its_error(self, check, inst, arg, expected):
         assert _raised(check, inst, arg) == expected
 

@@ -5,20 +5,21 @@ import pytest
 
 from qapbound.model import (
     DUMMY,
+    Dual,
     FeasibilityError,
-    IlapDual,
     IlapInstance,
     IqapInstance,
-    LapDual,
     LapInstance,
 )
 from qapbound.oracle import (
     GuardExceeded,
     _exact_optimum,
     brute_force_optimum,
+    certificate_checks,
     check_dual_relative_interior,
     search_space_size,
 )
+from qapbound.reduction import _solve_interior
 
 from helpers import (
     EXAMPLE1_MATCHING,
@@ -29,7 +30,9 @@ from helpers import (
     example1_final_dual,
     example1_initial_dual,
     example1_instance,
+    random_ilap,
     random_iqap,
+    random_lap,
     seeded,
 )
 
@@ -95,7 +98,7 @@ class TestBruteForce:
     def test_relative_interior_checks_respect_the_guard(self):
         inst = LapInstance([list(range(9))] * 9, [[0] * 9] * 9)
         with pytest.raises(GuardExceeded):
-            check_dual_relative_interior(inst, LapDual([0] * 9, [0] * 9))
+            check_dual_relative_interior(inst, Dual([0] * 9, [0] * 9))
         with pytest.raises(GuardExceeded):
             check_primal_relative_interior(inst, {v: {v: 1} for v in range(9)})
 
@@ -134,17 +137,17 @@ class TestDualInteriorCheck:
 
     def test_unique_optimum_with_strict_slack(self):
         inst = LapInstance([[0, 1], [0, 1]], [[0, 5], [5, 0]])
-        assert check_dual_relative_interior(inst, LapDual([0, 0], [0, 0]))
+        assert check_dual_relative_interior(inst, Dual([0, 0], [0, 0]))
 
     def test_infeasible_dual_rejected(self):
         with pytest.raises(Exception):
             check_dual_relative_interior(
-                example1_instance(), LapDual([10] * 5, [10] * 5))
+                example1_instance(), Dual([10] * 5, [10] * 5))
 
     def test_quadratic_instance_is_rejected(self):
         inst = IqapInstance(IlapInstance([[DUMMY, 0]], [[0, 0]], 1), [])
         with pytest.raises(TypeError) as info:
-            check_dual_relative_interior(inst, IlapDual([0], [0]))
+            check_dual_relative_interior(inst, Dual([0], [0]))
         assert str(info.value) == "dual checks cover unary instances only"
 
     def test_ilap_sign_strictness_matters(self):
@@ -152,8 +155,8 @@ class TestDualInteriorCheck:
         # segment of optimal duals, so the endpoint with zero potential is
         # not interior even though its tight pairs match
         inst = IlapInstance([[DUMMY, 0]], [[5, -1]], 1)
-        boundary = IlapDual([-1], [0])
-        interior = IlapDual([1], [-2])
+        boundary = Dual([-1], [0])
+        interior = Dual([1], [-2])
         assert not check_dual_relative_interior(inst, boundary)
         assert check_dual_relative_interior(inst, interior)
 
@@ -204,3 +207,63 @@ class TestPrimalInteriorCheck:
         inst = IqapInstance(IlapInstance([[DUMMY, 0]], [[0, 0]], 1), [])
         with pytest.raises(TypeError, match="unary instances only"):
             check_primal_relative_interior(inst, {0: {DUMMY: 1}})
+
+
+class TestCertificateChecks:
+    CHECKS = ["assignment is feasible", "dual is feasible",
+              "dual objective equals the assignment's value"]
+
+    def test_solver_certificates_pass(self):
+        rng = seeded(307)
+        for i in range(200):
+            inst = (random_ilap(rng, max_vertices=5, max_labels=5) if i % 2
+                    else random_lap(rng, rng.randint(1, 5)))
+            if i % 4 > 1:
+                inst = inst.with_costs([[c + 0.25 for c in row]
+                                        for row in inst.costs])
+            x, dual = _solve_interior(inst)
+            checks = certificate_checks(inst, x, dual)
+            assert [name for name, _, _ in checks] == self.CHECKS
+            assert all(ok for _, ok, _ in checks), checks
+            value, _ = brute_force_optimum(inst)
+            assert f"value {value}," in checks[2][2] or not inst.integral
+
+    @pytest.mark.parametrize("base, nudge, holds", [
+        # an integral instance is checked exactly, although its atol > 1
+        (10**9, 0.5, False),
+        (10**9, 2.0**-20, False),
+        # a float one within atol
+        (0.5, 1e-10, True),
+        (0.5, 1e-8, False),
+    ])
+    def test_objective_window(self, base, nudge, holds):
+        inst = LapInstance([[0, 1], [0, 1]], [[base, base + 1], [base + 1, base]])
+        dual = Dual([base - nudge, base], [0, 0])
+        checks = certificate_checks(inst, [0, 1], dual)
+        assert [ok for _, ok, _ in checks] == [True, True, holds]
+
+    @pytest.mark.parametrize("inst, dual, detail", [
+        (IlapInstance([[DUMMY, 0]], [[3, 1]], 1), Dual([1], [0.5]),
+         "beta[0] = 0.5 exceeds zero"),
+        (IlapInstance([[DUMMY, 0]], [[3, 1]], 1), Dual([4, 0], [-3]),
+         "dual dimensions do not match the instance"),
+        # the dummy's potential is 0, not ``beta[-1]``
+        (IlapInstance([[DUMMY, 0]], [[3, 1]], 1), Dual([4], [-3]),
+         "constraint at vertex 0, label -1 violated by 1"),
+        (IlapInstance([[DUMMY, 0]], [[3, 1]], 1), Dual([3.5], [-3]),
+         "constraint at vertex 0, label -1 violated by 0.5"),
+        (LapInstance([[0]], [[10**9]]), Dual([10**9], [Fraction(1, 2)]),
+         "constraint at vertex 0, label 0 violated by 0.5"),
+    ])
+    def test_dual_violations(self, inst, dual, detail):
+        assert certificate_checks(inst, [0], dual)[1] == (
+            "dual is feasible", False, detail)
+
+    def test_infeasible_assignment_has_no_value(self):
+        inst = LapInstance([[0, 1], [0, 1]], [[1, 2], [2, 1]])
+        checks = certificate_checks(inst, [0, 0], Dual([1, 1], [0, 0]))
+        assert checks[0] == (
+            "assignment is feasible", False,
+            "label 0 assigned to both vertex 0 and vertex 1")
+        assert checks[2] == ("dual objective equals the assignment's value",
+                             False, "no value to compare")

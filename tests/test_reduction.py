@@ -7,11 +7,10 @@ import pytest
 from qapbound.lap import solve_lap
 from qapbound.model import (
     DUMMY,
+    Dual,
     DualInfeasibleError,
     FeasibilityError,
-    IlapDual,
     IlapInstance,
-    LapDual,
     LapInstance,
     _as_cost,
     _half_cost,
@@ -159,14 +158,14 @@ class TestMapDual:
     def test_zero_cost_zero_dual(self):
         inst = IlapInstance([[DUMMY, 0], [DUMMY, 0]], [[0, 0], [0, 0]], 1)
         reduced = reduce_ilap_to_lap(inst)
-        dual = map_dual(inst, LapDual([0] * 3, [0] * 3))
+        dual = map_dual(inst, Dual([0] * 3, [0] * 3))
         assert dual.alpha == [0, 0] and dual.beta == [0]
         assert dual_objective(inst, dual) == 0
 
     def test_rejects_infeasible_dual(self):
         inst = example2_instance()
         with pytest.raises(DualInfeasibleError):
-            map_dual(inst, LapDual([100] * 9, [0] * 9))
+            map_dual(inst, Dual([100] * 9, [0] * 9))
 
     def test_optimal_duals_map_to_optimal(self):
         rng = seeded(33)
@@ -243,7 +242,7 @@ class TestLiftDual:
     def test_rejects_wrong_dimensions(self):
         inst = example2_instance()
         with pytest.raises(ValueError, match="dimensions"):
-            lift_dual(inst, IlapDual([0] * 4, [0] * 4))
+            lift_dual(inst, Dual([0] * 4, [0] * 4))
 
 
 class TestMapPrimal:

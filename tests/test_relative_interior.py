@@ -4,9 +4,9 @@ import pytest
 
 from qapbound.lap import equality_subgraph, solve_lap
 from qapbound.model import (
+    Dual,
     DualInfeasibleError,
     FeasibilityError,
-    LapDual,
     LapInstance,
     dual_objective,
     require_dual_feasible,
@@ -79,7 +79,7 @@ class TestExchangeDigraph:
     def test_rejects_an_assignment_that_is_no_perfect_matching(self, costs,
                                                               x, message):
         inst = LapInstance([[0, 1], [0, 1]], costs)
-        dual = LapDual([0, 0], [0, 0])
+        dual = Dual([0, 0], [0, 0])
         with pytest.raises(FeasibilityError) as info:
             perfectly_matchable_edges(equality_subgraph(inst, dual), x)
         assert str(info.value) == message
@@ -203,7 +203,7 @@ class TestShift:
         n = 5000
         allowed = [sorted((v, (v + 1) % n)) for v in range(n)]
         inst = LapInstance(allowed, [[0, 0]] * n)
-        dual = LapDual([0] * n, [0] * n)
+        dual = Dual([0] * n, [0] * n)
         x = list(range(n))
         start = time.perf_counter()
         out = shift_to_relative_interior(inst, dual, x)

@@ -6,7 +6,8 @@ from qapbound import wcsp
 from qapbound.beta_steps import beta_bca_pass
 from qapbound.bounds import _scaled, dual_bound
 from qapbound.formats import augment_instance, load_instance, parse_dd
-from qapbound.model import DUMMY, IlapInstance, IqapInstance, iqap_objective
+from qapbound.model import (DUMMY, IlapInstance, IqapInstance, _label_potentials,
+                            iqap_objective)
 from qapbound.wcsp import IqapDualState, _row_minima, _transposes, mplp_pp_pass
 
 from helpers import (
@@ -169,8 +170,10 @@ class TestEdgeUpdate:
         inst = IqapInstance(core, [(0, 1, {})])
         state = IqapDualState(inst)
         mplp_pp_edge_update(state, 0, 1)
-        assert state.tilde(0) == [1.5, 2.5]
-        assert state.tilde(1) == [1.5, 2.5]
+        pot = _label_potentials(state.beta)
+        for v in (0, 1):
+            assert [c - pot[lab] for lab, c in zip(
+                inst.unary.allowed[v], state.theta_phi[v])] == [1.5, 2.5]
 
     def test_all_zero_is_noop(self):
         core = IlapInstance([[DUMMY, 0]] * 2, [[0, 0]] * 2, 1)
