@@ -132,7 +132,10 @@ def _cmd_lap(args) -> int:
         if inst.edges:
             raise InputError("instance has pairwise costs; use 'solve'")
         inst = inst.unary
-    payload = _lap_payload(inst)
+    try:
+        payload = _lap_payload(inst)
+    except (DualInfeasibleError, FeasibilityError) as exc:
+        raise CheckFailure(str(exc)) from exc
     if args.output == "json":
         print(json.dumps(payload, indent=2))
     else:

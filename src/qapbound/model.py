@@ -30,7 +30,8 @@ only the new costs, through the same code path as the constructor, and
 shares the structure objects.  This is how the exact label step re-prices
 the unary subproblem every iteration.  Data that other modules derive from
 the structure alone, such as the index layout of the reduced square
-instance (see ``reduction``), is computed on first use and shared the same
+instance (see ``reduction``) and the per-label cell table
+(``_label_cells``), is computed on first use and shared the same
 way, so loading an instance never pays for it.  Instances are immutable
 after construction (the lazily filled caches hold values that depend only
 on what they are derived from) and safe to share across threads or
@@ -96,7 +97,7 @@ def _half_cost(c):
     ``reduction.lift_dual`` and ``reduction.solve_ilap`` halve, and the
     shift's slack.  So on an integral instance a potential that equals an
     integer is an int.  The message pass and the coordinate label step
-    (``wcsp._handshake``, ``beta_steps.beta_coordinate_update``) halve
+    (``wcsp._handshake``, ``beta_steps._label_step``) halve
     with a plain ``/ 2`` instead, which always gives a float.  An even int
     halves exactly here; anything else halves in floats, exactly except
     for an odd int above 2**53 and for a subnormal float."""
@@ -303,6 +304,22 @@ class _BaseInstance:
 
     def cost(self, v: int, lab: int):
         return self.costs[v][self._index[v][lab]]
+
+
+def _label_cells(inst: _BaseInstance) -> tuple:
+    """For each non-dummy label of ``inst``, the ``(vertex, position in
+    allowed[vertex])`` of each cell of that label, by ascending vertex.
+
+    Built from the structure on first use and kept in
+    ``_structure_cache``; the reduction's layout and the coordinate label
+    step both read it."""
+    cells = inst._structure_cache.get("label_cells")
+    if cells is None:
+        index = inst._index
+        cells = tuple(tuple([(v, index[v][lab]) for v in vertices])
+                      for lab, vertices in enumerate(inst.vertices_for_label))
+        inst._structure_cache["label_cells"] = cells
+    return cells
 
 
 class LapInstance(_BaseInstance):

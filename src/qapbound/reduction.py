@@ -31,8 +31,9 @@ Node layout: nodes 0 .. |V|-1 are the vertices, nodes |V| .. |V|+|L|-1 are
 the non-dummy labels, identically on both sides of the square instance.
 
 The index layout of the square instance (its allowed rows and index tables,
-and the original cell behind each cross cell) depends only on the allowed
-sets.  It is built once per instance structure, on the first
+and the original cell behind each cross cell, which ``model._label_cells``
+lists) depends only on the allowed sets.  It is built once per instance
+structure, on the first
 reduction, and shared by every instance made from that structure with
 ``with_costs`` or ``scale_costs``.  Each reduction then only prices the
 layout with the instance's costs, and its result is memoized on the
@@ -44,8 +45,6 @@ normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .lap import equality_subgraph, solve_lap
 from .model import (
     DUMMY,
@@ -54,47 +53,30 @@ from .model import (
     IlapInstance,
     LapInstance,
     _half_cost,
+    _label_cells,
     require_feasible,
 )
 from .relative_interior import (perfectly_matchable_edges,
                                 shift_to_relative_interior)
 
-@dataclass(frozen=True)
-class _Layout:
-    """The reduced instance's structure for one ILAP structure.
 
-    ``template`` carries the allowed rows and index tables of the square
-    instance (its costs are placeholders); ``label_cells``
-    lists, for each non-dummy label, the ``(vertex, position in
-    allowed[vertex])`` of the original cell behind each cross cell of the
-    label node's row.
-    """
-
-    template: LapInstance
-    label_cells: tuple
-
-
-def _layout(inst: IlapInstance) -> _Layout:
-    """The layout for ``inst``'s structure, built on first use and shared."""
-    layout = inst._structure_cache.get("reduction")
-    if layout is not None:
-        return layout
+def _template(inst: IlapInstance) -> LapInstance:
+    """The reduced instance's structure for ``inst``'s structure: the
+    allowed rows and index tables of the square instance, with placeholder
+    costs.  Built on first use and shared."""
+    template = inst._structure_cache.get("reduction")
+    if template is not None:
+        return template
     nv = inst.num_vertices
-    nl = inst.num_labels
     # Vertex node v: itself, then its non-dummy labels (the dummy sorts
-    # first in ``allowed[v]``).
+    # first in ``allowed[v]``).  Label node l: its vertices, then itself.
     allowed = [[v] + [nv + lab for lab in inst.allowed[v][1:]]
                for v in range(nv)]
-    label_cells = []
-    for lab in range(nl):
-        vertices = inst.vertices_for_label[lab]
-        label_cells.append(tuple((u, inst.label_index(u, lab))
-                                 for u in vertices))
-        allowed.append(list(vertices) + [nv + lab])
+    allowed += [[*vertices, nv + lab]
+                for lab, vertices in enumerate(inst.vertices_for_label)]
     template = LapInstance(allowed, [[0] * len(row) for row in allowed])
-    layout = _Layout(template, tuple(label_cells))
-    inst._structure_cache["reduction"] = layout
-    return layout
+    inst._structure_cache["reduction"] = template
+    return template
 
 
 def reduce_ilap_to_lap(inst: IlapInstance) -> LapInstance:
@@ -112,13 +94,13 @@ def reduce_ilap_to_lap(inst: IlapInstance) -> LapInstance:
     reduced = inst._reduced
     if reduced is not None:
         return reduced
-    layout = _layout(inst)
     # Row v: the dummy cost, then the halves of v's non-dummy costs, each
-    # at its position in ``allowed[v]``; the label rows reuse those halves.
+    # at its position in ``allowed[v]``; the label rows reuse those halves,
+    # each taken from the cell of ``_label_cells`` behind it.
     rows = [(row[0], *map(_half_cost, row[1:])) for row in inst.costs]
-    for cells in layout.label_cells:
+    for cells in _label_cells(inst):
         rows.append((*[rows[u][i] for u, i in cells], 0))
-    reduced = layout.template._with_normal_costs(tuple(rows))
+    reduced = _template(inst)._with_normal_costs(tuple(rows))
     inst._reduced = reduced
     return reduced
 

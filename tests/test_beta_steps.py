@@ -6,13 +6,14 @@ from qapbound.beta_steps import (
     beta_exact_update,
 )
 from qapbound.bounds import dual_bound
+from qapbound.formats import load_instance
 from qapbound.model import (DEFAULT_TOLERANCE, DUMMY, IlapInstance,
                             IqapInstance)
 from qapbound.oracle import brute_force_optimum
 from qapbound.reduction import solve_ilap
 from qapbound.wcsp import IqapDualState, mplp_pp_pass
 
-from helpers import copy_state, random_iqap, seeded
+from helpers import benchmark_generators, copy_state, random_iqap, seeded
 
 
 def edgeless(allowed, costs, num_labels):
@@ -141,6 +142,78 @@ class TestPasses:
                 current = dual_bound(inst, state)
                 assert current >= previous - atol
                 previous = current
+
+
+
+def assert_sweeps_match_coordinate_updates(state, sweeps=3):
+    """Each of ``sweeps`` sweeps from ``state`` gives the ``beta`` (to the
+    last bit, types and signed zeros included) of one
+    ``beta_coordinate_update`` per label in ascending order, each on rows
+    built afresh from the current ``beta``."""
+    for _ in range(sweeps):
+        updated = copy_state(state)
+        for lab in range(state.inst.num_labels):
+            beta_coordinate_update(updated, lab)
+        beta_bca_pass(state)
+        assert repr(state.beta) == repr(updated.beta)
+
+
+def tie_instance():
+    """Label 4 has no vertex, labels 2 and 3 one each; vertex 0 is
+    edge-free with four equal costs, vertices 1 and 2 share an edge and
+    tie within their rows."""
+    core = IlapInstance([[DUMMY, 0, 1, 2], [DUMMY, 0, 1], [DUMMY, 0, 3]],
+                        [[2, 2, 2, 2], [1, 0, 0], [0, -1, -1]], 5)
+    return IqapInstance(core, [(1, 2, {(0, 0): 1, (1, 3): -1})])
+
+
+class TestPassMatchesCoordinateUpdates:
+    @pytest.mark.parametrize("passes", [0, 1, 3])
+    def test_random_instances(self, passes):
+        rng = seeded(211 + passes)
+        for _ in range(60):
+            inst = random_iqap(rng, max_vertices=7, max_labels=6)
+            state = IqapDualState(inst)
+            for _ in range(passes):
+                mplp_pp_pass(state)
+            assert_sweeps_match_coordinate_updates(state)
+
+    @pytest.mark.parametrize("passes", [0, 1, 3])
+    def test_edge_free_rows_hold_ints(self, passes):
+        rng = seeded(223 + passes)
+        for _ in range(30):
+            inst = random_iqap(rng, max_vertices=6, max_labels=5, max_edges=1)
+            state = IqapDualState(inst)
+            for _ in range(passes):
+                mplp_pp_pass(state)
+            edge_free = set(range(inst.num_vertices)).difference(
+                *[(e.u, e.v) for e in inst.edges])
+            assert all(type(c) is int
+                       for v in edge_free for c in state.theta_phi[v])
+            assert_sweeps_match_coordinate_updates(state)
+
+    @pytest.mark.parametrize("passes", [0, 1, 3])
+    @pytest.mark.parametrize("beta", [[0] * 5, [-1, -1.0, 0, -0.5, 0]])
+    def test_empty_and_single_vertex_labels_and_tied_rows(self, passes, beta):
+        inst = tie_instance()
+        unary = inst.unary
+        assert [len(unary.vertices_for_label[lab]) for lab in (2, 3, 4)] == [1, 1, 0]
+        state = IqapDualState(inst)
+        state.beta = list(beta)
+        for _ in range(passes):
+            mplp_pp_pass(state)
+        assert_sweeps_match_coordinate_updates(state)
+        assert state.beta[4] == 0
+
+    @pytest.mark.parametrize("passes", [0, 1, 3])
+    def test_benchmark_style_instance(self, tmp_path, passes):
+        path = tmp_path / "gm.dd"
+        benchmark_generators().write_gm(path, 7, vertices=30)
+        inst = load_instance(path, dummy_cost=150)
+        state = IqapDualState(inst)
+        for _ in range(passes):
+            mplp_pp_pass(state)
+        assert_sweeps_match_coordinate_updates(state)
 
 
 class TestExactUpdate:

@@ -223,6 +223,29 @@ class TestLap:
         assert (code, err) == (0, "")
         assert out == json.dumps(payload, indent=2) + "\n"
 
+    def test_costs_past_float_precision_end_without_a_traceback(
+            self, tmp_path, capsys):
+        # Complete instances with costs 2**55 + 0..7: odd ints there halve
+        # in floats, so the certificate's tight-edge subgraph may miss a
+        # matched edge.  That is reported as a failed check (exit 2, one
+        # error line), never as an uncaught error.
+        rng = seeded(5)
+        codes = set()
+        for k in range(40):
+            n = rng.randint(2, 4)
+            path = tmp_path / f"big{k}.lap"
+            path.write_text(f"p lap {n}\n" + "".join(
+                f"a {v} {lab} {2**55 + rng.randint(0, 7)}\n"
+                for v in range(n) for lab in range(n)))
+            code, out, err = run_cli(capsys, "lap", "--input", str(path))
+            codes.add(code)
+            if code == 0:
+                assert err == "" and json.loads(out)["status"] == "optimal"
+            else:
+                assert (code, out) == (2, "")
+                assert err.startswith("error: ") and err.count("\n") == 1
+        assert codes <= {0, 2}
+
 
 def _decimal(inst):
     """``inst`` with costs in tenths, so sums of costs tie only up to
