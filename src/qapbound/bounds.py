@@ -21,13 +21,13 @@ all-zero start, and on the final state for the reported ``final_bound``.
 float by one power of two) and rounds down to a float, so the reported
 bound is certified.  It copies no int pairwise cell: the message-passing
 kernel multiplies each cell it reads by the power of two, and its early
-exit leaves most cells unread.  A potential in ``(0, atol]`` is accepted
-as rounding but evaluated as 0, since the bound holds for non-positive
-potentials only.  After a full message pass every edge term is 0 in
-exact arithmetic, and the label step leaves the messages alone, so each
-iteration records only ``sum(beta)`` plus each vertex's cheapest
-reparametrized unary, in floats.  Those per-iteration values drive early
-stopping and the trajectory; they are not certified.
+exit leaves most cells unread.  The bound holds for non-positive
+potentials only, so any positive potential is an error: both label steps
+keep every potential at or below 0 exactly.  After a full message pass
+every edge term is 0 in exact arithmetic, and the label step leaves the
+messages alone, so each iteration records only ``sum(beta)`` plus each
+vertex's cheapest reparametrized unary, in floats.  Those per-iteration
+values drive early stopping and the trajectory; they are not certified.
 """
 
 from __future__ import annotations
@@ -101,15 +101,13 @@ def dual_bound(inst: IqapInstance, state: IqapDualState) -> float:
     summed in ints, edge by edge.  An edge whose cells are all ints hands
     its own row table and the power of two to the kernel, which scales
     only the cells it reads; an edge holding a float cell is scaled in
-    full by ``_scaled_rows``.  Each potential is evaluated as ``min(b, 0)``; one
-    positive beyond tolerance is an error.  A state that holds no float
-    gives the int sum; otherwise the result is the largest float not above
-    the exact value.
+    full by ``_scaled_rows``.  A positive potential, however small, is an
+    error.  A state that holds no float gives the int sum; otherwise the
+    result is the largest float not above the exact value.
     """
-    atol = inst.atol
     for lab, b in enumerate(state.beta):
-        if b > atol:
-            raise ValueError(f"beta[{lab}] = {b} is positive beyond tolerance")
+        if b > 0:
+            raise ValueError(f"beta[{lab}] = {b} is positive")
     unary = inst.unary
     phi = state.phi
     groups = [state.beta, *phi.values()]
@@ -130,7 +128,7 @@ def dual_bound(inst: IqapInstance, state: IqapDualState) -> float:
         else:
             total += _edge_minimum(out_u, out_v, e,
                                    _scaled_rows(e.rows_u, scale))
-    pot = _label_potentials(_scaled([min(b, 0) for b in state.beta], scale))
+    pot = _label_potentials(_scaled(state.beta, scale))
     total += sum(pot)
     for labs, row in zip(unary.allowed, sums):
         total += min(map(sub, row, map(pot.__getitem__, labs)))

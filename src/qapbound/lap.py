@@ -30,12 +30,14 @@ INF = math.inf
 
 def equality_subgraph(inst: LapInstance,
                       dual: Dual) -> tuple[tuple[int, ...], ...]:
-    """Labels whose dual constraint is tight (see ``model._tight_slack``),
-    as one sorted tuple per vertex: ``rows[v]`` holds the labels ``lab``
-    with ``(v, lab)`` in the tight-edge subgraph.
+    """Labels whose dual constraint is tight, as one sorted tuple per
+    vertex: ``rows[v]`` holds the labels ``lab`` with ``(v, lab)`` in the
+    tight-edge subgraph.
 
-    Rejects duals that are infeasible beyond tolerance, since the set of
-    tight constraints is not meaningful for them.  One list of slacks per
+    Both tests read one window, ``model._tight_slack``: a slack of at most
+    the window is tight and one below its negative is violated, so both
+    are exact on an integral instance.  An infeasible dual is rejected, since
+    its set of tight constraints is not meaningful.  One list of slacks per
     row serves both the feasibility check and the tight labels; a dual of
     the wrong length, or a row with a violated constraint, is handed to
     ``require_dual_feasible``, which raises its own error.  The instance
@@ -45,8 +47,8 @@ def equality_subgraph(inst: LapInstance,
             and len(dual.beta) == inst.num_labels):
         require_dual_feasible(inst, dual)
         raise ValueError("expected a LapInstance")
-    floor = repeat(-inst.atol)
     tight = _tight_slack(inst)
+    floor = repeat(-tight)
     beta = dual.beta
     rows = []
     for labs, cs, av in zip(inst.allowed, inst.costs, dual.alpha):

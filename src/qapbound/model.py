@@ -43,10 +43,12 @@ first edge.  ``convert_qaplib_to_iqap`` gives all vertex pairs with one
 flow pair one map, so the benchmark's QAPLIB instance builds 10 pairs of
 tables for its 189 edges.
 
-Every tolerance comparison in the package goes through the instance's
-``atol``, one window for every instance: ``DEFAULT_TOLERANCE`` scaled by
-``1 + max_abs_cost``.  Whether a dual constraint is tight is exact on an
-integral instance (``_tight_slack``).  ``require_feasible`` and
+Every instance has one tolerance, ``atol``: ``DEFAULT_TOLERANCE`` scaled
+by ``1 + max_abs_cost``.  Every check on a LAP or ILAP and its dual reads
+it through one rule, ``_tight_slack``: exact on an integral instance,
+within ``atol`` on a float one.  That rule decides whether a dual
+constraint is tight or violated, whether two objective values match, and
+which assignments the oracle counts optimal.  ``require_feasible`` and
 ``require_dual_feasible`` are the only constraint checks; each raises at
 the first violation it finds.
 
@@ -84,7 +86,7 @@ class FeasibilityError(ValueError):
 
 
 class DualInfeasibleError(ValueError):
-    """A dual vector violates the dual constraints beyond tolerance."""
+    """A dual vector violates a dual constraint (see ``_tight_slack``)."""
 
 
 def _half_cost(c):
@@ -653,11 +655,12 @@ def _label_potentials(beta) -> list:
 
 def require_dual_feasible(inst, dual) -> None:
     """Raise ``DualInfeasibleError`` at the first dual constraint violated
-    beyond ``inst.atol``: on a dummy-label instance the sign of each
-    ``beta`` first, then every allowed pair.  A dual of the wrong length
-    raises ``ValueError``."""
+    by more than ``_tight_slack`` of the unary instance, so exactly on an
+    integral one: on a dummy-label instance the sign of each ``beta``
+    first, then every allowed pair.  A dual of the wrong length raises
+    ``ValueError``."""
     unary = unary_part(inst)
-    tol = inst.atol
+    tol = _tight_slack(unary)
     square = isinstance(unary, LapInstance)
     if len(dual.alpha) != unary.num_vertices:
         raise ValueError("alpha length does not match the vertex count")
@@ -679,10 +682,13 @@ def require_dual_feasible(inst, dual) -> None:
 
 
 def _tight_slack(inst):
-    """The largest slack at which a dual constraint of ``inst`` is tight:
-    0 on an integral instance, whose slacks are exact (there ``atol`` can
-    reach 1 and merge two integer slacks), else ``atol``.  The oracle
-    counts an assignment optimal within the same window of the optimum."""
+    """The window of every assignment check on ``inst``: 0 on an integral
+    instance, whose arithmetic is exact (there ``atol`` can reach 1 and
+    would merge two integer slacks or hide a violation of one half), else
+    ``atol``.  A dual constraint is tight at a slack of at most this and
+    violated at one below its negative; two values of the instance match
+    when they differ by at most this, and the oracle counts an assignment
+    optimal within it of the optimum."""
     return 0 if inst.integral else inst.atol
 
 

@@ -239,22 +239,15 @@ class TestDualBound:
         inst = edgeless([[DUMMY, 0]] * 2, [[0, 0]] * 2, 1)
         assert dual_bound(inst, IqapDualState(inst)) == 0
 
-    def test_positive_beta_rejected(self):
+    @pytest.mark.parametrize("size", ["one", "half-atol"])
+    def test_positive_beta_rejected(self, size):
+        # The bound holds for non-positive potentials only, so even a
+        # potential within the tolerance window is an error.
         inst = edgeless([[DUMMY, 0]] * 2, [[0, 0]] * 2, 1)
         state = IqapDualState(inst)
-        state.beta[0] = 1.0
+        state.beta[0] = 1.0 if size == "one" else inst.atol / 2
         with pytest.raises(ValueError, match="positive"):
             dual_bound(inst, state)
-
-    def test_positive_beta_within_tolerance_counts_as_zero(self):
-        # Summing the two potentials as they are certified 6e-09 above the
-        # optimum 0 (assign the dummy label).
-        inst = edgeless([[DUMMY, 0, 1]], [[0, 5, 5]], 2)
-        state = IqapDualState(inst)
-        state.beta = [inst.atol / 2] * 2
-        value, _ = brute_force_optimum(inst)
-        assert value == 0
-        assert repr(dual_bound(inst, state)) == "0.0"
 
     def test_sound_on_reachable_states(self):
         rng = seeded(83)

@@ -451,26 +451,20 @@ class TestVerify:
         assert "bound 1.0, optimum 1.0" in out
         assert "FAIL" not in out
 
-    @pytest.mark.parametrize("name", ["example1.lap", "tiny.ilap"])
+    # wide.lap and wide.ilap have costs near 1e9, so ``atol`` is near 1:
+    # only an exact check sees a potential moved by 1 or by one half.
+    @pytest.mark.parametrize("name", ["example1.lap", "tiny.ilap",
+                                      "wide.lap", "wide.ilap"])
     @pytest.mark.parametrize("delta, interior", [
         (1, "FAIL (dual constraint violated at vertex 0, label "),
         (-1, "FAIL\n"),
-    ], ids=["raised", "lowered"])
+        (0.5, "FAIL (dual constraint violated at vertex 0, label "),
+    ], ids=["raised", "lowered", "raised-half"])
     def test_shifted_potential_fails_verification(self, monkeypatch, capsys,
                                                   name, delta, interior):
         # A raised potential makes the dual infeasible, which the interior
         # check reports as a failure, not as an escaping exception.
-        solve = cli._solve_interior
-
-        def shifted(inst):
-            x, dual = solve(inst)
-            return x, type(dual)([dual.alpha[0] + delta, *dual.alpha[1:]],
-                                 dual.beta)
-
-        monkeypatch.setattr(cli, "_solve_interior", shifted)
-        code, out, err = run_cli(capsys, "verify", "--input",
-                                 str(FIXTURES / name))
-        assert (code, err) == (2, "error: verification failed\n")
+        out = _verify_shifted(monkeypatch, capsys, FIXTURES / name, delta)
         assert "dual objective matches: FAIL\n" in out
         assert "dual is in the relative interior: " + interior in out
 
@@ -520,22 +514,37 @@ class TestVerify:
         path = FIXTURES / name
         inst = load_instance(path)
         assert inst.integral and inst.atol > 2 * abs(delta)
-        solve = cli._solve_interior
-
-        def nudged(inst):
-            x, dual = solve(inst)
-            return x, type(dual)([dual.alpha[0] + delta, *dual.alpha[1:]],
-                                 dual.beta)
-
-        monkeypatch.setattr(cli, "_solve_interior", nudged)
-        code, out, err = run_cli(capsys, "verify", "--input", str(path))
-        assert (code, err) == (2, "error: verification failed\n")
+        out = _verify_shifted(monkeypatch, capsys, path, delta)
         assert "assignment is feasible: ok\n" in out
         assert "dual objective equals the assignment's value: FAIL (" in out
         # vertex 0 is tight at its own label, so raising its potential
-        # breaks a constraint of vertex 0
-        assert ("dual is feasible: FAIL (constraint at vertex 0, label "
-                if delta > 0 else "dual is feasible: ok\n") in out
+        # breaks a constraint of vertex 0, which the exchange digraph check
+        # reports with ``require_dual_feasible``'s message
+        if delta > 0:
+            assert ("dual is feasible: FAIL (constraint at vertex 0, "
+                    "label ") in out
+            assert ("exchange digraph puts every tight edge on an "
+                    "optimum: FAIL (dual constraint violated at vertex 0, "
+                    "label ") in out
+        else:
+            assert "dual is feasible: ok\n" in out
+
+
+def _verify_shifted(monkeypatch, capsys, path, delta) -> str:
+    """Run ``verify`` on ``path`` with vertex 0's potential moved by
+    ``delta`` in the solved certificate; assert that it fails, and return
+    its output."""
+    solve = cli._solve_interior
+
+    def shifted(inst):
+        x, dual = solve(inst)
+        return x, type(dual)([dual.alpha[0] + delta, *dual.alpha[1:]],
+                             dual.beta)
+
+    monkeypatch.setattr(cli, "_solve_interior", shifted)
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert (code, err) == (2, "error: verification failed\n")
+    return out
 
 
 def _no_pool(*args, **kwargs):

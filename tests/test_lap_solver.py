@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from qapbound.formats import load_instance
 from qapbound.lap import equality_subgraph, solve_lap
 from qapbound.model import (
     DUMMY,
@@ -28,6 +31,8 @@ from helpers import (
     seeded,
     tight_pairs,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def find_perfect_matching(adjacency):
@@ -274,6 +279,21 @@ class TestEqualitySubgraph:
             assert str(got.value) == want
             raised += 1
         assert raised > 100
+
+    def test_a_violation_below_atol_raises_on_an_integral_instance(self):
+        # Costs near 1e9 put ``atol`` near 1, but an integral instance's
+        # constraints are exact: a potential raised by one half violates one.
+        inst = load_instance(FIXTURES / "above_guard.lap")
+        assert inst.integral and inst.atol > 1
+        _, dual = solve_lap(inst)
+        dual = Dual([dual.alpha[0] + 0.5, *dual.alpha[1:]], dual.beta)
+        with pytest.raises(DualInfeasibleError) as want:
+            require_dual_feasible(inst, dual)
+        with pytest.raises(DualInfeasibleError) as got:
+            equality_subgraph(inst, dual)
+        assert str(got.value) == str(want.value)
+        assert str(want.value).startswith(
+            "dual constraint violated at vertex 0, label ")
 
     @pytest.mark.parametrize("dual", [
         Dual([0] * 4, [0] * 5),
