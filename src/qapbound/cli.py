@@ -6,9 +6,10 @@ Subcommands:
   and print a report.
 * ``lap``: solve a single square or dummy-label instance exactly, print the
   assignment, value, dual, and a relative-interior self-check flag.
-* ``verify``: cross-check the solvers against exhaustive enumeration on a
-  small instance; above the enumeration guard, check the certificate of a
-  square or dummy-label instance.
+* ``verify``: check the certificate of a square or dummy-label instance at
+  any size, and at or below the enumeration guard compare it with
+  exhaustive enumeration; cross-check the bound solvers against
+  enumeration on a small quadratic instance.
 * ``batch``: run a method-by-instance grid from a manifest and print the
   result table.
 
@@ -151,49 +152,52 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def _verify_unary(inst: LapInstance | IlapInstance) -> bool:
-    value, _ = brute_force_optimum(inst)
-    solved = _solve_interior(inst)
-    if value is None:
-        return _check("solver agrees instance is infeasible", solved is None)
-    if not _check("solver finds an optimum", solved is not None):
-        return False
-    x, dual = solved
-    objective = lap_objective(inst, x)
-    ok = _check("solver value matches enumeration",
-                abs(objective - value) <= _tight_slack(inst), f"value {value}")
-    # the last certificate check compares the two values as Fractions
-    equal = certificate_checks(inst, x, dual)[-1][1]
-    ok &= _check("dual objective matches", equal)
+def _check_raising(name: str, test, *args) -> bool:
+    """``_check`` of ``test(*args)``; an infeasible dual or assignment that
+    ``test`` raises on fails the check with its message."""
     try:
-        interior, detail = check_dual_relative_interior(inst, dual), ""
-    except DualInfeasibleError as exc:
-        interior, detail = False, str(exc)
-    ok &= _check("dual is in the relative interior", interior, detail)
+        passed, detail = test(*args), ""
+    except (DualInfeasibleError, FeasibilityError) as exc:
+        passed, detail = False, str(exc)
+    return _check(name, passed, detail)
+
+
+def _verify_unary(inst: LapInstance | IlapInstance) -> bool | None:
+    """Check the certificate of ``_solve_interior`` at any size, and at or
+    below the enumeration guard against enumeration too.  None for a square
+    instance without a perfect matching above the guard."""
+    solved = _solve_interior(inst)
+    enumerable = search_space_size(inst) <= SEARCH_SPACE_GUARD
+    if enumerable:
+        value, _ = brute_force_optimum(inst)
+        if value is None or solved is None:
+            return _check("solver agrees instance is infeasible",
+                          value is None and solved is None,
+                          "" if value is None else f"value {value}")
+    elif solved is None:
+        return None
+    x, dual = solved
+    checks = certificate_checks(inst, x, dual)
+    ok = True
+    for name, passed, detail in checks:
+        ok &= _check(name, passed, detail)
+    ok &= _check_raising(
+        "exchange digraph puts every tight edge on an optimum",
+        _relative_interior_flag, inst, dual, x)
+    if not checks[0][1]:  # the remaining checks need the assignment's value
+        return False
+    objective = lap_objective(inst, x)
     if isinstance(inst, IlapInstance):
         reduced = reduce_ilap_to_lap(inst)
         lifted = lap_objective(reduced, lift_assignment(inst, x))
         ok &= _check("lifted assignment keeps the objective",
                      abs(lifted - objective) <= _tight_slack(reduced))
-    return ok
-
-
-def _verify_certificate(inst: LapInstance | IlapInstance) -> bool | None:
-    """Check the certificate of ``_solve_interior`` without enumeration;
-    None for a square instance without a perfect matching."""
-    solved = _solve_interior(inst)
-    if solved is None:
-        return None
-    x, dual = solved
-    ok = True
-    for name, passed, detail in certificate_checks(inst, x, dual):
-        ok &= _check(name, passed, detail)
-    try:
-        interior, detail = _relative_interior_flag(inst, dual, x), ""
-    except (DualInfeasibleError, FeasibilityError) as exc:
-        interior, detail = False, str(exc)
-    ok &= _check("exchange digraph puts every tight edge on an optimum",
-                 interior, detail)
+    if enumerable:
+        ok &= _check("solver value matches enumeration",
+                     abs(objective - value) <= _tight_slack(inst),
+                     f"value {value}")
+        ok &= _check_raising("dual is in the relative interior",
+                             check_dual_relative_interior, inst, dual)
     return ok
 
 
@@ -221,11 +225,10 @@ def _verify_iqap(inst: IqapInstance) -> bool:
 def _cmd_verify(args) -> int:
     inst = _load(args)
     size = search_space_size(inst)
-    ok = None
-    if size <= SEARCH_SPACE_GUARD:
-        ok = _verify_iqap(inst) if isinstance(inst, IqapInstance) else _verify_unary(inst)
-    elif not isinstance(inst, IqapInstance):
-        ok = _verify_certificate(inst)
+    if not isinstance(inst, IqapInstance):
+        ok = _verify_unary(inst)
+    else:
+        ok = _verify_iqap(inst) if size <= SEARCH_SPACE_GUARD else None
     if ok is None:
         print(f"skipped: search space of {size} assignments exceeds "
               f"the enumeration guard of {SEARCH_SPACE_GUARD}")
@@ -286,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser(
         "verify", parents=[instance],
-        help="cross-check the solvers against enumeration")
+        help="check an assignment certificate, and cross-check the "
+             "solvers against enumeration on small instances")
     verify.set_defaults(func=_cmd_verify)
 
     batch = sub.add_parser("batch", help="run a manifest of benchmark jobs")

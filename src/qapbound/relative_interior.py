@@ -156,11 +156,15 @@ def shift_to_relative_interior(inst: LapInstance, dual: Dual,
     the ``equality_subgraph`` rows of ``dual``.
 
     The per-component slack is the least slack of an edge leaving the
-    component, computed from the already-updated potentials, or 1 when no
-    edge leaves it.  Either is floored at twice the largest slack that
-    counts as tight (``model._tight_slack``) so removed edges clear the
-    tightness test.  On an integral instance that floor is 0: its slacks
-    are exact, as long as the halved slacks are (up to about 2**50).
+    component, computed from the already-updated potentials, floored at
+    twice the largest slack that counts as tight (``model._tight_slack``,
+    ``t`` here) so removed edges clear the tightness test.  A component
+    that no edge leaves takes ``max(1, 8·t)``.  An edge into it, tight at
+    a slack of at least ``-t``, gains half of that and reaches at least
+    ``3·t``; its own component, shifted later by at most that slack or by
+    ``2·t``, takes back at most half the slack or ``t``, so the edge ends
+    above ``t``.  On an integral instance ``t`` is 0: its slacks are
+    exact, as long as the halved slacks are (up to about 2**50).
     """
     rows = equality_subgraph(inst, dual)
     try:
@@ -185,9 +189,7 @@ def shift_to_relative_interior(inst: LapInstance, dual: Dual,
                 s = c - av - beta[lab]
                 if slack is None or s < slack:
                     slack = s
-        delta = 1 if slack is None else slack
-        if delta < floor:
-            delta = floor
+        delta = max(1, 4 * floor) if slack is None else max(slack, floor)
         half = _half_cost(delta)
         for v in comp:
             alpha[v] += half

@@ -1,3 +1,4 @@
+import itertools
 import json
 import multiprocessing
 import os
@@ -264,6 +265,22 @@ def _random_unary_instances(seed, count):
         yield _decimal(inst) if i % 4 >= 2 else inst
 
 
+def _large_float_instances(seed, count):
+    """Random instances with costs scaled by 1e8 to 1e12 and about a third
+    of them moved by less than 1, so ``atol`` usually exceeds 0.1 and
+    costs tie within it."""
+    rng = seeded(seed)
+    for i in range(count):
+        if i % 2:
+            inst = random_ilap(rng, max_vertices=4, max_labels=4)
+        else:
+            inst = random_lap(rng, rng.randint(1, 4), extra=0.5)
+        scale = rng.choice([1e8, 1e9, 1e10, 1e12])
+        yield inst.with_costs([
+            [c * scale + (rng.random() if rng.random() < 0.3 else 0)
+             for c in row] for row in inst.costs])
+
+
 class TestLapPayload:
     """One solve-and-certify path for square and dummy-label instances."""
 
@@ -280,7 +297,8 @@ class TestLapPayload:
 
     def test_flag_matches_oracle(self):
         outside = 0
-        for inst in _random_unary_instances(9, 240):
+        for inst in itertools.chain(_random_unary_instances(9, 240),
+                                    _large_float_instances(9, 240)):
             if isinstance(inst, IlapInstance):
                 solved = [solve_ilap(inst, relative_interior=ri)
                           for ri in (False, True)]
@@ -430,7 +448,8 @@ class TestVerify:
     @pytest.mark.parametrize("name", ["example1.lap", "tiny.ilap",
                                       "toy1.dd", "toy2.dd", "toy3.dd",
                                       "wide.lap", "wide.ilap",
-                                      "float.dd", "float.ilap"])
+                                      "float.dd", "float.ilap",
+                                      "float_wide.lap"])
     def test_fixtures_pass(self, capsys, name):
         code, out, _ = run_cli(capsys, "verify", "--input",
                                str(FIXTURES / name))
@@ -465,8 +484,42 @@ class TestVerify:
         # A raised potential makes the dual infeasible, which the interior
         # check reports as a failure, not as an escaping exception.
         out = _verify_shifted(monkeypatch, capsys, FIXTURES / name, delta)
-        assert "dual objective matches: FAIL\n" in out
+        assert "dual objective equals the assignment's value: FAIL (" in out
         assert "dual is in the relative interior: " + interior in out
+
+    def test_exchange_digraph_check_runs_below_the_guard(self, monkeypatch,
+                                                         capsys):
+        path = FIXTURES / "example1.lap"
+        assert search_space_size(load_instance(path)) <= SEARCH_SPACE_GUARD
+        monkeypatch.setattr(cli, "_relative_interior_flag",
+                            lambda inst, dual, x: False)
+        code, out, err = run_cli(capsys, "verify", "--input", str(path))
+        assert (code, err) == (2, "error: verification failed\n")
+        assert ("exchange digraph puts every tight edge on an optimum: "
+                "FAIL\n") in out
+
+    @pytest.mark.parametrize("name", ["example1.lap", "tiny.ilap",
+                                      "above_guard.ilap"])
+    def test_infeasible_assignment_fails_without_a_traceback(
+            self, monkeypatch, capsys, name):
+        # the last vertex has no label: no value to compare, so the
+        # certificate lines fail and the checks that need one do not run
+        solve = cli._solve_interior
+
+        def truncated(inst):
+            x, dual = solve(inst)
+            return x[:-1], dual
+
+        monkeypatch.setattr(cli, "_solve_interior", truncated)
+        code, out, err = run_cli(capsys, "verify", "--input",
+                                 str(FIXTURES / name))
+        assert (code, err) == (2, "error: verification failed\n")
+        assert out.startswith("assignment is feasible: FAIL (")
+        assert ("dual objective equals the assignment's value: FAIL "
+                "(no value to compare)\n") in out
+        assert ("exchange digraph puts every tight edge on an optimum: "
+                "FAIL (") in out
+        assert "enumeration" not in out and "lifted" not in out
 
     @pytest.mark.parametrize("name, text, size", [
         ("big.dd", "p 7 7 49 0\n" + "".join(
@@ -498,11 +551,13 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--input", str(path))
         assert (code, err) == (0, "")
         lines = out.splitlines()
+        lifted = ["lifted assignment keeps the objective"] * name.endswith(
+            ".ilap")
         assert [line.split(": ")[0] for line in lines] == [
             "assignment is feasible", "dual is feasible",
             "dual objective equals the assignment's value",
             "exchange digraph puts every tight edge on an optimum",
-            "all checks passed"]
+            *lifted, "all checks passed"]
         assert all(line.split(": ")[1].startswith("ok") for line in lines[:-1])
 
     @pytest.mark.parametrize("name", ["above_guard.lap", "above_guard.ilap"])

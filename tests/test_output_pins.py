@@ -8,9 +8,10 @@ the command line are replaced by ``<fixtures>``.  The ``qap3`` batch job
 has a 2 s time limit but stops after one iteration on the epsilon rule, so
 its fields are pinned too.
 
-The ``verify`` pins were recorded after square and dummy-label instances
-started sharing one check list: both print ``dual is in the relative
-interior`` and ``solver finds an optimum``.
+The ``verify`` pins on ``.lap`` and ``.ilap`` files were recorded after
+``verify`` started checking their certificate at every size: the
+certificate lines and the exchange-digraph line come first, and at or
+below the enumeration guard the two enumeration lines follow.
 
 The solver pins on generated instances were recorded before ``dual_bound``
 let the kernel scale int cells as it reads them.  Their final states hold
@@ -248,16 +249,24 @@ def quadratic_verify(optimum, bounds):
 
 class TestVerify:
     @pytest.mark.parametrize("name, expected", [
-        ("example1.lap", "solver finds an optimum: ok\n"
+        ("example1.lap", "assignment is feasible: ok\n"
+                         "dual is feasible: ok\n"
+                         "dual objective equals the assignment's value: ok "
+                         "(value 24, dual objective 24)\n"
+                         "exchange digraph puts every tight edge on an "
+                         "optimum: ok\n"
                          "solver value matches enumeration: ok (value 24)\n"
-                         "dual objective matches: ok\n"
                          "dual is in the relative interior: ok\n"
                          "all checks passed\n"),
-        ("tiny.ilap", "solver finds an optimum: ok\n"
-                      "solver value matches enumeration: ok (value 4)\n"
-                      "dual objective matches: ok\n"
-                      "dual is in the relative interior: ok\n"
+        ("tiny.ilap", "assignment is feasible: ok\n"
+                      "dual is feasible: ok\n"
+                      "dual objective equals the assignment's value: ok "
+                      "(value 4, dual objective 4)\n"
+                      "exchange digraph puts every tight edge on an "
+                      "optimum: ok\n"
                       "lifted assignment keeps the objective: ok\n"
+                      "solver value matches enumeration: ok (value 4)\n"
+                      "dual is in the relative interior: ok\n"
                       "all checks passed\n"),
         ("toy1.dd", quadratic_verify(-1, [-1.0] * 3)),
         ("toy2.dd", quadratic_verify(-5, [-5.0] * 3)),
